@@ -7,6 +7,11 @@ and no interpolation enters the mollified forms.  The sharp-gap form
 samples the lp-sphere quadrature nodes instead and evaluates f by
 multilinear interpolation, which preserves the [-1, 1] range.
 
+Every form sums, gap by gap, only over the overlap window: the cells x for
+which f(x), f(x+y) and f(x+2y) can all be nonzero.  Zero extension stays
+exact, because each skipped cell would add an exact zero; only the order
+of summation differs from a sum over the whole grid.
+
 The mollified form with width 1 *is* the base form (same code path), and
 the cancelled form is accumulated in a single pass with the fused kernel
 so the decomposition identity survives floating cancellation.
@@ -14,8 +19,9 @@ so the decomposition identity survives floating cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +45,8 @@ class BoxFunction:
             raise ValueError("box size must be an integer number of cells")
         if self.values.shape != (n,) * self.values.ndim:
             raise ValueError(f"value grid must be cubical with side {n}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
         if np.max(np.abs(self.values)) > 1.0 + 1e-12:
             raise ValueError("values must lie in [-1, 1]")
 
@@ -117,42 +125,54 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     ax = np.arange(-jmax, jmax + 1)
     grids = np.meshgrid(*([ax] * d), indexing="ij")
     J = np.stack([g.ravel() for g in grids], axis=-1)
-    Y = J * h
-    return J, Y, jmax
+    return J, J * h
 
 
-def _triple_sum(f: BoxFunction, J: np.ndarray, kvals: np.ndarray, jmax: int) -> float:
-    """sum over lattice gaps j of k(y_j) * sum_x f(x) f(x+j) f(x+2j), zero extension."""
+def _triple_sum(f: BoxFunction, J: np.ndarray, kvals: np.ndarray) -> float:
+    """sum over lattice gaps j of k(y_j) * sum_x f(x) f(x+j) f(x+2j), zero extension.
+
+    Per axis x runs over [max(0, -2j), min(n, n - 2j)), the cells where x, x+j
+    and x+2j all lie in the box; every cell outside adds an exact zero.
+    """
     n = f.n
-    d = f.d
-    pad = 2 * jmax
-    shape = (n + 2 * pad,) * d
-    F = np.zeros(shape)
-    core = tuple(slice(pad, pad + n) for _ in range(d))
-    F[core] = f.values
+    v = f.values
+    lo = np.maximum(0, -2 * J)
+    hi = np.minimum(n, n - 2 * J)
+    keep = (kvals != 0.0) & np.all(hi > lo, axis=1)
+    buf = np.empty(v.size)
     parts = []
-    base = f.values
-    for row, kv in zip(J, kvals):
-        if kv == 0.0:
-            continue
-        s1 = tuple(slice(pad + int(c), pad + int(c) + n) for c in row)
-        s2 = tuple(slice(pad + 2 * int(c), pad + 2 * int(c) + n) for c in row)
-        parts.append(kv * float(np.sum(base * F[s1] * F[s2])))
+    for row, a, b, kv in zip(J[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
+                             kvals[keep]):
+        s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
+        s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
+        s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
+        shape = tuple(x1 - x0 for x0, x1 in zip(a, b))
+        prod = buf[:math.prod(shape)].reshape(shape)
+        np.multiply(v[s0], v[s1], out=prod)
+        prod *= v[s2]
+        parts.append(kv * float(np.sum(prod)))
     return compensated_sum(parts)
 
 
-def m_eps_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) -> FormValue:
-    """Mollified counting form with shell kernel of width eps at scale lam."""
+def _grid_form(kind: str, f: BoxFunction, lam: float, eps: float, p, support_eps: float,
+               kernel: Callable[[KernelParams, np.ndarray], np.ndarray]) -> FormValue:
+    """Lattice triple sum of f against kernel(params, y) over the width-support_eps support."""
     pv = _as_p(p)
     if f.d not in (1, 2):
         raise ValueError("grid forms support d in {1, 2}")
     _check_scale(f, lam, eps, pv)
-    J, Y, jmax = _kernel_lattice(pv, f.d, lam, eps, f.h)
-    kvals = omega_eps_eval(Y, KernelParams(pv, f.d, lam, eps), m)
-    val = f.h ** (2 * f.d) * _triple_sum(f, J, kvals, jmax)
+    J, Y = _kernel_lattice(pv, f.d, lam, support_eps, f.h)
+    kvals = kernel(KernelParams(pv, f.d, lam, eps), Y)
+    val = f.h ** (2 * f.d) * _triple_sum(f, J, kvals)
     rel = min(1.0, (f.h * pv / (eps * lam * 4.0)) ** 2)  # crude second-order heuristic
-    return FormValue(kind="M_eps_lambda" if eps != 1.0 else "M_lambda", lam=lam,
-                     eps=eps, value=val, quadrature_error=abs(val) * rel + 1e-14)
+    return FormValue(kind=kind, lam=lam, eps=eps, value=val,
+                     quadrature_error=abs(val) * rel + 1e-14)
+
+
+def m_eps_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) -> FormValue:
+    """Mollified counting form with shell kernel of width eps at scale lam."""
+    return _grid_form("M_eps_lambda" if eps != 1.0 else "M_lambda", f, lam, eps, p, eps,
+                      lambda params, Y: omega_eps_eval(Y, params, m))
 
 
 def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
@@ -165,40 +185,52 @@ def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
 def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
              c1: Optional[float] = None) -> FormValue:
     """Cancelled form, accumulated in one pass with the fused kernel."""
-    pv = _as_p(p)
-    if f.d not in (1, 2):
-        raise ValueError("grid forms support d in {1, 2}")
-    _check_scale(f, lam, eps, pv)
-    kern = CancelledKernel(KernelParams(pv, f.d, lam, eps),
-                           c1 if c1 is not None else c1_eps(eps, pv, f.d, m), m)
-    J, Y, jmax = _kernel_lattice(pv, f.d, lam, 1.0, f.h)  # union support (eps <= 1)
-    kvals = kern(Y)
-    val = f.h ** (2 * f.d) * _triple_sum(f, J, kvals, jmax)
-    rel = min(1.0, (f.h * pv / (eps * lam * 4.0)) ** 2)
-    return FormValue(kind="E_lambda", lam=lam, eps=eps, value=val,
-                     quadrature_error=abs(val) * rel + 1e-14)
+    def kernel(params: KernelParams, Y: np.ndarray) -> np.ndarray:
+        c = c1 if c1 is not None else c1_eps(eps, params.p, f.d, m)
+        return CancelledKernel(params, c, m)(Y)
+
+    # union support of the two kernels (eps <= 1)
+    return _grid_form("E_lambda", f, lam, eps, p, 1.0, kernel)
 
 
-def _interp_shifted(f: BoxFunction, pad_vals: np.ndarray, pad: int, y: np.ndarray) -> np.ndarray:
-    """f(x + y) for every cell center x at once, multilinear, zero outside the box."""
-    d = f.d
-    n = f.n
-    out = None
-    base = np.floor(y / f.h)
-    frac = y / f.h - base
-    for corner in range(1 << d):
+# Cells per block of the sharp form's window: the four block-sized operands
+# (f, the two interpolated copies and a work buffer, 512 KiB each) then
+# stay in a 2 MiB cache instead of streaming the whole grid per corner.
+_BLOCK_CELLS = 1 << 16
+
+
+def _cell_offset(y: np.ndarray, h: float):
+    """Whole-cell part (as ints) and fractional part of the shift y, per axis."""
+    t = y / h
+    base = np.floor(t)
+    return base.astype(int), t - base
+
+
+def _interp_shifted(rim: np.ndarray, base: np.ndarray, frac: np.ndarray, window: tuple,
+                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """f(x + y) on the window of cell centers x, multilinear, zero outside the box.
+
+    rim is f with a one-cell zero rim on every side; the corners of x + y sit
+    at x + base + {0, 1}.  The result is accumulated in out, using tmp.
+    """
+    first = True
+    for corner in range(1 << len(base)):
         w = 1.0
         sl = []
-        for axis in range(d):
+        for axis, ax_win in enumerate(window):
             bit = (corner >> axis) & 1
             w = w * (frac[axis] if bit else 1.0 - frac[axis])
-            off = pad + int(base[axis]) + bit
-            sl.append(slice(off, off + n))
+            off = 1 + int(base[axis]) + bit
+            sl.append(slice(ax_win.start + off, ax_win.stop + off))
         if w == 0.0:
             continue
-        term = w * pad_vals[tuple(sl)]
-        out = term if out is None else out + term
-    return out if out is not None else np.zeros((n,) * d)
+        if first:
+            np.multiply(rim[tuple(sl)], w, out=out)
+            first = False
+        else:
+            np.multiply(rim[tuple(sl)], w, out=tmp)
+            out += tmp
+    return out
 
 
 def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
@@ -214,16 +246,33 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     n, d = f.n, f.d
-    jmax = int(np.floor(2.0 * lam / f.h)) + 2
-    pad = jmax
-    pv_shape = (n + 2 * pad,) * d
-    P = np.zeros(pv_shape)
-    P[tuple(slice(pad, pad + n) for _ in range(d))] = f.values
+    rim = np.pad(f.values, 1)
+    row_cells = n ** (d - 1)
+    buf1, buf2, tmp = (np.empty(max(_BLOCK_CELLS, row_cells)) for _ in range(3))
     parts = []
     for node, w in zip(quad.nodes, quad.weights):
-        f1 = _interp_shifted(f, P, pad, node)
-        f2 = _interp_shifted(f, P, pad, 2.0 * node)
-        parts.append(w * float(np.sum(f.values * f1 * f2)))
+        b1, fr1 = _cell_offset(node, f.h)
+        b2, fr2 = _cell_offset(2.0 * node, f.h)
+        # x, x + y and x + 2y can all meet the box only here; cells outside add exact zeros
+        lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
+        hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
+        if any(b <= a for a, b in zip(lo, hi)):
+            continue
+        inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
+        inner_cells = math.prod(b - a for a, b in zip(lo[1:], hi[1:]))
+        rows = max(1, _BLOCK_CELLS // inner_cells)
+        sums = []
+        for r0 in range(lo[0], hi[0], rows):
+            window = (slice(r0, min(r0 + rows, hi[0])),) + inner
+            shape = tuple(sl.stop - sl.start for sl in window)
+            size = math.prod(shape)
+            t = tmp[:size].reshape(shape)
+            prod = _interp_shifted(rim, b1, fr1, window, buf1[:size].reshape(shape), t)
+            f2 = _interp_shifted(rim, b2, fr2, window, buf2[:size].reshape(shape), t)
+            np.multiply(f.values[window], prod, out=prod)
+            prod *= f2
+            sums.append(float(np.sum(prod)))
+        parts.append(w * compensated_sum(sums))
     val = f.h**d * compensated_sum(parts)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)

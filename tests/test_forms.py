@@ -35,6 +35,11 @@ class TestBoxFunction:
         with pytest.raises(ValueError):
             BoxFunction(values=2.0 * np.ones(8), N=8.0, h=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BoxFunction(values=[bad, 0.5], N=2.0, h=1.0)
+
     def test_cell_count_enforced(self):
         with pytest.raises(ValueError):
             BoxFunction(values=np.ones(7), N=8.0, h=1.1)
