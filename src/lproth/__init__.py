@@ -17,11 +17,9 @@ from .mollifier import (
     build_cancelled_kernel,
     build_mollifier,
     c1_eps,
-    cancelled_kernel_eval,
     kernel_fourier,
     kernel_total_mass,
     omega_eps_eval,
-    omega_eval,
 )
 from .gowers import (
     CyclicGridFunction,
@@ -54,7 +52,6 @@ from .oscillatory import (
     lacunary_sum_bound,
     multiplier_check,
     phase_eval,
-    r_decay_index,
     stationary_lower_bound_check,
 )
 from .sets import (
@@ -62,13 +59,11 @@ from .sets import (
     LacunarySequence,
     PointSet,
     ProgressionWitness,
-    bourgain_membership,
     bourgain_set,
     gap_spectrum_sample,
     grid_indicator_set,
     half_integer_deviation,
     lacunary_generate,
-    lattice_cube_membership,
     lattice_cube_set,
     parallelogram_check,
     progression_search,

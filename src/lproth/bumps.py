@@ -47,7 +47,3 @@ def phi_plus(y):
     fall = (y > FALL_LO) & (y < FALL_HI)
     out[fall] = smoothstep4((FALL_HI - y[fall]) / (FALL_HI - FALL_LO))
     return out
-
-
-def phi_plus_support() -> tuple[float, float]:
-    return (RISE_LO, FALL_HI)

@@ -20,7 +20,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class ExperimentConfig:
     suite: str
     p: float = 1.5
     d: int = 1
-    N: float = 32.0
     epsilon: float = 0.05
     seed: int = 7
     out_dir: str = "lproth-out"
@@ -90,10 +90,14 @@ class ExperimentConfig:
         if self.p in (1.0, 2.0) and self.suite in ("search", "verify-all"):
             raise ConfigError(
                 f"p={self.p} is degenerate and rejected by suite {self.suite!r}")
-        if not (1 <= self.d <= 8):
-            raise ConfigError(f"d out of range: {self.d}")
-        if self.N <= 0:
-            raise ConfigError(f"N out of range: {self.N}")
+        if self.d not in (1, 2):
+            raise ConfigError(f"d out of range: {self.d} (the kernels suite runs d in {{1, 2}})")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative: {self.seed}")
+        for name in ("quad_nodes", "kl_nodes", "spectrum_hits", "search_budget", "trials",
+                     "grid_m"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1: {getattr(self, name)}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ConfigError(f"epsilon out of range: {self.epsilon}")
         if self.fmt not in ("json", "csv"):
@@ -104,16 +108,12 @@ class ConfigError(ValueError):
     pass
 
 
-_NUMERIC_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# field name -> str, int or float, resolved from the dataclass annotations
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, raw: str):
-    if key in ("suite", "out_dir", "fmt"):
-        return raw
-    if key in ("d", "seed", "quad_nodes", "kl_nodes", "spectrum_hits", "search_budget",
-               "trials", "grid_m"):
-        return int(raw)
-    return float(raw)
+    return _FIELD_TYPES[key](raw)
 
 
 def read_config_file(path: str) -> dict:
@@ -127,7 +127,7 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in _NUMERIC_FIELDS:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 out[key] = _coerce(key, raw)
@@ -145,7 +145,6 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
     run.add_argument("--config")
     run.add_argument("--p", type=float)
     run.add_argument("--d", type=int)
-    run.add_argument("--N", type=float)
     run.add_argument("--epsilon", type=float)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
@@ -160,7 +159,7 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
     values: dict = {}
     if ns.config:
         values.update(read_config_file(ns.config))
-    flag_dest = {key: key for key in _NUMERIC_FIELDS}
+    flag_dest = {key: key for key in _FIELD_TYPES}
     flag_dest["out_dir"] = "out"
     for key, dest in flag_dest.items():
         flag = getattr(ns, dest, None)
@@ -202,7 +201,7 @@ class SuiteContext:
 
 def _kernels_checks(ctx: SuiteContext) -> list[Check]:
     cfg, m = ctx.cfg, ctx.m
-    p, d, eps = cfg.p, min(cfg.d, 2), cfg.epsilon
+    p, d, eps = cfg.p, cfg.d, cfg.epsilon
     out = []
     psi0 = float(m.psi(np.array([0.0]))[0])
     out.append(Check("window value at zero", "window-normalization",
@@ -589,11 +588,9 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
         runtimes[suite] = round(time.perf_counter() - t0, 3)
     n_fail = sum(1 for c in records if not c.passed)
     margins = [c.margin for c in records if np.isfinite(c.margin)]
-    from .util import worker_count
-
     report = {
         "format": 1,
-        "config": {**dataclasses.asdict(cfg), "workers": worker_count()},
+        "config": dataclasses.asdict(cfg),
         "timing": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "runtimes_s": runtimes},
         "records": [
             {"name": c.name, "anchor": c.anchor, "values": c.values,

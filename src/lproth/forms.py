@@ -160,9 +160,10 @@ def _grid_form(kind: str, f: BoxFunction, lam: float, eps: float, p, support_eps
     pv = _as_p(p)
     if f.d not in (1, 2):
         raise ValueError("grid forms support d in {1, 2}")
+    params = KernelParams(pv, f.d, lam, eps)  # rejects a non-finite radius up front
     _check_scale(f, lam, eps, pv)
     J, Y = _kernel_lattice(pv, f.d, lam, support_eps, f.h)
-    kvals = kernel(KernelParams(pv, f.d, lam, eps), Y)
+    kvals = kernel(params, Y)
     val = f.h ** (2 * f.d) * _triple_sum(f, J, kvals)
     rel = min(1.0, (f.h * pv / (eps * lam * 4.0)) ** 2)  # crude second-order heuristic
     return FormValue(kind=kind, lam=lam, eps=eps, value=val,
@@ -405,7 +406,6 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
 @dataclass
 class MainTermReport:
     min_normalized: float
-    c_hat: float
     per_trial: list
 
 
@@ -429,13 +429,13 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
         f = random_indicator(N, h, d, delta, seed=seed * 1000 + trial,
                              structured=(trial % 2 == 1))
         outs.append(m_lambda(f, lam, m, pv).value / N**d)
-    return MainTermReport(min_normalized=min(outs), c_hat=min(outs), per_trial=outs)
+    return MainTermReport(min_normalized=min(outs), per_trial=outs)
 
 
-def translate_box(f: BoxFunction, cells: int, ambient_factor: int = 2) -> BoxFunction:
+def translate_box(f: BoxFunction, cells: int) -> BoxFunction:
     """Embed f in a larger zero box, shifted by whole cells (for invariance checks)."""
     n = f.n
-    big = ambient_factor * n + 2 * abs(cells)
+    big = 2 * n + 2 * abs(cells)
     vals = np.zeros((big,) * f.d)
     sl = tuple(slice(abs(cells) + cells, abs(cells) + cells + n) for _ in range(f.d))
     base = tuple(slice(abs(cells), abs(cells) + n) for _ in range(f.d))

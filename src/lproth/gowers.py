@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import even_bump
+from .lpgeom import _as_p
 from .mollifier import KernelParams, MollifierPair, omega_eps_eval
 
 BRUTE_FORCE_TUPLE_BUDGET = 10**8
@@ -137,15 +138,9 @@ def u3_eighth_recursive(F: CyclicGridFunction) -> float:
     return total
 
 
-def u3_norm(F: CyclicGridFunction, path: str = "recursive") -> float:
+def u3_norm(F: CyclicGridFunction) -> float:
     """Counting-measure U^3 norm; continuum value is cell^(d/2) times this."""
-    if path == "recursive":
-        v = u3_eighth_recursive(F)
-    elif path == "brute":
-        v = u3_eighth_brute(F).real
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    return max(v, 0.0) ** 0.125
+    return max(u3_eighth_recursive(F), 0.0) ** 0.125
 
 
 def u3_norm_continuum(F: CyclicGridFunction) -> float:
@@ -217,8 +212,6 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
     limit would require dimensions beyond desk scale, so the probe
     reports a divergence rate rather than a Cauchy tail.
     """
-    from .lpgeom import _as_p
-
     pv = _as_p(p)
     if eta == eps:
         return U3Distance(eta=eta, eps=eps, value=0.0, M=M, d=d, cell=0.0)
@@ -256,8 +249,6 @@ def u3_tensor_check(p, t: float, M: int = 64, d: int = 2,
     at any resolution; ``resolved`` reports whether the grid additionally
     samples the continuum oscillation faithfully.
     """
-    from .lpgeom import _as_p
-
     pv = _as_p(p)
     if d != 2:
         raise ValueError("tensor check is defined for d = 2")

@@ -256,8 +256,8 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
     given (inputs, seed).
     """
     pv = _as_p(p)
-    if lam <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {lam}")
     if mode == MODE_GRAPH:
         if d not in (1, 2, 3):
             raise ValueError(f"deterministic-graph mode supports d in {{1,2,3}}, got d={d}")

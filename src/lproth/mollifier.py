@@ -22,6 +22,7 @@ mass-matching multiple c1(eps) of omega so that its integral vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,7 @@ import numpy as np
 from scipy import integrate
 
 from .lpgeom import _as_p, unit_ball_volume
+from .util import spawn_rng
 
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
 
@@ -110,8 +112,10 @@ class KernelParams:
     def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"width must lie in (0, 1], got {self.eps}")
-        if self.lam <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"radius must be positive and finite, got {self.lam}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"exponent must be finite, got {self.p}")
 
     @property
     def support_radius(self) -> float:
@@ -132,11 +136,6 @@ def omega_eps_eval(y, params: KernelParams, m: MollifierPair):
     return vals if batch else float(vals[0])
 
 
-def omega_eval(y, p, d: int, lam: float, m: MollifierPair):
-    """The unmollified shell kernel (eps = 1)."""
-    return omega_eps_eval(y, KernelParams(_as_p(p), d, lam, 1.0), m)
-
-
 def radial_mass(profile: Callable[[np.ndarray], np.ndarray], p, d: int,
                 s_hi: float, s_lo: float = 0.0, tol: float = 1e-11) -> float:
     """integral over R^d of F(||y||_p^p) via polar reduction d nu_p int F(s^p) s^(d-1) ds."""
@@ -150,20 +149,18 @@ def radial_mass(profile: Callable[[np.ndarray], np.ndarray], p, d: int,
 
 
 def kernel_total_mass(params: KernelParams, m: MollifierPair) -> float:
-    """integral of omega_eps_lam over R^d (independent of lam by scaling; computed natively)."""
-    p, d, lam, eps = params.p, params.d, params.lam, params.eps
+    """integral of omega_eps_lam over R^d; the lam^-d prefactor and the lam^d of
+    the substitution y = lam s cancel, so the unit-radius integral is the mass."""
+    p, d, eps = params.p, params.d, params.eps
     lo = max(0.0, 1.0 - 2.0 * eps) ** (1.0 / p)
     hi = (1.0 + 2.0 * eps) ** (1.0 / p)
     prof = lambda u: m.psi_hat((u - 1.0) / eps) / eps
-    unit = radial_mass(prof, p, d, s_hi=hi, s_lo=lo)
-    return lam ** (-d) * lam**d * unit  # native lam factors cancel to rounding
+    return radial_mass(prof, p, d, s_hi=hi, s_lo=lo)
 
 
 def kernel_mass_mc(params: KernelParams, m: MollifierPair, n: int = 10**6,
                    seed: int = 0) -> tuple[float, float]:
     """Monte Carlo oracle for the kernel mass: (estimate, standard error)."""
-    from .util import spawn_rng
-
     rng = spawn_rng(seed, 7)
     R = params.support_radius
     pts = rng.uniform(-R, R, size=(n, params.d))
@@ -213,12 +210,6 @@ class CancelledKernel:
 
 def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledKernel:
     return CancelledKernel(params=params, c1=c1_eps(params.eps, params.p, params.d, m), m=m)
-
-
-def cancelled_kernel_eval(y, params: KernelParams, m: MollifierPair,
-                          c1: float | None = None):
-    k = CancelledKernel(params, c1 if c1 is not None else c1_eps(params.eps, params.p, params.d, m), m)
-    return k(y)
 
 
 def kernel_fourier(eta, params: KernelParams, m: MollifierPair,

@@ -34,17 +34,18 @@ from scipy import fft as sfft
 from scipy.interpolate import CubicSpline
 
 from .bumps import FALL_HI, RISE_LO, phi_plus
-from .lpgeom import _as_p
+from .lpgeom import LpExponent, _as_p
 from .mollifier import KernelParams, MollifierPair, c1_eps, omega_eps_eval
 
 KL_HALF = 0.5  # shifts are truncated to |k|, |l| <= 1/2
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
-def r_decay_index(p) -> float:
-    """Decay index: p + 1 below the quadratic exponent, 2p - 1 above."""
-    pv = _as_p(p)
-    return pv + 1.0 if pv < 2.0 else 2.0 * pv - 1.0
+def _admissible_interval(k: float, l: float, rise: float = RISE_LO) -> tuple[float, float]:
+    """Points y where y, y+k, y+l and y+k+l all lie inside [rise, FALL_HI]."""
+    lo = rise - min(0.0, k, l, k + l)
+    hi = FALL_HI - max(0.0, k, l, k + l)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,7 @@ class PhaseFamily:
     l: float
 
     def admissible_interval(self) -> tuple[float, float]:
-        lo = RISE_LO - min(0.0, self.k, self.l, self.k + self.l)
-        hi = FALL_HI - max(0.0, self.k, self.l, self.k + self.l)
-        return lo, hi
+        return _admissible_interval(self.k, self.l)
 
     def admissible(self, y) -> np.ndarray:
         lo, hi = self.admissible_interval()
@@ -109,12 +108,36 @@ def _phase_values(y, p: float, k: float, l: float) -> np.ndarray:
     return (y**p + (y + k + l) ** p - (y + k) ** p - (y + l) ** p)
 
 
+def _dpsi_values(y, p: float, k: float, l: float) -> np.ndarray:
+    return p * (y ** (p - 1.0) + (y + k + l) ** (p - 1.0)
+                - (y + k) ** (p - 1.0) - (y + l) ** (p - 1.0))
+
+
 def _max_abs_dpsi(p: float, k: float, l: float, lo: float, hi: float) -> float:
     probe = np.linspace(lo, hi, 33)
-    pts = np.stack([probe, probe + k + l, probe + k, probe + l])
-    der = p * (pts[0] ** (p - 1.0) + pts[1] ** (p - 1.0)
-               - pts[2] ** (p - 1.0) - pts[3] ** (p - 1.0))
-    return float(np.max(np.abs(der)))
+    return float(np.max(np.abs(_dpsi_values(probe, p, k, l))))
+
+
+def _panel_count(p: float, t: float, k: float, l: float, lo: float, hi: float,
+                 nodes_per_period: int) -> int:
+    """Even Simpson panel count with ``nodes_per_period`` points per phase period.
+
+    The degenerate exponents have a constant phase and keep the 512 floor.
+    """
+    if p in (1.0, 2.0):
+        n = 512
+    else:
+        prange = abs(t) * _max_abs_dpsi(p, k, l, lo, hi) * (hi - lo)
+        n = int(max(512, nodes_per_period * prange / (2.0 * math.pi)))
+    return n + n % 2
+
+
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 on n + 1 points, without the 1/3."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
 
 
 def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
@@ -131,12 +154,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
     lo, hi = fam.admissible_interval()
     if hi <= lo:
         return 0.0 + 0.0j
-    if p in (1.0, 2.0):
-        n = 512
-    else:
-        prange = abs(t) * _max_abs_dpsi(p, k, l, lo, hi) * (hi - lo)
-        n = int(max(512, nodes_per_period * prange / (2.0 * math.pi)))
-    n += n % 2
+    n = _panel_count(p, t, k, l, lo, hi, nodes_per_period)
     prev = None
     while True:
         if n > n_max:
@@ -144,9 +162,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
         y = np.linspace(lo, hi, n + 1)
         amp = _window_product(y, k, l)
         f = amp * np.exp(1j * t * _phase_values(y, p, k, l))
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
+        w = _simpson_weights(n)
         val = complex((hi - lo) / n / 3.0 * np.dot(w, f))
         # heavily cancelling integrals bottom out near rel_tol times the
         # amplitude mass in absolute terms; demanding relative accuracy of
@@ -156,13 +172,6 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
             return val
         prev = val
         n *= 2
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
 
 
 def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
@@ -181,21 +190,15 @@ def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
     for a, wa in zip(ks, wk):
         row = 0.0
         for b, wb in zip(ks, wk):
-            lo = RISE_LO - min(0.0, a, b, a + b)
-            hi = FALL_HI - max(0.0, a, b, a + b)
+            lo, hi = _admissible_interval(a, b)
             if hi <= lo:
                 continue
-            if pv in (1.0, 2.0):
-                n = 512
-            else:
-                prange = abs(t) * _max_abs_dpsi(pv, a, b, lo, hi) * (hi - lo)
-                n = int(max(512, nodes_per_period * prange / (2.0 * math.pi)))
-                if n > n_max:
-                    raise RuntimeError("oscillatory budget exceeded at the requested modulation")
-            n += n % 2
+            n = _panel_count(pv, t, a, b, lo, hi, nodes_per_period)
+            if n > n_max:
+                raise RuntimeError("oscillatory budget exceeded at the requested modulation")
             y = np.linspace(lo, hi, n + 1)
             f = _window_product(y, a, b) * np.exp(1j * t * _phase_values(y, pv, a, b))
-            val = (hi - lo) / n * np.dot(_simpson_weights(n), f)
+            val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
             row += wb * (val.real**2 + val.imag**2)
         total += wa * row
     return float(total)
@@ -266,7 +269,7 @@ def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> De
     if max(vals) < 1e-12:
         raise RuntimeError("all values below the quadrature noise floor; fit degenerate")
     slope = float(np.polyfit(np.log(ts), np.log(np.maximum(vals, 1e-300)), 1)[0])
-    r = r_decay_index(pv)
+    r = LpExponent(pv).r
     c_fit = float(max(v * t ** (1.0 / r) for v, t in zip(vals, ts)))
     return DecayFit(t_samples=ts, values=vals, slope=slope, r_theory=r, c_fit=c_fit,
                     degenerate=pv in (1.0, 2.0))
@@ -300,13 +303,11 @@ def stationary_lower_bound_check(p, eta: float, n_grid: int = 40) -> StationaryB
     best_norm = np.inf
     for k in kl_vals:
         for l in kl_vals:
-            lo = lo_supp - min(0.0, k, l, k + l)
-            hi = FALL_HI - max(0.0, k, l, k + l)
+            lo, hi = _admissible_interval(k, l, rise=lo_supp)
             if hi <= lo:
                 continue
             y = np.linspace(lo, hi, 640)
-            der = np.abs(pv * (y ** (pv - 1.0) + (y + k + l) ** (pv - 1.0)
-                               - (y + k) ** (pv - 1.0) - (y + l) ** (pv - 1.0)))
+            der = np.abs(_dpsi_values(y, pv, k, l))
             mn = float(np.min(der))
             best = min(best, mn)
             best_norm = min(best_norm, mn / abs(k * l))

@@ -95,18 +95,6 @@ def full_box_set(dim: int, N: float) -> PointSet:
     return PointSet(kind="full-box", dim=dim, N=N)
 
 
-def bourgain_membership(x) -> bool:
-    """Squared Euclidean norm within 1/10 of some nonnegative integer (zero included)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r2 = float(np.sum(x * x))
-    return abs(r2 - max(round(r2), 0)) <= BOURGAIN_SHELL
-
-
-def lattice_cube_membership(x, eps0: float) -> bool:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return bool(np.all(np.abs(x - np.round(x)) <= eps0))
-
-
 def parallelogram_check(x, y, p) -> tuple[float, float, float]:
     """(2||y||_p^p, ||x||_p^p + ||x+2y||_p^p - 2||x+y||_p^p, their difference).
 
@@ -122,10 +110,14 @@ def parallelogram_check(x, y, p) -> tuple[float, float, float]:
     return lhs, rhs, lhs - rhs
 
 
-def half_integer_deviation(gap: float) -> float:
-    """dist(2 gap^2, Z_{>=0}); at most 0.4 for every progression in the square-shell set."""
-    v = 2.0 * gap * gap
-    return abs(v - max(round(v), 0))
+def half_integer_deviation(gap):
+    """dist(2 gap^2, Z_{>=0}); at most 0.4 for every progression in the square-shell set.
+
+    A scalar gap gives a float, an array of gaps an array of the same shape.
+    """
+    v = 2.0 * np.asarray(gap, dtype=float) ** 2
+    dev = np.abs(v - np.maximum(np.round(v), 0.0))
+    return float(dev) if dev.ndim == 0 else dev
 
 
 @dataclass
@@ -134,7 +126,6 @@ class ProgressionWitness:
     y: np.ndarray
     p: float
     gap: float
-    residuals: tuple
 
     def verify(self, A: PointSet, lam: float, tol: float) -> bool:
         """Independent re-check: memberships from scratch plus the gap window."""
@@ -153,8 +144,7 @@ class GapSpectrum:
     def __post_init__(self):
         self.gaps = np.asarray(self.gaps, dtype=float)
         if self.gaps.size:
-            v = 2.0 * self.gaps**2
-            self.max_half_integer_deviation = float(np.max(np.abs(v - np.maximum(np.round(v), 0.0))))
+            self.max_half_integer_deviation = float(np.max(half_integer_deviation(self.gaps)))
         else:
             self.max_half_integer_deviation = 0.0
 
@@ -249,7 +239,7 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
             i = int(np.argmax(ok))
             x, y = xs[i], ys[i]
             gap = lp_norm(y, pv)
-            w = ProgressionWitness(x=x, y=y, p=pv, gap=gap, residuals=(0.0, 0.0, 0.0))
+            w = ProgressionWitness(x=x, y=y, p=pv, gap=gap)
             if not w.verify(A, lam, tol):
                 raise AssertionError("internal: candidate failed independent re-verification")
             return SearchOutcome(witness=w, proposals_used=used, exhausted=False)

@@ -17,33 +17,9 @@ def compensated_sum(values: Iterable[float]) -> float:
     return math.fsum(values)
 
 
-def neumaier_sum(values: np.ndarray) -> float:
-    """Kahan-Neumaier running sum for arrays, usable in chunked reductions."""
-    s = 0.0
-    c = 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c
-
-
 def spawn_rng(master_seed: int, task_index: int) -> np.random.Generator:
     """Derive an independent, reproducible stream from (master seed, task index).
 
     Parallel and serial execution orders see identical streams.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(task_index,)))
-
-
-def worker_count() -> int:
-    """Worker cap from LPROTH_THREADS; execution is serial-deterministic either way."""
-    import os
-
-    try:
-        return max(1, int(os.environ.get("LPROTH_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -68,6 +69,34 @@ class TestConfigParsing:
         assert cli.main(["run"]) == 1
         assert cli.main(["bogus"]) == 1
 
+    def test_unsupported_dimension_exits_1(self, capsys, tmp_path):
+        # the kernels suite, the only reader of d, runs d in {1, 2}
+        assert cli.main(["run", "--suite", "kernels", "--d", "3",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "d out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--quad-nodes", "--kl-nodes",
+                                      "--spectrum-hits", "--search-budget", "--grid-m"])
+    def test_zero_count_exits_1(self, capsys, tmp_path, flag):
+        assert cli.main(["run", "--suite", "forms", flag, "0",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, capsys, tmp_path):
+        assert cli.main(["run", "--suite", "forms", "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_config_file_types_follow_fields(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("d = 2\nepsilon = 0.1\nfmt = csv\n")
+        values = read_config_file(str(path))
+        assert values == {"d": 2, "epsilon": 0.1, "fmt": "csv"}
+        assert type(values["d"]) is int and type(values["epsilon"]) is float
+        path.write_text("trials = 2.5\n")
+        with pytest.raises(ConfigError):
+            read_config_file(str(path))
+
 
 class TestListAndSchema:
     def test_list(self, capsys):
@@ -121,6 +150,14 @@ class TestRunSuite:
         s1 = json.dumps(m1, sort_keys=True, default=cli._json_default)
         s2 = json.dumps(m2, sort_keys=True, default=cli._json_default)
         assert s1 == s2
+
+    def test_config_echo_is_exactly_the_fields(self, monkeypatch, tmp_path):
+        # the echo states the knobs that ran, and nothing that limits nothing
+        monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
+                            lambda ctx: [Check("ok", "synthetic-pass", {}, None, True)])
+        report, _, _ = run_suite(tiny_config(out_dir=str(tmp_path / "out")))
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(report["config"]) == sorted(fields)
 
     def test_failing_check_gives_exit_2(self, monkeypatch, tmp_path):
         def bad_suite(ctx):

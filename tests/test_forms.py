@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from lproth.forms import (
     translate_box,
 )
 from lproth.gowers import CyclicGridFunction, u3_norm_continuum
-from lproth.mollifier import KernelParams, cancelled_kernel_eval, kernel_total_mass
+from lproth.mollifier import KernelParams, build_cancelled_kernel, kernel_total_mass
 
 P = 1.5
 
@@ -67,6 +69,14 @@ class TestMollifiedForm:
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
         v = m_lambda(f, lam, moll, P).value
         assert abs(v - cw * N) / (cw * N) < 3.0 * lam / N
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", ["m_eps_lambda", "e_lambda"])
+    def test_non_finite_radius_rejected(self, moll, form, bad):
+        f = full_box(8.0, 0.25, 1)
+        fn = m_eps_lambda if form == "m_eps_lambda" else e_lambda
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            fn(f, bad, 0.5, moll, P)
 
     def test_full_box_against_corrected_oracle(self, moll):
         N, lam = 32.0, 2.0
@@ -223,7 +233,7 @@ class TestEnergySum:
         R = lam * 3.0 ** (1.0 / P)
         ng = int(np.ceil(R / h)) + 1
         ys = np.arange(-ng, ng + 1)[:, None] * h
-        kv = cancelled_kernel_eval(ys, KernelParams(P, 1, lam, eps), moll)
+        kv = build_cancelled_kernel(KernelParams(P, 1, lam, eps), moll)(ys)
         Mg = 1
         while Mg < 5 * (2 * ng + 1):
             Mg *= 2

@@ -150,20 +150,24 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError):
             sphere_quadrature(1.5, 2, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sphere_quadrature(1.5, 2, bad)
+
     def test_determinism_given_seed(self):
         a = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
         b = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
 
     def test_mass_reduction_order_independent(self, rng):
-        from lproth.util import compensated_sum, neumaier_sum
+        from lproth.util import compensated_sum
 
         rule = sphere_quadrature(1.5, 2, 1.0, n=1024)
         base = rule.total_mass
         for _ in range(5):
             perm = rng.permutation(rule.weights.size)
             assert abs(compensated_sum(rule.weights[perm]) - base) < 1e-12
-            assert abs(neumaier_sum(rule.weights[perm]) - base) < 1e-12
 
     def test_csv_roundtrip(self, tmp_path):
         rule = sphere_quadrature(1.5, 2, 1.0, n=64)

@@ -9,7 +9,6 @@ from lproth.mollifier import (
     KernelParams,
     build_cancelled_kernel,
     c1_eps,
-    cancelled_kernel_eval,
     kernel_fourier,
     kernel_mass_mc,
     kernel_profile_rows,
@@ -148,7 +147,7 @@ class TestCancelledKernel:
     def test_unit_width_vanishes_pointwise(self, moll, rng):
         params = KernelParams(1.5, 1, 1.0, 1.0)
         pts = rng.uniform(-1.5, 1.5, size=(32, 1))
-        vals = cancelled_kernel_eval(pts, params, moll)
+        vals = build_cancelled_kernel(params, moll)(pts)
         assert np.array_equal(vals, np.zeros(32))
 
     def test_integral_cancellation(self, moll):
@@ -248,3 +247,13 @@ class TestParams:
             KernelParams(1.5, 1, 1.0, 1.5)
         with pytest.raises(ValueError):
             KernelParams(1.5, 1, -2.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            KernelParams(1.5, 1, bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            KernelParams(bad, 1, 1.0, 0.5)

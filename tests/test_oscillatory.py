@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lproth.bumps import phi_plus
+from lproth.lpgeom import LpExponent
 from lproth.oscillatory import (
     PhaseFamily,
     build_transform_table,
@@ -20,7 +21,6 @@ from lproth.oscillatory import (
     multiplier_value,
     phase_eval,
     phase_eval_remainder,
-    r_decay_index,
     stationary_lower_bound_check,
 )
 
@@ -128,9 +128,9 @@ class TestAggregate:
 
 class TestDecayFit:
     def test_theory_indices(self):
-        assert r_decay_index(1.5) == pytest.approx(2.5)
-        assert r_decay_index(3.0) == pytest.approx(5.0)
-        assert r_decay_index(2.0) == pytest.approx(3.0)
+        assert LpExponent(1.5).r == pytest.approx(2.5)
+        assert LpExponent(3.0).r == pytest.approx(5.0)
+        assert LpExponent(2.0).r == pytest.approx(3.0)
 
     def test_envelope_definition_covers_samples(self):
         fit = decay_fit(3.0, list(np.logspace(1, 3.2, 6)), n_kl=16)

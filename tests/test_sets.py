@@ -6,14 +6,12 @@ import pytest
 from lproth.forms import random_indicator
 from lproth.sets import (
     GapSpectrum,
-    bourgain_membership,
     bourgain_set,
     full_box_set,
     gap_spectrum_sample,
     grid_indicator_set,
     half_integer_deviation,
     lacunary_generate,
-    lattice_cube_membership,
     lattice_cube_set,
     parallelogram_check,
     progression_search,
@@ -23,10 +21,10 @@ from lproth.sets import (
 
 class TestBourgainMembership:
     def test_origin(self):
-        assert bourgain_membership(np.zeros(3))
+        assert bourgain_set(3).contains(np.zeros(3))
 
     def test_mid_band_excluded(self):
-        assert not bourgain_membership(np.array([math.sqrt(0.5), 0.0]))
+        assert not bourgain_set(2).contains(np.array([math.sqrt(0.5), 0.0]))
 
     def test_density_in_probe_box(self):
         A = bourgain_set(2)
@@ -37,10 +35,10 @@ class TestBourgainMembership:
 class TestLatticeMembership:
     def test_integer_points(self):
         for eps0 in (0.05, 0.2, 0.49):
-            assert lattice_cube_membership(np.array([3.0, -7.0]), eps0)
+            assert lattice_cube_set(2, eps0).contains(np.array([3.0, -7.0]))
 
     def test_half_point_excluded(self):
-        assert not lattice_cube_membership(np.array([0.5, 0.0]), 0.1)
+        assert not lattice_cube_set(2, 0.1).contains(np.array([0.5, 0.0]))
 
     def test_eps0_range(self):
         with pytest.raises(ValueError):
@@ -126,8 +124,8 @@ class TestProgressionSearch:
         assert out.witness is not None
         w = out.witness
         pts = [w.x, w.x + w.y, w.x + 2 * w.y]
-        assert all(bourgain_membership(q) for q in pts)
-        tampered = type(w)(x=w.x + 5.0, y=w.y, p=w.p, gap=w.gap, residuals=w.residuals)
+        assert all(bourgain_set(2).contains(q) for q in pts)
+        tampered = type(w)(x=w.x + 5.0, y=w.y, p=w.p, gap=w.gap)
         assert not tampered.verify(A, 1.0, 1e-6)
 
     def test_forbidden_gap_exhausts(self):
