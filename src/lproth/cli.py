@@ -66,6 +66,13 @@ REPORT_SCHEMA = {
 }
 
 
+# shell widths of the gowers suite's U^3 distance probe; the cyclic grid
+# has _U3_OVERSAMPLE * grid_m cells per axis
+_U3_ETAS = (0.05, 0.025)
+_U3_EPS = 0.1
+_U3_OVERSAMPLE = 8
+
+
 @dataclass
 class ExperimentConfig:
     suite: str
@@ -98,6 +105,16 @@ class ExperimentConfig:
                      "grid_m"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1: {getattr(self, name)}")
+        if self.suite in ("gowers", "verify-all"):
+            try:
+                M_min = gowers.min_shell_grid(min(_U3_ETAS), _U3_EPS, self.p)
+            except ValueError as exc:
+                raise ConfigError(f"p={self.p} is out of range for suite {self.suite!r}: {exc}")
+            need = math.ceil(M_min / _U3_OVERSAMPLE)
+            if self.grid_m < need:
+                raise ConfigError(
+                    f"grid_m={self.grid_m} under-resolves the eta={min(_U3_ETAS)} shell "
+                    f"at p={self.p}: the minimum is grid_m={need}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ConfigError(f"epsilon out of range: {self.epsilon}")
         if self.fmt not in ("json", "csv"):
@@ -307,16 +324,15 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
         out.append(Check(f"tensor factorization p={pp} t={tt}", "u3-tensor-product",
                          {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap},
                          1e-2, tc.relative_gap < 1e-2, 1e-2 - tc.relative_gap))
-    eps = 0.1
     dists = []
-    for eta in (0.05, 0.025):
-        u3d = gowers.u3_kernel_distance(eta, eps, cfg.p, ctx.cfg.grid_m * 8, m)
+    for eta in _U3_ETAS:
+        u3d = gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m)
         dists.append(u3d.value)
     mono = dists[1] >= dists[0] > 0
     out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
                      {"distances": dists}, None, bool(mono)))
     ctx.curve("u3_cauchy.csv", ["eta", "u3_distance"],
-              [[e, v] for e, v in zip((0.05, 0.025), dists)])
+              [[e, v] for e, v in zip(_U3_ETAS, dists)])
     ctx.curve("delta_u2_profile.csv", ["h", "u2_of_delta_h"],
               gowers.delta_u2_profile(F))
     return out

@@ -212,8 +212,7 @@ def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledK
     return CancelledKernel(params=params, c1=c1_eps(params.eps, params.p, params.d, m), m=m)
 
 
-def kernel_fourier(eta, params: KernelParams, m: MollifierPair,
-                   c1: float | None = None) -> complex:
+def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
     """Fourier transform of the cancelled kernel, convention fhat(eta) = int f(y) e^{-i y.eta} dy.
 
     Direct quadrature over the compact support; d <= 2 only.  The kernel is
@@ -222,7 +221,7 @@ def kernel_fourier(eta, params: KernelParams, m: MollifierPair,
     """
     if params.d > 2:
         raise ValueError("direct transform quadrature supports d <= 2")
-    kern = CancelledKernel(params, c1 if c1 is not None else c1_eps(params.eps, params.p, params.d, m), m)
+    kern = build_cancelled_kernel(params, m)
     R = params.lam * 3.0 ** (1.0 / params.p)
     if params.d == 1:
         w = float(np.atleast_1d(eta)[0])

@@ -18,9 +18,13 @@ The aggregate
     I_{k,l}(t) = integral of (4-fold shifted window product) e^{i t psi_{k,l}(y)} dy
 
 is computed by tensor Gauss-Legendre in (k, l) with oscillation-aware
-composite Simpson inside.  A uniform-lattice second path evaluates the
-same truncated aggregate through shifted-product sums (the difference-cube
-structure) and serves as the independent oracle.
+composite Simpson inside.  The cell values |I_{k,l}|^2 are invariant under
+(k, l) -> (l, k) and (k, l) -> (-k, -l), and the Gauss-Legendre nodes are
+symmetric, so only the fundamental domain j <= i, i + j <= n_kl - 1 of the
+node grid (about a quarter of it) is evaluated, each cell weighted by the
+size of its orbit.  A uniform-lattice second path evaluates the same
+truncated aggregate over every shift through shifted-product sums (the
+difference-cube structure) and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -174,6 +178,21 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
         n *= 2
 
 
+def _shift_cell(p: float, t: float, k: float, l: float, nodes_per_period: int,
+                n_max: int) -> float:
+    """|I_{k,l}(t)|^2 by composite Simpson at the panel count sized to the oscillation."""
+    lo, hi = _admissible_interval(k, l)
+    if hi <= lo:
+        return 0.0
+    n = _panel_count(p, t, k, l, lo, hi, nodes_per_period)
+    if n > n_max:
+        raise RuntimeError("oscillatory budget exceeded at the requested modulation")
+    y = np.linspace(lo, hi, n + 1)
+    f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
+    val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
+    return val.real**2 + val.imag**2
+
+
 def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
            n_max: int = 1 << 21) -> float:
     """Truncated shift aggregate I(t) by tensor Gauss-Legendre over the shift square.
@@ -181,25 +200,24 @@ def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
     Nonnegative by construction.  At t = 0 it reduces to the windowed
     difference-cube mass with the same shift truncation, which the lattice
     path below reproduces independently.
+
+    Only the fundamental domain j <= i, i + j <= n_kl - 1 of the node grid
+    is evaluated.  The cell values obey |I_{k,l}|^2 = |I_{l,k}|^2 and
+    |I_{k,l}|^2 = |I_{-k,-l}|^2 (substitute z = y - k - l), and the
+    Gauss-Legendre nodes and weights are symmetric about 0, so a cell
+    stands for its orbit: 4 cells in general, 2 on the diagonal or the
+    anti-diagonal, 1 at the centre when n_kl is odd.
     """
     pv = _as_p(p)
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x
     wk = KL_HALF * w
     total = 0.0
-    for a, wa in zip(ks, wk):
+    for i, (a, wa) in enumerate(zip(ks, wk)):
         row = 0.0
-        for b, wb in zip(ks, wk):
-            lo, hi = _admissible_interval(a, b)
-            if hi <= lo:
-                continue
-            n = _panel_count(pv, t, a, b, lo, hi, nodes_per_period)
-            if n > n_max:
-                raise RuntimeError("oscillatory budget exceeded at the requested modulation")
-            y = np.linspace(lo, hi, n + 1)
-            f = _window_product(y, a, b) * np.exp(1j * t * _phase_values(y, pv, a, b))
-            val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
-            row += wb * (val.real**2 + val.imag**2)
+        for j in range(min(i, n_kl - 1 - i) + 1):
+            mult = (1.0 if j == i else 2.0) * (1.0 if i + j == n_kl - 1 else 2.0)
+            row += mult * wk[j] * _shift_cell(pv, t, a, ks[j], nodes_per_period, n_max)
         total += wa * row
     return float(total)
 

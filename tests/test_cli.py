@@ -82,6 +82,28 @@ class TestConfigParsing:
                          "--out", str(tmp_path / "out")]) == 1
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, minimum", [
+        (["--suite", "gowers", "--p", "5"], 519),
+        (["--suite", "gowers", "--grid-m", "1"], 170),
+        (["--suite", "verify-all", "--grid-m", "169"], 170),
+    ])
+    def test_under_resolved_grid_exits_1(self, capsys, tmp_path, argv, minimum):
+        # the eta = 0.025 shell needs grid_m >= 100 p 1.2^(1/p)
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert f"the minimum is grid_m={minimum}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["1e30", "1e306"])
+    def test_unresolvable_shell_exits_1(self, capsys, tmp_path, p):
+        # the grid the shell needs exceeds 2**53 cells (1e30) or overflows (1e306)
+        assert cli.main(["run", "--suite", "gowers", "--p", p,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "needs more than 2**53 cells" in capsys.readouterr().err
+
+    def test_minimum_grid_accepted(self):
+        ExperimentConfig(suite="gowers", grid_m=170).validate()
+        ExperimentConfig(suite="gowers", p=5.0, grid_m=519).validate()
+        ExperimentConfig(suite="forms", p=5.0, grid_m=1).validate()
+
     def test_negative_seed_exits_1(self, capsys, tmp_path):
         assert cli.main(["run", "--suite", "forms", "--seed", "-1",
                          "--out", str(tmp_path / "out")]) == 1

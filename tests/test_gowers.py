@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from lproth.gowers import (
     CyclicGridFunction,
+    _overlap_shifts,
     delta_h,
     embed_kernel_difference,
+    min_shell_grid,
     u2_fourth_brute,
     u2_norm,
     u3_eighth_brute,
@@ -140,6 +144,69 @@ class TestU3:
         assert u3_norm(G) == pytest.approx(3.0 * u3_norm(F), rel=1e-12)
 
 
+def u3_all_shifts(F):
+    """Reference recursive U^3^8: the spectral U^2 term of every one of the M^d shifts."""
+    axes = tuple(range(F.d))
+    total = 0.0
+    for h in itertools.product(range(F.M), repeat=F.d):
+        shifted = np.roll(F.values, shift=tuple(-c for c in h), axis=axes)
+        Fh = np.fft.fftn(shifted * np.conj(F.values))
+        total += float(np.sum(np.abs(Fh) ** 4) / F.values.size)
+    return total
+
+
+def sparse_grid(rng, M, d, cells):
+    """Complex random values on the given cells, zero elsewhere."""
+    v = np.zeros((M,) * d, dtype=complex)
+    for c in cells:
+        v[tuple(c)] = rng.normal() + 1j * rng.normal()
+    return CyclicGridFunction.from_array(v)
+
+
+class TestSkippedShifts:
+    """The recursive U^3 visits only the shifts where supp F and supp F - h meet."""
+
+    def test_bit_identical_to_all_shifts_1d(self, rng):
+        grids = [
+            sparse_grid(rng, 32, 1, [[3], [7], [20]]),
+            sparse_grid(rng, 32, 1, [[0], [1], [30], [31]]),  # wraps around index 0
+            sparse_grid(rng, 16, 1, [[5]]),
+            CyclicGridFunction.from_array(np.zeros(16)),
+            random_grid(rng, 16, 1),
+        ]
+        for F in grids:
+            assert u3_eighth_recursive(F) == u3_all_shifts(F)
+
+    def test_bit_identical_to_all_shifts_2d(self, rng):
+        grids = [
+            sparse_grid(rng, 8, 2, [[1, 2], [3, 3], [5, 1]]),
+            sparse_grid(rng, 8, 2, [[0, 0], [7, 0], [0, 7], [7, 7]]),  # wraps on both axes
+            CyclicGridFunction.from_array(np.zeros((8, 8))),
+            random_grid(rng, 6, 2),
+        ]
+        for F in grids:
+            assert u3_eighth_recursive(F) == u3_all_shifts(F)
+
+    def test_sparse_matches_brute(self, rng):
+        for F in (sparse_grid(rng, 16, 1, [[2], [3], [9], [15]]),
+                  sparse_grid(rng, 4, 2, [[0, 1], [3, 3], [2, 0]])):
+            b = u3_eighth_brute(F)
+            r = u3_eighth_recursive(F)
+            assert abs(b.real - r) / abs(r) < 1e-10
+
+    def test_shifts_are_the_cyclic_difference_set(self, rng):
+        M = 12
+        cells = [(0, 11), (4, 4), (4, 5), (10, 0)]
+        F = sparse_grid(rng, M, 2, cells)
+        diffs = {((b0 - a0) % M, (b1 - a1) % M) for a0, a1 in cells for b0, b1 in cells}
+        assert [tuple(h) for h in _overlap_shifts(F.values)] == sorted(diffs)
+
+    def test_kernel_embedding_is_sparse(self, moll):
+        F = embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll)
+        assert np.count_nonzero(F.values) == 194
+        assert len(_overlap_shifts(F.values)) == 387
+
+
 class TestKernelDistance:
     def test_identical_widths_zero(self, moll):
         out = u3_kernel_distance(0.1, 0.1, 1.5, 512, moll)
@@ -166,6 +233,22 @@ class TestKernelDistance:
     def test_under_resolved_grid_rejected(self, moll):
         with pytest.raises(ValueError):
             u3_kernel_distance(0.01, 0.1, 1.5, 256, moll)
+
+    def test_min_shell_grid_is_the_threshold(self, moll):
+        for eta, eps, p in ((0.025, 0.1, 1.5), (0.05, 0.1, 3.0), (0.025, 0.1, 5.0)):
+            M = min_shell_grid(eta, eps, p)
+            embed_kernel_difference(eta, eps, p, 1, M, moll)
+            with pytest.raises(ValueError, match=f"< {M}"):
+                embed_kernel_difference(eta, eps, p, 1, M - 1, moll)
+        assert min_shell_grid(0.025, 0.1, 1.5) == 1356
+
+    def test_min_shell_grid_bounded_for_huge_p(self):
+        # p = 1e13 needs 8e15 cells per axis, still below 2**53 (9.0e15); past
+        # that, and where the quotient overflows, the helper refuses
+        assert min_shell_grid(0.025, 0.1, 1e13) == 8000000000000145
+        for p in (2e13, 1e30, 1e306):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                min_shell_grid(0.025, 0.1, p)
 
     def test_scale_covariance(self, moll):
         a = u3_kernel_distance(0.05, 0.1, 1.5, 2048, moll, lam=1.0).value

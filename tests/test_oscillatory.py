@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from lproth.bumps import phi_plus
 from lproth.lpgeom import LpExponent
 from lproth.oscillatory import (
+    KL_HALF,
     PhaseFamily,
+    _admissible_interval,
+    _panel_count,
+    _phase_values,
+    _shift_cell,
+    _simpson_weights,
+    _window_product,
     build_transform_table,
     decay_fit,
     dist_to_degenerate_subspace,
@@ -124,6 +131,56 @@ class TestAggregate:
         a = i_of_t(1.5, 30.0, n_kl=32)
         b = i_of_t_lattice(1.5, 30.0, n_kl=96, n_y=8192)
         assert abs(a - b) / a < 2e-2
+
+
+def i_of_t_full_grid(p, t, n_kl, nodes_per_period=16):
+    """Reference I(t): the Simpson cell value at every one of the n_kl^2 Gauss nodes."""
+    x, w = np.polynomial.legendre.leggauss(n_kl)
+    total = 0.0
+    for a, wa in zip(KL_HALF * x, KL_HALF * w):
+        row = 0.0
+        for b, wb in zip(KL_HALF * x, KL_HALF * w):
+            lo, hi = _admissible_interval(a, b)
+            if hi <= lo:
+                continue
+            n = _panel_count(p, t, a, b, lo, hi, nodes_per_period)
+            y = np.linspace(lo, hi, n + 1)
+            f = _window_product(y, a, b) * np.exp(1j * t * _phase_values(y, p, a, b))
+            val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
+            row += wb * abs(val) ** 2
+        total += wa * row
+    return total
+
+
+class TestFundamentalDomain:
+    """i_of_t evaluates a quarter of the shift grid and weights each cell by its orbit."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("n_kl", [7, 8])
+    @pytest.mark.parametrize("t", [0.0, 10.0, 1e3])
+    def test_matches_full_grid(self, p, n_kl, t):
+        ref = i_of_t_full_grid(p, t, n_kl)
+        assert i_of_t(p, t, n_kl=n_kl) == pytest.approx(ref, rel=1e-11)
+
+    def test_gauss_nodes_exactly_symmetric(self):
+        for n in range(1, 65):
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(x[::-1], -x)
+            assert np.array_equal(w[::-1], w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_kl=st.integers(min_value=2, max_value=48), data=st.data(),
+           p=st.floats(min_value=1.1, max_value=4.0),
+           t=st.floats(min_value=-1e3, max_value=1e3))
+    def test_cell_symmetries_at_gauss_nodes(self, n_kl, data, p, t):
+        i = data.draw(st.integers(min_value=0, max_value=n_kl - 1))
+        j = data.draw(st.integers(min_value=0, max_value=n_kl - 1))
+        ks = KL_HALF * np.polynomial.legendre.leggauss(n_kl)[0]
+        cell = _shift_cell(p, t, ks[i], ks[j], 16, 1 << 21)
+        swapped = _shift_cell(p, t, ks[j], ks[i], 16, 1 << 21)
+        negated = _shift_cell(p, t, ks[n_kl - 1 - i], ks[n_kl - 1 - j], 16, 1 << 21)
+        for other in (swapped, negated):
+            assert abs(other - cell) <= 1e-9 * cell + 1e-14
 
 
 class TestDecayFit:
