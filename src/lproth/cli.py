@@ -13,9 +13,11 @@ check failed, 3 internal failure (budget or quadrature).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -53,7 +55,9 @@ REPORT_SCHEMA = {
                     "name": {"type": "string", "minLength": 1},
                     "anchor": {"type": "string", "minLength": 1},
                     "values": {"type": "object"},
-                    "bound": {},
+                    "bound": {"anyOf": [{"type": ["null", "number"]},
+                                        {"type": "array", "items": {"type": "number"},
+                                         "minItems": 2, "maxItems": 2}]},
                     "passed": {"type": "boolean"},
                 },
             },
@@ -61,6 +65,8 @@ REPORT_SCHEMA = {
         "summary": {
             "type": "object",
             "required": ["n_records", "n_pass", "n_fail", "worst_margin"],
+            "properties": {"worst_margin": {"type": ["number", "null"]},
+                           "worst_record": {"type": ["string", "null"]}},
         },
     },
 }
@@ -127,10 +133,8 @@ class ConfigError(ValueError):
 
 # field name -> str, int or float, resolved from the dataclass annotations
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def _coerce(key: str, raw: str):
-    return _FIELD_TYPES[key](raw)
+# run flags not spelled as their field name; every other flag is --field-name
+_FLAG_NAMES = {"out_dir": "--out", "fmt": "--format"}
 
 
 def read_config_file(path: str) -> dict:
@@ -147,7 +151,7 @@ def read_config_file(path: str) -> dict:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _coerce(key, raw)
+                out[key] = _FIELD_TYPES[key](raw)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: cannot parse value for {key!r}") from None
     return out
@@ -158,30 +162,17 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
     ap = argparse.ArgumentParser(prog="lproth", add_help=True)
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run")
-    run.add_argument("--suite", choices=SUITES)
     run.add_argument("--config")
-    run.add_argument("--p", type=float)
-    run.add_argument("--d", type=int)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--out")
-    run.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    for knob in ("quad-nodes", "kl-nodes", "spectrum-hits", "search-budget", "trials", "grid-m"):
-        run.add_argument(f"--{knob}", dest=knob.replace("-", "_"), type=int)
+    # one flag per config field; ExperimentConfig.validate checks the values
+    for key, typ in _FIELD_TYPES.items():
+        run.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), dest=key, type=typ)
     sub.add_parser("list")
     sub.add_parser("schema")
     ns = ap.parse_args(argv)
     if ns.command != "run":
         return ns.command, None
-    values: dict = {}
-    if ns.config:
-        values.update(read_config_file(ns.config))
-    flag_dest = {key: key for key in _FIELD_TYPES}
-    flag_dest["out_dir"] = "out"
-    for key, dest in flag_dest.items():
-        flag = getattr(ns, dest, None)
-        if flag is not None:
-            values[key] = flag
+    values = read_config_file(ns.config) if ns.config else {}
+    values.update((key, getattr(ns, key)) for key in _FIELD_TYPES if getattr(ns, key) is not None)
     if not values.get("suite"):
         raise ConfigError("missing required --suite")
     cfg = ExperimentConfig(**values)
@@ -204,6 +195,32 @@ class Check:
     margin: float = float("nan")
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq}
+
+
+def _check(name: str, anchor: str, values: dict, x, op: str, bound,
+           requires: bool = True) -> Check:
+    """The record of the claim ``x op bound``; a failed precondition ``requires`` fails it.
+
+    ``op``: upper bound ``<``/``<=``, lower bound ``>``/``>=``, exact ``==``,
+    or closed band ``in`` with ``bound = [lo, hi]``.  The margin is the
+    slack relative to the bound: (b - x)/|b|, (x - b)/|b|, or the slack to
+    the nearer end over (hi - lo); exact checks, zero bounds (no scale) and
+    failed preconditions have none.  Boolean properties are ``Check(..., None, ok)``.
+    """
+    if op == "in":
+        lo, hi = bound
+        passed = lo <= x <= hi
+        margin = min(x - lo, hi - x) / (hi - lo)
+    else:
+        passed = _COMPARE[op](x, bound)
+        slack = bound - x if op in ("<", "<=") else x - bound
+        margin = slack / abs(bound) if op != "==" and bound != 0.0 else math.nan
+    return Check(name, anchor, values, bound, bool(requires and passed),
+                 margin if requires else math.nan)
+
+
 class SuiteContext:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -221,36 +238,32 @@ def _kernels_checks(ctx: SuiteContext) -> list[Check]:
     p, d, eps = cfg.p, cfg.d, cfg.epsilon
     out = []
     psi0 = float(m.psi(np.array([0.0]))[0])
-    out.append(Check("window value at zero", "window-normalization",
-                     {"psi0": psi0}, 1.0, abs(psi0 - 1.0) < 1e-12, abs(psi0 - 1.0)))
+    out.append(_check("window value at zero", "window-normalization",
+                      {"psi0": psi0}, abs(psi0 - 1.0), "<", 1e-12))
     edge = float(m.psi_hat(np.array([2.5]))[0])
-    out.append(Check("transform support edge", "window-band-support",
-                     {"psi_hat_2p5": edge}, 0.0, edge == 0.0))
+    out.append(_check("transform support edge", "window-band-support",
+                      {"psi_hat_2p5": edge}, edge, "==", 0.0))
     direct = mollifier.omega_eps_direct_oscillatory(np.zeros(1) + 1.0, mollifier.KernelParams(p, 1, 1.0, 1.0), m)
     closed = mollifier.omega_eps_eval(np.array([1.0]), mollifier.KernelParams(p, 1, 1.0, 1.0), m)
-    dev = abs(direct - closed)
-    out.append(Check("closed form vs oscillatory form", "kernel-closed-vs-oscillatory",
-                     {"direct": direct, "closed": closed}, 1e-4, dev < 1e-4, dev))
-    masses = []
-    for e in (0.04, 0.02, 0.01, 0.005):
-        masses.append(mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, e), m))
+    out.append(_check("closed form vs oscillatory form", "kernel-closed-vs-oscillatory",
+                      {"direct": direct, "closed": closed}, abs(direct - closed), "<", 1e-4))
+    masses = [mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, e), m)
+              for e in (0.04, 0.02, 0.01, 0.005)]
     ratio = max(masses) / min(masses)
-    out.append(Check("kernel mass band", "kernel-mass-band",
-                     {"masses": masses, "ratio": ratio}, 1.5, ratio < 1.5, 1.5 - ratio))
+    out.append(_check("kernel mass band", "kernel-mass-band",
+                      {"masses": masses, "ratio": ratio}, ratio, "<", 1.5))
     c11 = mollifier.c1_eps(1.0, p, d, m)
-    out.append(Check("unit mass ratio", "mass-ratio-unit", {"c1_at_1": c11}, 1.0, c11 == 1.0))
+    out.append(_check("unit mass ratio", "mass-ratio-unit", {"c1_at_1": c11}, c11, "==", 1.0))
     c1e = mollifier.c1_eps(eps, p, d, m)
-    out.append(Check("mass ratio band", "mass-ratio-band", {"c1": c1e}, [0.1, 10.0],
-                     0.1 < c1e < 10.0, min(c1e - 0.1, 10.0 - c1e)))
+    out.append(_check("mass ratio band", "mass-ratio-band", {"c1": c1e}, c1e, "in", [0.1, 10.0]))
     kern = mollifier.build_cancelled_kernel(mollifier.KernelParams(p, d, 1.0, eps), m)
     resid = abs(kern.total_integral())
     ref = mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, eps), m)
-    out.append(Check("cancelled kernel integral", "cancellation-integral",
-                     {"residual": resid, "reference": ref}, 1e-6 * ref,
-                     resid <= 1e-6 * ref, 1e-6 * ref - resid))
+    out.append(_check("cancelled kernel integral", "cancellation-integral",
+                      {"residual": resid, "reference": ref}, resid, "<=", 1e-6 * ref))
     k0 = mollifier.kernel_fourier(np.zeros(1), mollifier.KernelParams(p, 1, 1.0, eps), m)
-    out.append(Check("transform vanishes at origin", "transform-zero-at-origin",
-                     {"k_hat_0": abs(k0)}, 1e-8, abs(k0) < 1e-8, 1e-8 - abs(k0)))
+    out.append(_check("transform vanishes at origin", "transform-zero-at-origin",
+                      {"k_hat_0": abs(k0)}, abs(k0), "<", 1e-8))
     lam_j = 2.0
     etas = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     kv = [abs(mollifier.kernel_fourier(np.array([e]), mollifier.KernelParams(p, 1, lam_j, eps), m))
@@ -264,20 +277,19 @@ def _kernels_checks(ctx: SuiteContext) -> list[Check]:
     flip = pts.copy(); flip[:, 0] *= -1.0
     v2 = mollifier.omega_eps_eval(flip, mollifier.KernelParams(p, d, 1.0, eps), m)
     refl = float(np.max(np.abs(v1 - v2)))
-    out.append(Check("reflection invariance", "kernel-reflection-invariance",
-                     {"max_dev": refl}, 0.0, refl == 0.0, -refl))
+    out.append(_check("reflection invariance", "kernel-reflection-invariance",
+                      {"max_dev": refl}, refl, "==", 0.0))
     # weak limit vs sphere rule carries the explicit 2 pi of the line-integral normalization
     rule = lpgeom.sphere_quadrature(p, d, 1.0, n=cfg.quad_nodes)
     target = 2.0 * math.pi * rule.total_mass
     mass_small = mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, 0.005), m)
-    wdev = abs(mass_small - target) / target
-    out.append(Check("weak limit of shell kernels", "kernel-weak-limit",
-                     {"kernel_mass": mass_small, "sphere_mass_2pi": target}, 0.01,
-                     wdev < 0.01, 0.01 - wdev))
+    out.append(_check("weak limit of shell kernels", "kernel-weak-limit",
+                      {"kernel_mass": mass_small, "sphere_mass_2pi": target},
+                      abs(mass_small - target) / target, "<", 0.01))
     inv = lpgeom.sigma_mass_invariance(p, d, [1.0, 2.0, 4.0], n=cfg.quad_nodes)
-    out.append(Check("sphere mass invariance", "sphere-mass-invariance",
-                     {"masses": inv.masses, "max_rel_dev": inv.max_relative_deviation},
-                     1e-4, inv.max_relative_deviation < 1e-4, 1e-4 - inv.max_relative_deviation))
+    out.append(_check("sphere mass invariance", "sphere-mass-invariance",
+                      {"masses": inv.masses, "max_rel_dev": inv.max_relative_deviation},
+                      inv.max_relative_deviation, "<", 1e-4))
     ctx.curve("window_profile.csv", ["u", "psi_hat"],
               mollifier.window_profile_rows(m).tolist())
     ctx.curve("kernel_profile.csv", ["r", "omega_eps"],
@@ -296,8 +308,8 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
         b = gowers.u3_eighth_brute(F).real
         r = gowers.u3_eighth_recursive(F)
         worst = max(worst, abs(b - r) / abs(r))
-    out.append(Check("difference-cube oracle equivalence", "u3-oracle-equivalence",
-                     {"worst_rel": worst}, 1e-10, worst < 1e-10, 1e-10 - worst))
+    out.append(_check("difference-cube oracle equivalence", "u3-oracle-equivalence",
+                      {"worst_rel": worst}, worst, "<", 1e-10))
     worst2 = 0.0
     for _ in range(10):
         F = gowers.CyclicGridFunction.from_array(
@@ -305,32 +317,29 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
         b = gowers.u2_fourth_brute(F).real
         s = gowers.u2_norm(F) ** 4
         worst2 = max(worst2, abs(b - s) / abs(s))
-    out.append(Check("spectral fourth-moment identity", "u2-spectral-identity",
-                     {"worst_rel": worst2}, 1e-10, worst2 < 1e-10, 1e-10 - worst2))
+    out.append(_check("spectral fourth-moment identity", "u2-spectral-identity",
+                      {"worst_rel": worst2}, worst2, "<", 1e-10))
     F = gowers.CyclicGridFunction.from_array(rng.normal(size=16) + 1j * rng.normal(size=16))
     base = gowers.u3_norm(F)
     xi = 3
     mod = gowers.CyclicGridFunction.from_array(
         F.values * np.exp(2j * np.pi * xi * np.arange(16) / 16))
     dev = abs(gowers.u3_norm(mod) - base) / base
-    out.append(Check("modulation invariance", "u3-modulation-invariance",
-                     {"rel_dev": dev}, 1e-10, dev < 1e-10, 1e-10 - dev))
+    out.append(_check("modulation invariance", "u3-modulation-invariance",
+                      {"rel_dev": dev}, dev, "<", 1e-10))
     tr = gowers.CyclicGridFunction.from_array(np.roll(F.values, 5))
     devt = abs(gowers.u3_norm(tr) - base) / base
-    out.append(Check("translation invariance", "u3-translation-invariance",
-                     {"rel_dev": devt}, 1e-10, devt < 1e-10, 1e-10 - devt))
+    out.append(_check("translation invariance", "u3-translation-invariance",
+                      {"rel_dev": devt}, devt, "<", 1e-10))
     for (pp, tt) in ((cfg.p, 2.0), (3.0, 5.0)):
         tc = gowers.u3_tensor_check(pp, tt, M=64)
-        out.append(Check(f"tensor factorization p={pp} t={tt}", "u3-tensor-product",
-                         {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap},
-                         1e-2, tc.relative_gap < 1e-2, 1e-2 - tc.relative_gap))
-    dists = []
-    for eta in _U3_ETAS:
-        u3d = gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m)
-        dists.append(u3d.value)
-    mono = dists[1] >= dists[0] > 0
+        out.append(_check(f"tensor factorization p={pp} t={tt}", "u3-tensor-product",
+                          {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap},
+                          tc.relative_gap, "<", 1e-2))
+    dists = [gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m).value
+             for eta in _U3_ETAS]
     out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
-                     {"distances": dists}, None, bool(mono)))
+                     {"distances": dists}, None, bool(dists[1] >= dists[0] > 0)))
     ctx.curve("u3_cauchy.csv", ["eta", "u3_distance"],
               [[e, v] for e, v in zip(_U3_ETAS, dists)])
     ctx.curve("delta_u2_profile.csv", ["h", "u2_of_delta_h"],
@@ -349,52 +358,49 @@ def _forms_checks(ctx: SuiteContext) -> list[Check]:
     n = int(np.ceil(N / h)); h = N / n
     f = forms.full_box(N, h, 1)
     resid = abs(forms.decomposition_residual(f, lam, eps, m, p))
-    out.append(Check("form decomposition identity", "form-decomposition-identity",
-                     {"residual": resid}, 1e-10, resid < 1e-10, 1e-10 - resid))
+    out.append(_check("form decomposition identity", "form-decomposition-identity",
+                      {"residual": resid}, resid, "<", 1e-10))
     a = forms.m_eps_lambda(f, lam, 1.0, m, p).value
     b = forms.m_lambda(f, lam, m, p).value
-    out.append(Check("unit width consistency", "form-kernel-consistency",
-                     {"m_eps_1": a, "m_base": b}, 0.0, a == b))
+    out.append(_check("unit width consistency", "form-kernel-consistency",
+                      {"m_eps_1": a, "m_base": b}, a - b, "==", 0.0))
     cw = mollifier.kernel_total_mass(mollifier.KernelParams(p, 1, 1.0, 1.0), m)
     dev = abs(b - cw * N) / (cw * N)
-    out.append(Check("full box main term", "full-box-main-term",
-                     {"value": b, "target": cw * N, "rel_dev": dev}, 3 * lam / N,
-                     dev < 3 * lam / N, 3 * lam / N - dev))
+    out.append(_check("full box main term", "full-box-main-term",
+                      {"value": b, "target": cw * N, "rel_dev": dev}, dev, "<", 3 * lam / N))
     rule = lpgeom.sphere_quadrature(p, 1, lam, n=64)
     nv = forms.n_lambda(f, rule, lam).value
     target = forms.full_box_sharp_oracle(rule, N)
-    ndev = abs(nv - target) / target
-    out.append(Check("sharp form sphere mass", "sharp-form-sphere-mass",
-                     {"value": nv, "target": target}, 0.05, ndev < 0.05, 0.05 - ndev))
-    ok = True
-    for trial in range(cfg.trials):
-        g = forms.random_indicator(16.0, 1.0, 2, 0.25, seed=cfg.seed * 31 + trial)
-        rep = forms.box_partition_pigeonhole(g, 2.0)
-        ok = ok and rep.threshold_ok
+    out.append(_check("sharp form sphere mass", "sharp-form-sphere-mass",
+                      {"value": nv, "target": target}, abs(nv - target) / target, "<", 0.05))
+    indicators = (forms.random_indicator(16.0, 1.0, 2, 0.25, seed=cfg.seed * 31 + trial)
+                  for trial in range(cfg.trials))
+    ok = all(forms.box_partition_pigeonhole(g, 2.0).threshold_ok for g in indicators)
     out.append(Check("half-density pigeonhole", "pigeonhole-half-density",
                      {"trials": cfg.trials}, None, ok))
     lams = [N / 16.0, N / 8.0, N / 4.0]
     en = forms.energy_sum(f, lams, eps, m, p)
-    out.append(Check("energy certificate ratio", "energy-ratio-bound",
-                     {"ratio": en.ratio, "energies": en.energies}, 1.0,
-                     en.ratio < 1.0, 1.0 - en.ratio))
+    out.append(_check("energy certificate ratio", "energy-ratio-bound",
+                      {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
     mt = forms.roth_main_term_experiment(0.5, 1, N, lam, cfg.trials, m, p, seed=cfg.seed)
-    out.append(Check("density main term positive", "main-term-positive",
-                     {"min_normalized": mt.min_normalized}, 0.0,
-                     mt.min_normalized > 1e-3 * cw, mt.min_normalized))
+    out.append(_check("density main term positive", "main-term-positive",
+                      {"min_normalized": mt.min_normalized}, mt.min_normalized, ">", 1e-3 * cw))
     f2 = forms.random_indicator(8.0, h, 1, 0.5, seed=cfg.seed)
     v0 = forms.m_lambda(forms.translate_box(f2, 0), lam, m, p).value
     v1 = forms.m_lambda(forms.translate_box(f2, 3), lam, m, p).value
     tdev = abs(v0 - v1) / max(abs(v0), 1e-15)
-    out.append(Check("translation invariance of forms", "form-translation-invariance",
-                     {"rel_dev": tdev}, 1e-10, tdev < 1e-10, 1e-10 - tdev))
-    rows = []
-    for fv in (forms.m_eps_lambda(f, lam, eps, m, p), forms.m_lambda(f, lam, m, p),
-               forms.e_lambda(f, lam, eps, m, p)):
-        rows.append([fv.kind, fv.lam, fv.eps if fv.eps is not None else float("nan"),
-                     fv.value, fv.quadrature_error])
+    out.append(_check("translation invariance of forms", "form-translation-invariance",
+                      {"rel_dev": tdev}, tdev, "<", 1e-10))
+    rows = [[fv.kind, fv.lam, fv.eps if fv.eps is not None else float("nan"),
+             fv.value, fv.quadrature_error]
+            for fv in (forms.m_eps_lambda(f, lam, eps, m, p), forms.m_lambda(f, lam, m, p),
+                       forms.e_lambda(f, lam, eps, m, p))]
     ctx.curve("form_values.csv", ["kind", "lambda", "epsilon", "value", "error"], rows)
     return out
+
+
+# slope floor of |I(t)| at the degenerate exponents, which do not decay
+_NO_DECAY_SLOPE = -0.02
 
 
 def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
@@ -403,42 +409,40 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
     fam = oscillatory.PhaseFamily(p=2.0, k=0.3, l=-0.2)
     vals = [oscillatory.phase_eval(fam, y)[0] for y in np.linspace(0.8, 1.8, 50)]
     spread = max(vals) - min(vals)
-    out.append(Check("quadratic phase degeneracy", "phase-quadratic-degeneracy",
-                     {"spread": spread, "expected": 2 * fam.k * fam.l}, 1e-12,
-                     spread < 1e-12, 1e-12 - spread))
+    out.append(_check("quadratic phase degeneracy", "phase-quadratic-degeneracy",
+                      {"spread": spread, "expected": 2 * fam.k * fam.l}, spread, "<", 1e-12))
     fam3 = oscillatory.PhaseFamily(p=3.0, k=0.5, l=0.5)
     dv, dd = oscillatory.phase_eval(fam3, 1.0)
     rv, rd = oscillatory.phase_eval_remainder(fam3, 1.0)
-    dev = max(abs(dv - rv), abs(dd - rd))
-    out.append(Check("remainder form agreement", "phase-remainder-agreement",
-                     {"direct": [dv, dd], "remainder": [rv, rd]}, 1e-8,
-                     dev < 1e-8, 1e-8 - dev))
+    out.append(_check("remainder form agreement", "phase-remainder-agreement",
+                      {"direct": [dv, dd], "remainder": [rv, rd]},
+                      max(abs(dv - rv), abs(dd - rd)), "<", 1e-8))
     ts = list(np.logspace(1, 4, 7))
     fit = oscillatory.decay_fit(cfg.p, ts, n_kl=cfg.kl_nodes)
-    thresh = -1.0 / fit.r_theory + 0.05
-    passed = fit.slope <= thresh if not fit.degenerate else fit.slope >= -0.02
-    out.append(Check(f"decay envelope p={cfg.p}", "decay-envelope",
-                     {"slope": fit.slope, "r": fit.r_theory, "values": fit.values},
-                     thresh, bool(passed), thresh - fit.slope))
+    # a degenerate exponent sits on the no-decay side of the dichotomy
+    rule = (">=", _NO_DECAY_SLOPE) if fit.degenerate else ("<=", -1.0 / fit.r_theory + 0.05)
+    out.append(_check(f"decay envelope p={cfg.p}", "decay-envelope",
+                      {"slope": fit.slope, "r": fit.r_theory, "values": fit.values},
+                      fit.slope, *rule))
     ctx.curve(f"decay_p{cfg.p}.csv", ["t", "abs_I", "envelope"],
               [[t, v, fit.c_fit * t ** (-1.0 / fit.r_theory)]
                for t, v in zip(fit.t_samples, fit.values)])
     for pdeg in (1.0, 2.0):
         fitd = oscillatory.decay_fit(pdeg, ts, n_kl=12)
-        out.append(Check(f"no-decay at p={pdeg}", "no-decay-degenerate",
-                         {"slope": fitd.slope}, -0.02, fitd.slope >= -0.02,
-                         fitd.slope + 0.02))
+        out.append(_check(f"no-decay at p={pdeg}", "no-decay-degenerate",
+                          {"slope": fitd.slope}, fitd.slope, ">=", _NO_DECAY_SLOPE))
     v1 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.3, 0.1), 50.0)
     v2 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.1, 0.3), 50.0)
     sym = abs(v1 - v2)
-    out.append(Check("shift symmetry", "aggregate-symmetry",
-                     {"dev": sym}, 1e-12, sym < 1e-12, 1e-12 - sym))
+    out.append(_check("shift symmetry", "aggregate-symmetry",
+                      {"dev": sym}, sym, "<", 1e-12))
     sb = oscillatory.stationary_lower_bound_check(cfg.p, 0.1)
-    out.append(Check("stationary derivative floor", "stationary-lower-bound",
-                     {"min_abs_dpsi": sb.min_abs_dpsi}, 0.0,
-                     sb.degenerate or sb.min_abs_dpsi > 0.0, sb.min_abs_dpsi))
+    # at the degenerate p = 2 the derivative vanishes identically (a floor of 0.0)
+    out.append(_check("stationary derivative floor", "stationary-lower-bound",
+                      {"min_abs_dpsi": sb.min_abs_dpsi}, sb.min_abs_dpsi,
+                      ">=" if sb.degenerate else ">", 0.0))
     rng = spawn_rng(cfg.seed, 37)
-    ok = True
+    worst = 0.0
     for _ in range(20):
         v = float(rng.uniform(0.001, 0.5))
         mus = [v]
@@ -446,8 +450,8 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
             v *= 2.0 * float(rng.uniform(1.0, 1.5))
             mus.append(v)
         s1, s2, cap = oscillatory.lacunary_sum_bound(mus, k=2)
-        ok = ok and s1 <= cap and s2 <= cap
-    out.append(Check("lacunary sum cap", "lacunary-sum-cap", {"trials": 20}, 4.0, ok))
+        worst = max(worst, s1, s2)
+    out.append(_check("lacunary sum cap", "lacunary-sum-cap", {"trials": 20}, worst, "<=", cap))
     # scales start past the transform decay onset for order-one frequencies,
     # so count extension only adds tail terms
     table = oscillatory.build_transform_table(cfg.p, cfg.epsilon, ctx.m)
@@ -457,9 +461,8 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
     a6 = oscillatory.multiplier_check(*xi, lam6, table)
     a12 = oscillatory.multiplier_check(*xi, lam12, table)
     rat = a12.abs_m / max(a6.abs_m, 1e-300)
-    out.append(Check("multiplier scale uniformity", "multiplier-scale-uniformity",
-                     {"abs_m_6": a6.abs_m, "abs_m_12": a12.abs_m}, 2.0,
-                     0.5 <= rat <= 2.0, 2.0 - rat))
+    out.append(_check("multiplier scale uniformity", "multiplier-scale-uniformity",
+                      {"abs_m_6": a6.abs_m, "abs_m_12": a12.abs_m}, rat, "in", [0.5, 2.0]))
     prods = []
     audit_rows = []
     base = np.array([-2.0, -1.0, 1.0]) / np.linalg.norm([-2.0, -1.0, 1.0])
@@ -470,8 +473,8 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
         prods.append(aud.grad_magnitude * aud.dist)
         audit_rows.append([aud.dist, aud.abs_m, aud.grad_magnitude])
     gratio = max(prods) / max(min(prods), 1e-300)
-    out.append(Check("gradient-distance product stability", "multiplier-gradient-distance",
-                     {"products": prods}, 4.0, gratio < 4.0, 4.0 - gratio))
+    out.append(_check("gradient-distance product stability", "multiplier-gradient-distance",
+                      {"products": prods}, gratio, "<", 4.0))
     ctx.curve("multiplier_audit.csv", ["dist", "abs_m", "grad_magnitude"], audit_rows)
     return out
 
@@ -481,33 +484,29 @@ def _counterexample_checks(ctx: SuiteContext) -> list[Check]:
     out = []
     A = sets.bourgain_set(2)
     dens = A.estimate_density(10.0, n=10**5, seed=cfg.seed)
-    out.append(Check("square-shell density", "square-shell-density",
-                     {"density": dens}, [0.15, 0.35], 0.15 <= dens <= 0.35,
-                     min(dens - 0.15, 0.35 - dens)))
+    out.append(_check("square-shell density", "square-shell-density",
+                      {"density": dens}, dens, "in", [0.15, 0.35]))
     rng = spawn_rng(cfg.seed, 41)
     gap2 = max(abs(sets.parallelogram_check(rng.normal(size=2), rng.normal(size=2), 2.0)[2])
                for _ in range(50))
-    out.append(Check("quadratic parallelogram identity", "parallelogram-identity",
-                     {"max_gap": gap2}, 1e-10, gap2 < 1e-10, 1e-10 - gap2))
+    out.append(_check("quadratic parallelogram identity", "parallelogram-identity",
+                      {"max_gap": gap2}, gap2, "<", 1e-10))
     _, _, gp = sets.parallelogram_check(np.array([1.0, 1.0]), np.array([1.0, 0.0]), cfg.p)
-    out.append(Check("non-quadratic parallelogram failure", "parallelogram-failure",
-                     {"gap": gp}, 1e-3, abs(gp) > 1e-3, abs(gp) - 1e-3))
+    out.append(_check("non-quadratic parallelogram failure", "parallelogram-failure",
+                      {"gap": gp}, abs(gp), ">", 1e-3))
     spec2 = sets.gap_spectrum_sample(A, 2.0, 10.0, cfg.spectrum_hits,
                                      max_proposals=10**7, seed=cfg.seed)
-    out.append(Check("half-integer gap restriction", "half-integer-gap-restriction",
-                     {"hits": int(spec2.gaps.size),
-                      "max_dev": spec2.max_half_integer_deviation},
-                     sets.HALF_INTEGER_CAP + 1e-9,
-                     spec2.gaps.size > 0 and
-                     spec2.max_half_integer_deviation <= sets.HALF_INTEGER_CAP + 1e-9,
-                     sets.HALF_INTEGER_CAP + 1e-9 - spec2.max_half_integer_deviation))
+    out.append(_check("half-integer gap restriction", "half-integer-gap-restriction",
+                      {"hits": int(spec2.gaps.size),
+                       "max_dev": spec2.max_half_integer_deviation},
+                      spec2.max_half_integer_deviation, "<=", sets.HALF_INTEGER_CAP + 1e-9,
+                      requires=spec2.gaps.size > 0))
     specp = sets.gap_spectrum_sample(A, cfg.p, 10.0, cfg.spectrum_hits,
                                      max_proposals=10**7, seed=cfg.seed + 1)
-    out.append(Check("gap escape at non-quadratic exponent", "gap-escape-nonquadratic",
-                     {"hits": int(specp.gaps.size),
-                      "max_dev": specp.max_half_integer_deviation}, 0.45,
-                     specp.max_half_integer_deviation > 0.45,
-                     specp.max_half_integer_deviation - 0.45))
+    out.append(_check("gap escape at non-quadratic exponent", "gap-escape-nonquadratic",
+                      {"hits": int(specp.gaps.size),
+                       "max_dev": specp.max_half_integer_deviation},
+                      specp.max_half_integer_deviation, ">", 0.45))
     counts, edges = specp.histogram(bins=32)
     ctx.curve("gap_spectrum.csv", ["gap", "count"],
               [[0.5 * (edges[i] + edges[i + 1]), float(c)] for i, c in enumerate(counts)])
@@ -516,12 +515,10 @@ def _counterexample_checks(ctx: SuiteContext) -> list[Check]:
     base = rngl.integers(-5, 5, size=(2000, 2)) + rngl.uniform(-0.1, 0.1, size=(2000, 2))
     other = rngl.integers(-5, 5, size=(2000, 2)) + rngl.uniform(-0.1, 0.1, size=(2000, 2))
     members_ok = bool(np.all(lat.contains_batch(base)) and np.all(lat.contains_batch(other)))
-    ygaps = other - base
-    dev_inf = np.max(np.abs(np.max(np.abs(ygaps), axis=1)
-                            - np.round(np.max(np.abs(ygaps), axis=1))))
-    out.append(Check("lattice gap restriction", "lattice-gap-restriction",
-                     {"max_dev_inf": float(dev_inf)}, 0.2,
-                     members_ok and dev_inf <= 0.2 + 1e-12, 0.2 - float(dev_inf)))
+    gap_inf = np.max(np.abs(other - base), axis=1)
+    dev_inf = float(np.max(np.abs(gap_inf - np.round(gap_inf))))
+    out.append(_check("lattice gap restriction", "lattice-gap-restriction",
+                      {"max_dev_inf": dev_inf}, dev_inf, "<=", 0.2, requires=members_ok))
     return out
 
 
@@ -549,10 +546,8 @@ def _search_checks(ctx: SuiteContext) -> list[Check]:
                                   budget_per_scale=cfg.search_budget)
     out.append(Check("positive progression control", "positive-control",
                      {"realized": rep.realized}, None, rep.all_seeds_realized))
-    r1 = sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**4,
-                                 box_hi=16.0, seed=123)
-    r2 = sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**4,
-                                 box_hi=16.0, seed=123)
+    r1, r2 = (sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**4,
+                                      box_hi=16.0, seed=123) for _ in range(2))
     same = (r1.witness is not None and r2.witness is not None
             and np.array_equal(r1.witness.x, r2.witness.x)
             and np.array_equal(r1.witness.y, r2.witness.y))
@@ -599,11 +594,11 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
     runtimes = {}
     for suite in names:
         t0 = time.perf_counter()
-        for chk in _SUITE_FNS[suite](ctx):
-            records.append(chk)
+        records.extend(_SUITE_FNS[suite](ctx))
         runtimes[suite] = round(time.perf_counter() - t0, 3)
     n_fail = sum(1 for c in records if not c.passed)
-    margins = [c.margin for c in records if np.isfinite(c.margin)]
+    worst = min((c for c in records if not math.isnan(c.margin)), key=lambda c: c.margin,
+                default=None)
     report = {
         "format": 1,
         "config": dataclasses.asdict(cfg),
@@ -617,7 +612,8 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
             "n_records": len(records),
             "n_pass": len(records) - n_fail,
             "n_fail": n_fail,
-            "worst_margin": min(margins) if margins else None,
+            "worst_margin": worst.margin if worst else None,
+            "worst_record": worst.name if worst else None,
         },
     }
     lint_report(json.loads(json.dumps(report, default=_json_default)))
@@ -631,13 +627,13 @@ def write_report_atomic(report: dict, out_dir: str, fmt: str = "json") -> str:
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             if fmt == "csv":
-                fh.write("name,anchor,passed,bound,values\n")
-                for rec in report["records"]:
-                    vals = json.dumps(rec["values"], default=_json_default, sort_keys=True)
-                    fh.write('%s,%s,%s,%s,"%s"\n' % (
-                        rec["name"], rec["anchor"], rec["passed"],
-                        json.dumps(rec["bound"], default=_json_default),
-                        vals.replace('"', "'")))
+                table = csv.writer(fh, lineterminator="\n")
+                table.writerow(["name", "anchor", "passed", "bound", "values"])
+                table.writerows(
+                    [rec["name"], rec["anchor"], rec["passed"],
+                     json.dumps(rec["bound"], default=_json_default),
+                     json.dumps(rec["values"], default=_json_default, sort_keys=True)]
+                    for rec in report["records"])
             else:
                 json.dump(report, fh, indent=2, default=_json_default, sort_keys=True)
                 fh.write("\n")
@@ -650,9 +646,7 @@ def write_report_atomic(report: dict, out_dir: str, fmt: str = "json") -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17e")
+    return v if isinstance(v, str) else format(float(v), ".17e")
 
 
 def emit_csv(curves: list, out_dir: str) -> list:
@@ -660,10 +654,10 @@ def emit_csv(curves: list, out_dir: str) -> list:
     written = []
     for filename, header, rows in curves:
         path = os.path.join(out_dir, filename)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+        with open(path, "w", newline="") as fh:
+            table = csv.writer(fh, lineterminator="\n")
+            table.writerow(header)
+            table.writerows([_csv_cell(v) for v in row] for row in rows)
         written.append(path)
     return written
 

@@ -33,6 +33,8 @@ from .lpgeom import _as_p, unit_ball_volume
 from .util import spawn_rng
 
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
+_DIRECT_T_CUT = 200.0  # upper limit of the t integral in omega_eps_direct_oscillatory
+_PROFILE_ROWS = 400  # sample rows of the exported kernel and window profiles
 
 
 def _g_window(x):
@@ -248,8 +250,7 @@ def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
     return complex(4.0 * np.sum(vals * osc * np.outer(w1, w1)), 0.0)
 
 
-def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair,
-                                 t_cut: float = 200.0) -> float:
+def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair) -> float:
     """Independent kernel evaluation from the oscillatory definition.
 
     Computes int e^{it(||y||_p^p - lam^p)} psi(eps lam^p t) dt by real cosine
@@ -260,23 +261,23 @@ def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair,
     v = (u - 1.0) / params.eps
     psi_s = lambda s: float(m.psi(np.array([s]))[0])
     if v == 0.0:
-        val, _ = integrate.quad(psi_s, 0.0, t_cut, limit=2000)
+        val, _ = integrate.quad(psi_s, 0.0, _DIRECT_T_CUT, limit=2000)
     else:
-        val, _ = integrate.quad(psi_s, 0.0, t_cut, weight="cos", wvar=v, limit=8000)
+        val, _ = integrate.quad(psi_s, 0.0, _DIRECT_T_CUT, weight="cos", wvar=v, limit=8000)
     return params.lam ** (-params.d) / params.eps * 2.0 * val
 
 
-def kernel_profile_rows(params: KernelParams, m: MollifierPair, n: int = 400):
+def kernel_profile_rows(params: KernelParams, m: MollifierPair):
     """(r, omega_eps(r e1)) sample rows for CSV export."""
     R = params.support_radius * 1.05
-    rs = np.linspace(0.0, R, n)
-    pts = np.zeros((n, params.d))
+    rs = np.linspace(0.0, R, _PROFILE_ROWS)
+    pts = np.zeros((_PROFILE_ROWS, params.d))
     pts[:, 0] = rs
     vals = omega_eps_eval(pts, params, m)
     return np.column_stack([rs, vals])
 
 
-def window_profile_rows(m: MollifierPair, n: int = 400):
+def window_profile_rows(m: MollifierPair):
     """(u, psi_hat(u)) sample rows for CSV export."""
-    us = np.linspace(-2.2, 2.2, n)
+    us = np.linspace(-2.2, 2.2, _PROFILE_ROWS)
     return np.column_stack([us, m.psi_hat(us)])

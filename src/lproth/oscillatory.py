@@ -42,6 +42,13 @@ from .lpgeom import LpExponent, _as_p
 from .mollifier import KernelParams, MollifierPair, c1_eps, omega_eps_eval
 
 KL_HALF = 0.5  # shifts are truncated to |k|, |l| <= 1/2
+_NODES_PER_PERIOD = 16  # Simpson points per period of the running phase
+_INNER_REL_TOL = 1e-8  # doubling stops once I_{k,l}(t) moves by less than this
+_INNER_N_MAX = 1 << 22  # panel budget of inner_integral's doubling
+_CELL_N_MAX = 1 << 21  # panel budget of one i_of_t shift cell
+_STATIONARY_GRID = 40  # shift magnitudes per sign in stationary_lower_bound_check
+_TABLE_U_MAX = 4000.0  # largest tabulated transform argument
+_TABLE_R_STEP = 2.5e-4  # radial step of the cosine-transform grid
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
@@ -144,8 +151,7 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
-                   rel_tol: float = 1e-8, n_max: int = 1 << 22) -> complex:
+def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PER_PERIOD) -> complex:
     """I_{k,l}(t) by composite Simpson sized to the oscillation, with doubling.
 
     Panels carry at least ``nodes_per_period`` points per period of the
@@ -161,31 +167,30 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = 16,
     n = _panel_count(p, t, k, l, lo, hi, nodes_per_period)
     prev = None
     while True:
-        if n > n_max:
+        if n > _INNER_N_MAX:
             raise RuntimeError("oscillatory refinement budget exceeded")
         y = np.linspace(lo, hi, n + 1)
         amp = _window_product(y, k, l)
         f = amp * np.exp(1j * t * _phase_values(y, p, k, l))
         w = _simpson_weights(n)
         val = complex((hi - lo) / n / 3.0 * np.dot(w, f))
-        # heavily cancelling integrals bottom out near rel_tol times the
+        # heavily cancelling integrals bottom out near _INNER_REL_TOL times the
         # amplitude mass in absolute terms; demanding relative accuracy of
         # a value that small would never terminate
         scale = max(abs(val), 1e-4 * (hi - lo) / n / 3.0 * float(np.dot(w, amp)), 1e-300)
-        if prev is not None and abs(val - prev) <= rel_tol * scale:
+        if prev is not None and abs(val - prev) <= _INNER_REL_TOL * scale:
             return val
         prev = val
         n *= 2
 
 
-def _shift_cell(p: float, t: float, k: float, l: float, nodes_per_period: int,
-                n_max: int) -> float:
+def _shift_cell(p: float, t: float, k: float, l: float) -> float:
     """|I_{k,l}(t)|^2 by composite Simpson at the panel count sized to the oscillation."""
     lo, hi = _admissible_interval(k, l)
     if hi <= lo:
         return 0.0
-    n = _panel_count(p, t, k, l, lo, hi, nodes_per_period)
-    if n > n_max:
+    n = _panel_count(p, t, k, l, lo, hi, _NODES_PER_PERIOD)
+    if n > _CELL_N_MAX:
         raise RuntimeError("oscillatory budget exceeded at the requested modulation")
     y = np.linspace(lo, hi, n + 1)
     f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
@@ -193,8 +198,7 @@ def _shift_cell(p: float, t: float, k: float, l: float, nodes_per_period: int,
     return val.real**2 + val.imag**2
 
 
-def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
-           n_max: int = 1 << 21) -> float:
+def i_of_t(p, t: float, n_kl: int = 48) -> float:
     """Truncated shift aggregate I(t) by tensor Gauss-Legendre over the shift square.
 
     Nonnegative by construction.  At t = 0 it reduces to the windowed
@@ -217,7 +221,7 @@ def i_of_t(p, t: float, n_kl: int = 48, nodes_per_period: int = 16,
         row = 0.0
         for j in range(min(i, n_kl - 1 - i) + 1):
             mult = (1.0 if j == i else 2.0) * (1.0 if i + j == n_kl - 1 else 2.0)
-            row += mult * wk[j] * _shift_cell(pv, t, a, ks[j], nodes_per_period, n_max)
+            row += mult * wk[j] * _shift_cell(pv, t, a, ks[j])
         total += wa * row
     return float(total)
 
@@ -301,7 +305,7 @@ class StationaryBound:
     degenerate: bool
 
 
-def stationary_lower_bound_check(p, eta: float, n_grid: int = 40) -> StationaryBound:
+def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     """Grid minimum of |psi'| over shifts with |k|, |l| in [eta, 1/2].
 
     Evaluation points keep all four shifted arguments inside the support
@@ -313,7 +317,7 @@ def stationary_lower_bound_check(p, eta: float, n_grid: int = 40) -> StationaryB
         raise ValueError("eta must lie in (0, 0.5)")
     if pv == 2.0:
         return StationaryBound(eta=eta, min_abs_dpsi=0.0, min_normalized=0.0, degenerate=True)
-    mags = np.linspace(eta, KL_HALF, n_grid)
+    mags = np.linspace(eta, KL_HALF, _STATIONARY_GRID)
     signs = np.array([-1.0, 1.0])
     kl_vals = (signs[:, None] * mags[None, :]).ravel()
     lo_supp = max(RISE_LO, eta)
@@ -389,12 +393,11 @@ class TransformTable:
         return out
 
 
-def build_transform_table(p, eps: float, m: MollifierPair, u_max: float = 4000.0,
-                          r_step: float = 2.5e-4) -> TransformTable:
+def build_transform_table(p, eps: float, m: MollifierPair) -> TransformTable:
     pv = _as_p(p)
     R = 3.0 ** (1.0 / pv)
     L = math.pi / 0.02  # frequency spacing of the cosine table
-    n_r = int(round(L / r_step)) + 1
+    n_r = int(round(L / _TABLE_R_STEP)) + 1
     r = np.linspace(0.0, L, n_r)
     inside = r <= R
     prof_eps = np.zeros(n_r)
@@ -403,10 +406,10 @@ def build_transform_table(p, eps: float, m: MollifierPair, u_max: float = 4000.0
     prof_eps[inside] = omega_eps_eval(pts, KernelParams(pv, 1, 1.0, eps), m)
     prof_one[inside] = omega_eps_eval(pts, KernelParams(pv, 1, 1.0, 1.0), m)
     # cosine transform on the padded grid: spectrum at u_k = pi k / L
-    spec_eps = r_step * sfft.dct(prof_eps, type=1)
-    spec_one = r_step * sfft.dct(prof_one, type=1)
+    spec_eps = _TABLE_R_STEP * sfft.dct(prof_eps, type=1)
+    spec_one = _TABLE_R_STEP * sfft.dct(prof_one, type=1)
     us = math.pi / L * np.arange(n_r)
-    keep = us <= min(u_max, us[-1])
+    keep = us <= min(_TABLE_U_MAX, us[-1])
     table = TransformTable(
         p=pv, eps=eps, c1=c1_eps(eps, pv, 1, m), u_max=float(us[keep][-1]),
         _spl_eps=CubicSpline(us[keep], spec_eps[keep]),

@@ -1,8 +1,14 @@
 import copy
+import csv
 import dataclasses
 import json
+import math
+import re
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lproth import cli
 from lproth.cli import (
@@ -120,6 +126,91 @@ class TestConfigParsing:
             read_config_file(str(path))
 
 
+# every run flag besides --config and --help, with the field it sets and a valid value
+RUN_FLAGS = {
+    "--suite": ("suite", "forms"), "--p": ("p", 3.0), "--d": ("d", 2),
+    "--epsilon": ("epsilon", 0.1), "--seed": ("seed", 3), "--out": ("out_dir", "elsewhere"),
+    "--format": ("fmt", "csv"), "--quad-nodes": ("quad_nodes", 64),
+    "--kl-nodes": ("kl_nodes", 5), "--spectrum-hits": ("spectrum_hits", 9),
+    "--search-budget": ("search_budget", 99), "--trials": ("trials", 2),
+    "--grid-m": ("grid_m", 600),
+}
+
+
+class TestFlagsFromFields:
+    def test_run_flags_map_one_to_one_onto_fields(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == set(RUN_FLAGS) | {"--config", "--help"}
+        fields = [field for field, _ in RUN_FLAGS.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        argv = ["run"]
+        for flag, (_, value) in RUN_FLAGS.items():
+            argv += [flag, str(value)]
+        _, cfg = parse_config(argv)
+        assert dataclasses.asdict(cfg) == dict(RUN_FLAGS.values())
+
+    @pytest.mark.parametrize("argv", [["--suite", "nope"], ["--suite", "forms", "--format", "xml"]])
+    def test_bad_choice_exits_1(self, capsys, tmp_path, argv):
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert "unknown" in capsys.readouterr().err
+
+
+_VALUES = {
+    int: st.one_of(st.integers(min_value=-2, max_value=600), st.integers()),
+    float: st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.05]), st.floats()),
+    str: st.one_of(st.sampled_from(cli.SUITES + ("json", "csv")), st.text(max_size=6)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_accepts_or_raises_config_error(data):
+    # a suite plus up to three fields set to arbitrary values of their type,
+    # NaN, +-inf, negative and zero included; validate is the one boundary check
+    values = {"suite": data.draw(st.sampled_from(cli.SUITES))}
+    for name in data.draw(st.sets(st.sampled_from(sorted(cli._FIELD_TYPES)), max_size=3)):
+        values[name] = data.draw(_VALUES[cli._FIELD_TYPES[name]], label=name)
+    try:
+        ExperimentConfig(**values).validate()
+    except ConfigError:
+        pass
+
+
+class TestCheckRule:
+    @pytest.mark.parametrize("op, below, at, above", [
+        ("<", True, False, False),
+        ("<=", True, True, False),
+        (">", False, False, True),
+        (">=", False, True, True),
+        ("==", False, True, False),
+    ])
+    def test_verdict_follows_reported_bound(self, op, below, at, above):
+        for x, want in ((1.5, below), (2.0, at), (2.5, above)):
+            chk = cli._check("c", "a", {}, x, op, 2.0)
+            assert chk.bound == 2.0 and chk.passed is want
+
+    def test_closed_band(self):
+        for x, want in ((0.5, False), (1.0, True), (2.0, True), (3.0, True), (3.5, False)):
+            chk = cli._check("c", "a", {}, x, "in", [1.0, 3.0])
+            assert chk.bound == [1.0, 3.0] and chk.passed is want
+
+    def test_relative_margins(self):
+        assert cli._check("c", "a", {}, 1.5, "<", 2.0).margin == 0.25
+        assert cli._check("c", "a", {}, 2.5, ">=", 2.0).margin == 0.25
+        assert cli._check("c", "a", {}, 0.0, ">=", -0.02).margin == 1.0
+        assert cli._check("c", "a", {}, 3.0, "<=", 2.0).margin == -0.5
+        assert cli._check("c", "a", {}, 1.5, "in", [1.0, 3.0]).margin == 0.25
+
+    def test_no_margin_without_scale(self):
+        for op, bound in (("==", 0.0), ("==", 1.0), (">", 0.0), ("<", 0.0)):
+            assert math.isnan(cli._check("c", "a", {}, 0.5, op, bound).margin)
+
+    def test_failed_precondition_fails_the_check(self):
+        chk = cli._check("c", "a", {}, 0.1, "<=", 0.2, requires=False)
+        assert not chk.passed and math.isnan(chk.margin)
+
+
 class TestListAndSchema:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -218,3 +309,50 @@ class TestRunSuite:
         }
         with pytest.raises(ValueError):
             lint_report(report)
+
+    def test_lint_rejects_string_bound(self):
+        report = {
+            "format": 1, "config": {},
+            "timing": {"timestamp": "x", "runtimes_s": {}},
+            "records": [{"name": "a", "anchor": "a", "values": {}, "bound": "0.1",
+                         "passed": True}],
+            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None},
+        }
+        with pytest.raises(jsonschema.ValidationError):
+            lint_report(report)
+
+    def test_csv_report_parses_with_five_fields(self, tmp_path):
+        # the counterexamples suite reports band bounds such as [0.15, 0.35]
+        cfg = tiny_config(out_dir=str(tmp_path / "out"), fmt="csv")
+        report, _, _ = run_suite(cfg)
+        path = write_report_atomic(report, cfg.out_dir, fmt="csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "anchor", "passed", "bound", "values"]
+        assert [len(r) for r in rows] == [5] * (1 + len(report["records"]))
+        assert any(isinstance(rec["bound"], list) for rec in report["records"])
+        for row, rec in zip(rows[1:], report["records"]):
+            assert row[0] == rec["name"] and row[1] == rec["anchor"]
+            assert json.loads(row[3]) == rec["bound"]
+            assert json.loads(row[4]) == json.loads(json.dumps(rec["values"],
+                                                               default=cli._json_default))
+
+    def test_worst_margin_is_relative_and_named(self, tmp_path):
+        # the kernels suite has exact-zero checks (kernel-reflection-invariance),
+        # which have no margin, so a clean run reports positive slack
+        report, _, code = run_suite(tiny_config("kernels", out_dir=str(tmp_path / "out")))
+        summary = report["summary"]
+        assert code == 0
+        assert 0.0 < summary["worst_margin"] <= 1.0
+        assert summary["worst_record"] in [r["name"] for r in report["records"]]
+
+    def test_degenerate_checks_report_the_rule_that_ran(self, tmp_path):
+        cfg = ExperimentConfig(suite="oscillatory", p=2.0, kl_nodes=8, seed=7,
+                               out_dir=str(tmp_path / "out"))
+        report, _, code = run_suite(cfg)
+        recs = {r["anchor"]: r for r in report["records"]}
+        assert code == 0
+        assert recs["decay-envelope"]["bound"] == -0.02
+        assert recs["decay-envelope"]["values"]["slope"] >= -0.02
+        assert recs["stationary-lower-bound"]["bound"] == 0.0
+        assert report["summary"]["worst_margin"] >= 0.0
