@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -98,6 +99,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}")
+        for name, typ in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if typ is int and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer: {value!r}")
+            if typ is int and name not in ("seed", "d") and value < 1:
+                raise ConfigError(f"{name} must be at least 1: {value}")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ConfigError(f"p out of range: {self.p}")
         if self.p in (1.0, 2.0) and self.suite in ("search", "verify-all"):
@@ -107,10 +114,6 @@ class ExperimentConfig:
             raise ConfigError(f"d out of range: {self.d} (the kernels suite runs d in {{1, 2}})")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
-        for name in ("quad_nodes", "kl_nodes", "spectrum_hits", "search_budget", "trials",
-                     "grid_m"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1: {getattr(self, name)}")
         if self.suite in ("gowers", "verify-all"):
             try:
                 M_min = gowers.min_shell_grid(min(_U3_ETAS), _U3_EPS, self.p)
@@ -125,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon out of range: {self.epsilon}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if not self.out_dir or (os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir)):
+            raise ConfigError(f"output directory is not usable: {self.out_dir!r}")
 
 
 class ConfigError(ValueError):

@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lpgeom import SphereQuadrature, _as_p
-from .mollifier import CancelledKernel, KernelParams, MollifierPair, c1_eps, omega_eps_eval
+from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
+                        _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
 from .util import compensated_sum, spawn_rng
 
 
@@ -294,30 +295,22 @@ def full_box_mollified_oracle(lam: float, eps: float, m: MollifierPair, p, d: in
     """Boundary-corrected continuum value of the mollified form on the full box.
 
     The x integration is exact for f = 1 (a product of clipped spans), so
-    only the gap integral over the kernel support remains: adaptive in one
-    dimension, positive-quadrant tensor Gauss in two.
+    only the gap integral over the kernel support remains: the radial rule
+    (the span's kink at N/2 is one more edge) in one dimension, the
+    positive-quadrant rule in two.
     """
-    from scipy import integrate
-
     pv = _as_p(p)
     params = KernelParams(pv, d, lam, eps)
-    R = lam * (1.0 + 2.0 * eps) ** (1.0 / pv)
+    R = params.support_radius
+    spans = lambda y: np.clip(N - 2.0 * y, 0.0, None)
+    kern = lambda y: omega_eps_eval(y, params, m)
     if d == 1:
-        kern = lambda r: omega_eps_eval(np.array([[r]]), params, m)[0]
-        val, _ = integrate.quad(lambda r: kern(r) * 2.0 * max(0.0, N - 2.0 * r), 0.0, R,
-                                limit=400)
-        return val
+        r, w = _radial_rule(np.union1d(_shell_edges(pv, eps, lam), np.clip(0.5 * N, 0.0, R)))
+        return float(np.sum(w * kern(r[:, None]) * 2.0 * spans(r)))
     if d != 2:
         raise ValueError("closed oracle supports d in {1, 2}")
     width = 2.0 * eps * lam / pv
-    n = int(min(1400, max(400, 24.0 * R / width)))
-    x, wq = np.polynomial.legendre.leggauss(n)
-    pts1 = 0.5 * R * (x + 1.0)
-    w1 = 0.5 * R * wq
-    Y1, Y2 = np.meshgrid(pts1, pts1, indexing="ij")
-    vals = omega_eps_eval(np.column_stack([Y1.ravel(), Y2.ravel()]), params, m).reshape(n, n)
-    spans = np.clip(N - 2.0 * Y1, 0.0, None) * np.clip(N - 2.0 * Y2, 0.0, None)
-    return float(4.0 * np.sum(vals * spans * np.outer(w1, w1)))
+    return _quadrant_integral(kern, lambda Y1, Y2: spans(Y1) * spans(Y2), R, 24.0 * R / width)
 
 
 def decomposition_residual(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) -> float:

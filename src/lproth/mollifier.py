@@ -18,6 +18,9 @@ Shell kernels at radius lam and width eps:
 
 with omega = the eps = 1 case.  The cancelled kernel subtracts the
 mass-matching multiple c1(eps) of omega so that its integral vanishes.
+Kernel integrals use one radial Gauss-Legendre rule with panel edges at the
+shell edges, or in d = 2 one positive-quadrant tensor rule; only the closed
+form's independent oracle, omega_eps_direct_oscillatory, keeps adaptive quad.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .util import spawn_rng
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
 _DIRECT_T_CUT = 200.0  # upper limit of the t integral in omega_eps_direct_oscillatory
 _PROFILE_ROWS = 400  # sample rows of the exported kernel and window profiles
+_PANEL_NODES = 48  # Gauss-Legendre nodes per panel of the radial rule
+_PANEL_PHASE = 4.0 * math.pi  # largest phase of cos(omega r) across one radial panel
+_RADIAL_N_MAX = 1 << 20  # node budget of the radial rule
 
 
 def _g_window(x):
@@ -59,6 +65,7 @@ def _g_window(x):
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
 def _b_autoconv(u):
@@ -138,26 +145,51 @@ def omega_eps_eval(y, params: KernelParams, m: MollifierPair):
     return vals if batch else float(vals[0])
 
 
-def radial_mass(profile: Callable[[np.ndarray], np.ndarray], p, d: int,
-                s_hi: float, s_lo: float = 0.0, tol: float = 1e-11) -> float:
+def _shell_edges(p: float, eps: float, lam: float = 1.0, cancelled: bool = False) -> np.ndarray:
+    """Radii lam u^(1/p) at the kinks u = 1-2eps (clipped at 0), 1, 1+2eps; cancelled adds 0, 3."""
+    us = [max(0.0, 1.0 - 2.0 * eps), 1.0, 1.0 + 2.0 * eps] + ([0.0, 3.0] if cancelled else [])
+    return lam * np.unique(us) ** (1.0 / p)
+
+
+def _radial_rule(edges: np.ndarray, omega: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [edges[0], edges[-1]]: each gap is cut
+    into equal panels spanning at most _PANEL_PHASE radians of cos(omega r), and a panel
+    starting at r = 0 is mapped by r = b s^2, which smooths the r^p kink there."""
+    counts = [1 + int(abs(omega) * (b - a) / _PANEL_PHASE) for a, b in zip(edges[:-1], edges[1:])]
+    if sum(counts) * _PANEL_NODES > _RADIAL_N_MAX:
+        raise RuntimeError(f"radial rule budget exceeded at frequency {omega}")
+    cuts = np.concatenate([np.linspace(a, b, k + 1)[:-1]
+                           for a, b, k in zip(edges[:-1], edges[1:], counts)] + [edges[-1:]])
+    a, b = cuts[:-1, None], cuts[1:, None]
+    t = 0.5 * (_PANEL_X + 1.0)
+    r = np.where(a == 0.0, b * t * t, a + (b - a) * t)
+    w = np.where(a == 0.0, b * t * _PANEL_W, 0.5 * (b - a) * _PANEL_W)
+    return r.ravel(), w.ravel()
+
+
+def _quadrant_integral(kernel: Callable, weight: Callable, R: float, n_min: float) -> float:
+    """4 x the tensor Gauss-Legendre integral of kernel * weight over [0, R]^2 for a kernel even
+    in each y_i (its |y_i|^p kink then sits on the boundary); n_min in [400, 1400] per axis."""
+    n = int(min(1400, max(400, n_min)))
+    x, wq = np.polynomial.legendre.leggauss(n)
+    pts1 = 0.5 * R * (x + 1.0)
+    w1 = 0.5 * R * wq
+    Y1, Y2 = np.meshgrid(pts1, pts1, indexing="ij")
+    vals = kernel(np.column_stack([Y1.ravel(), Y2.ravel()])).reshape(n, n)
+    return float(4.0 * np.sum(vals * weight(Y1, Y2) * np.outer(w1, w1)))
+
+
+def radial_mass(profile: Callable, p: float, d: int, edges: np.ndarray) -> float:
     """integral over R^d of F(||y||_p^p) via polar reduction d nu_p int F(s^p) s^(d-1) ds."""
-    pv = _as_p(p)
-    nu = unit_ball_volume(pv, d)
-    val, err = integrate.quad(lambda s: float(profile(np.array([s**pv]))[0]) * s ** (d - 1),
-                              s_lo, s_hi, epsabs=tol, epsrel=tol, limit=400)
-    if not np.isfinite(val) or err > max(1e-6, 1e-4 * abs(val)):
-        raise RuntimeError(f"radial quadrature did not converge (estimate {val}, err {err})")
-    return d * nu * val
+    s, w = _radial_rule(edges)
+    return d * unit_ball_volume(p, d) * float(np.sum(w * profile(s**p) * s ** (d - 1)))
 
 
 def kernel_total_mass(params: KernelParams, m: MollifierPair) -> float:
     """integral of omega_eps_lam over R^d; the lam^-d prefactor and the lam^d of
     the substitution y = lam s cancel, so the unit-radius integral is the mass."""
-    p, d, eps = params.p, params.d, params.eps
-    lo = max(0.0, 1.0 - 2.0 * eps) ** (1.0 / p)
-    hi = (1.0 + 2.0 * eps) ** (1.0 / p)
-    prof = lambda u: m.psi_hat((u - 1.0) / eps) / eps
-    return radial_mass(prof, p, d, s_hi=hi, s_lo=lo)
+    prof = lambda u: m.psi_hat((u - 1.0) / params.eps) / params.eps
+    return radial_mass(prof, params.p, params.d, _shell_edges(params.p, params.eps))
 
 
 def kernel_mass_mc(params: KernelParams, m: MollifierPair, n: int = 10**6,
@@ -175,8 +207,6 @@ def kernel_mass_mc(params: KernelParams, m: MollifierPair, n: int = 10**6,
 
 def c1_eps(eps: float, p, d: int, m: MollifierPair) -> float:
     """Mass ratio c1(eps): integral of omega_eps over integral of omega; c1(1) = 1 exactly."""
-    if eps == 1.0:
-        return 1.0
     pv = _as_p(p)
     num = kernel_total_mass(KernelParams(pv, d, 1.0, eps), m)
     den = kernel_total_mass(KernelParams(pv, d, 1.0, 1.0), m)
@@ -206,8 +236,7 @@ class CancelledKernel:
         p = self.params
         prof = lambda u: (self.m.psi_hat((u - 1.0) / p.eps) / p.eps
                           - self.c1 * self.m.psi_hat(u - 1.0))
-        hi = (1.0 + 2.0) ** (1.0 / p.p)  # union of both supports
-        return radial_mass(prof, p.p, p.d, s_hi=hi, s_lo=0.0)
+        return radial_mass(prof, p.p, p.d, _shell_edges(p.p, p.eps, cancelled=True))
 
 
 def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledKernel:
@@ -217,37 +246,23 @@ def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledK
 def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
     """Fourier transform of the cancelled kernel, convention fhat(eta) = int f(y) e^{-i y.eta} dy.
 
-    Direct quadrature over the compact support; d <= 2 only.  The kernel is
-    real and even, so the transform is real; a zero imaginary part is
+    Direct quadrature over the compact support, d <= 2 only (radial rule, quadrant rule).
+    The kernel is real and even, so the transform is real; a zero imaginary part is
     returned for interface uniformity.
     """
     if params.d > 2:
         raise ValueError("direct transform quadrature supports d <= 2")
     kern = build_cancelled_kernel(params, m)
-    R = params.lam * 3.0 ** (1.0 / params.p)
     if params.d == 1:
         w = float(np.atleast_1d(eta)[0])
-        f = lambda r: kern(np.array([[r]]))[0]
-        if w == 0.0:
-            val, _ = integrate.quad(f, 0.0, R, limit=400, epsabs=1e-12, epsrel=1e-12)
-        else:
-            val, _ = integrate.quad(f, 0.0, R, weight="cos", wvar=w, limit=4000,
-                                    epsabs=1e-12, epsrel=1e-12)
-        return complex(2.0 * val, 0.0)
+        r, wq = _radial_rule(_shell_edges(params.p, params.eps, params.lam, cancelled=True), w)
+        return complex(2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r))), 0.0)
     eta = np.asarray(eta, dtype=float)
-    # evenness in each coordinate: transform = 4 * positive-quadrant cosine integral,
-    # which also pins the |y_i|^p kink to the panel boundary
+    R = params.lam * 3.0 ** (1.0 / params.p)
     width = 2.0 * params.eps * params.lam / params.p
-    n = int(min(1400, max(400, 24.0 * R / max(width, 1e-3),
-                          4.0 * R * float(np.max(np.abs(eta))) / np.pi)))
-    x, wq = np.polynomial.legendre.leggauss(n)
-    pts1 = 0.5 * R * (x + 1.0)
-    w1 = 0.5 * R * wq
-    Y1, Y2 = np.meshgrid(pts1, pts1, indexing="ij")
-    pts = np.column_stack([Y1.ravel(), Y2.ravel()])
-    vals = kern(pts).reshape(n, n)
-    osc = np.cos(Y1 * eta[0]) * np.cos(Y2 * eta[1])
-    return complex(4.0 * np.sum(vals * osc * np.outer(w1, w1)), 0.0)
+    n_min = max(24.0 * R / max(width, 1e-3), 4.0 * R * float(np.max(np.abs(eta))) / np.pi)
+    osc = lambda Y1, Y2: np.cos(Y1 * eta[0]) * np.cos(Y2 * eta[1])
+    return complex(_quadrant_integral(kern, osc, R, n_min), 0.0)
 
 
 def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair) -> float:

@@ -39,7 +39,7 @@ from scipy.interpolate import CubicSpline
 
 from .bumps import FALL_HI, RISE_LO, phi_plus
 from .lpgeom import LpExponent, _as_p
-from .mollifier import KernelParams, MollifierPair, c1_eps, omega_eps_eval
+from .mollifier import KernelParams, MollifierPair, build_cancelled_kernel
 
 KL_HALF = 0.5  # shifts are truncated to |k|, |l| <= 1/2
 _NODES_PER_PERIOD = 16  # Simpson points per period of the running phase
@@ -48,7 +48,7 @@ _INNER_N_MAX = 1 << 22  # panel budget of inner_integral's doubling
 _CELL_N_MAX = 1 << 21  # panel budget of one i_of_t shift cell
 _STATIONARY_GRID = 40  # shift magnitudes per sign in stationary_lower_bound_check
 _TABLE_U_MAX = 4000.0  # largest tabulated transform argument
-_TABLE_R_STEP = 2.5e-4  # radial step of the cosine-transform grid
+_TABLE_R_STEP = 2.5e-4  # largest radial step of the cosine-transform grid
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
@@ -371,50 +371,36 @@ def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, f
 
 @dataclass
 class TransformTable:
-    """Cubic-spline tables of the unit-kernel cosine transforms (d = 1).
+    """Cubic-spline table of the unit cancelled kernel's cosine transform (d = 1).
 
     Large-argument values beyond the tabulated range are treated as zero;
-    the transforms decay at least like |u|^-(p+1) there.
+    the transform decays at least like |u|^-(p+1) there.
     """
 
-    p: float
-    eps: float
-    c1: float
     u_max: float
-    _spl_eps: CubicSpline
-    _spl_one: CubicSpline
+    _spline: CubicSpline
 
     def khat(self, u: np.ndarray) -> np.ndarray:
         """Transform of the unit cancelled kernel at argument u (real, even)."""
         u = np.abs(np.asarray(u, dtype=float))
         out = np.zeros_like(u)
         ok = u <= self.u_max
-        out[ok] = self._spl_eps(u[ok]) - self.c1 * self._spl_one(u[ok])
+        out[ok] = self._spline(u[ok])
         return out
 
 
 def build_transform_table(p, eps: float, m: MollifierPair) -> TransformTable:
     pv = _as_p(p)
-    R = 3.0 ** (1.0 / pv)
     L = math.pi / 0.02  # frequency spacing of the cosine table
-    n_r = int(round(L / _TABLE_R_STEP)) + 1
+    # a smooth interval count keeps the DCT-I fast; scale by the real step, not _TABLE_R_STEP
+    n_r = sfft.next_fast_len(math.ceil(L / _TABLE_R_STEP), real=True) + 1
     r = np.linspace(0.0, L, n_r)
-    inside = r <= R
-    prof_eps = np.zeros(n_r)
-    prof_one = np.zeros(n_r)
-    pts = r[inside][:, None]
-    prof_eps[inside] = omega_eps_eval(pts, KernelParams(pv, 1, 1.0, eps), m)
-    prof_one[inside] = omega_eps_eval(pts, KernelParams(pv, 1, 1.0, 1.0), m)
+    prof = build_cancelled_kernel(KernelParams(pv, 1, 1.0, eps), m)(r[:, None])  # 0 past 3^(1/p)
     # cosine transform on the padded grid: spectrum at u_k = pi k / L
-    spec_eps = _TABLE_R_STEP * sfft.dct(prof_eps, type=1)
-    spec_one = _TABLE_R_STEP * sfft.dct(prof_one, type=1)
+    spec = (r[1] - r[0]) * sfft.dct(prof, type=1)
     us = math.pi / L * np.arange(n_r)
     keep = us <= min(_TABLE_U_MAX, us[-1])
-    table = TransformTable(
-        p=pv, eps=eps, c1=c1_eps(eps, pv, 1, m), u_max=float(us[keep][-1]),
-        _spl_eps=CubicSpline(us[keep], spec_eps[keep]),
-        _spl_one=CubicSpline(us[keep], spec_one[keep]))
-    return table
+    return TransformTable(u_max=float(us[keep][-1]), _spline=CubicSpline(us[keep], spec[keep]))
 
 
 _GAMMA_ROWS = np.array([[1.0, -1.0, 1.0],  # xi1 - xi2 + xi3

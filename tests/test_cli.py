@@ -115,6 +115,21 @@ class TestConfigParsing:
                          "--out", str(tmp_path / "out")]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["empty", "file"])
+    def test_unusable_output_directory_exits_1(self, capsys, tmp_path, kind):
+        out = ""
+        if kind == "file":
+            out = str(tmp_path / "taken")
+            open(out, "w").close()
+        assert cli.main(["run", "--suite", "forms", "--out", out]) == 1
+        assert "output directory is not usable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [{"trials": math.nan, "seed": math.nan}, {"seed": 7.0},
+                                        {"quad_nodes": 2.5}, {"grid_m": "512"}, {"d": 1.0}])
+    def test_non_integer_field_rejected(self, values):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig(suite="forms", **values).validate()
+
     def test_config_file_types_follow_fields(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("d = 2\nepsilon = 0.1\nfmt = csv\n")

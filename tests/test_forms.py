@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from lproth import lpgeom
 from lproth.forms import (
@@ -21,7 +22,7 @@ from lproth.forms import (
     translate_box,
 )
 from lproth.gowers import CyclicGridFunction, u3_norm_continuum
-from lproth.mollifier import KernelParams, build_cancelled_kernel, kernel_total_mass
+from lproth.mollifier import KernelParams, build_cancelled_kernel, kernel_total_mass, omega_eps_eval
 
 P = 1.5
 
@@ -85,6 +86,19 @@ class TestMollifiedForm:
         v = m_lambda(f, lam, moll, P).value
         oracle = full_box_mollified_oracle(lam, 1.0, moll, P, 1, N)
         assert v == pytest.approx(oracle, rel=2e-3)
+
+    @pytest.mark.parametrize("lam, eps, N", [(2.0, 1.0, 32.0), (2.0, 0.1, 32.0), (1.0, 0.05, 10.0),
+                                             (2.0, 0.5, 3.0)])
+    def test_one_dimensional_oracle_against_quad(self, moll, lam, eps, N):
+        # the radial rule against adaptive quad; at N = 3 the span's kink
+        # N/2 lies inside the kernel support
+        params = KernelParams(P, 1, lam, eps)
+        kinks = [lam * max(0.0, 1.0 - 2.0 * eps) ** (1.0 / P), lam, N / 2.0]
+        R = params.support_radius
+        ref, _ = integrate.quad(
+            lambda r: omega_eps_eval(np.array([r]), params, moll) * 2.0 * max(0.0, N - 2.0 * r),
+            0.0, R, points=[k for k in kinks if 0.0 < k < R], limit=400, epsabs=1e-13, epsrel=1e-12)
+        assert full_box_mollified_oracle(lam, eps, moll, P, 1, N) == pytest.approx(ref, rel=1e-11)
 
     def test_nonnegative_for_indicators(self, moll):
         h = _resolved_box(16.0, 2.0, 1.0, 1)

@@ -195,6 +195,12 @@ class TestKernelTransform:
         with pytest.raises(ValueError):
             kernel_fourier(np.zeros(3), KernelParams(1.5, 3, 1.0, 0.1), moll)
 
+    def test_frequency_beyond_node_budget_rejected(self, moll):
+        # the radial rule's node count grows with the frequency; past its
+        # budget the transform fails before allocating the nodes
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            kernel_fourier(np.array([1e9]), KernelParams(1.5, 1, 1.0, 0.1), moll)
+
     def test_decay_in_frequency(self, moll):
         # decay sets in beyond the reciprocal shell width (~25 here)
         lam = 1.0
@@ -205,6 +211,45 @@ class TestKernelTransform:
         assert np.all(vals <= C * (1.0 + lam * us) ** -2.0 + 1e-15)
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-3 * vals[0]
+
+
+def _panel_quad(f, edges, w=0.0):
+    """Adaptive reference integral of f over [edges[0], edges[-1]], one quad call per panel,
+    cos(w r)-weighted when w != 0."""
+    kw = {"weight": "cos", "wvar": w} if w else {}
+    return math.fsum(integrate.quad(f, a, b, limit=400, epsabs=1e-13, epsrel=1e-12, **kw)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _unit_edges(p, eps, cancelled=False):
+    us = {max(0.0, 1.0 - 2.0 * eps), 1.0, 1.0 + 2.0 * eps} | ({0.0, 3.0} if cancelled else set())
+    return [u ** (1.0 / p) for u in sorted(us)]
+
+
+class TestShellRuleAgainstQuad:
+    # the shell-aligned Gauss-Legendre rule against adaptive quad on the same panels
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mass_and_ratio(self, moll, p, d):
+        nu = lpgeom.unit_ball_volume(p, d)
+        ref = {}
+        for eps in (1.0, 0.5, 0.1, 0.02, 0.005):
+            f = lambda s: float(moll.psi_hat(np.array([(s**p - 1.0) / eps]))[0]) / eps * s ** (d - 1)
+            ref[eps] = d * nu * _panel_quad(f, _unit_edges(p, eps))
+            mass = kernel_total_mass(KernelParams(p, d, 1.0, eps), moll)
+            assert mass == pytest.approx(ref[eps], rel=1e-11, abs=0.0)
+            assert c1_eps(eps, p, d, moll) == pytest.approx(ref[eps] / ref[1.0], rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p, eps, lam", [(1.2, 0.1, 1.0), (1.5, 0.05, 2.0), (3.0, 0.3, 1.0),
+                                             (1.5, 1.0, 1.0)])
+    def test_transform_1d(self, moll, p, eps, lam):
+        params = KernelParams(p, 1, lam, eps)
+        kern = build_cancelled_kernel(params, moll)
+        f = lambda r: float(kern(np.array([[r]]))[0])
+        edges = [lam * s for s in _unit_edges(p, eps, cancelled=True)]
+        for w in (0.0, 0.7, 10.0, 50.0, 120.0, 240.0):
+            ref = 2.0 * _panel_quad(f, edges, w)
+            assert abs(kernel_fourier(np.array([w]), params, moll).real - ref) < 1e-10
 
 
 class TestWeakConvergence:

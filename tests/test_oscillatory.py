@@ -310,6 +310,18 @@ class TestMultiplier:
             tab = float(table.khat(np.array([u]))[0])
             assert abs(direct - tab) < 2e-4
 
+    @pytest.mark.parametrize("p, eps", [(1.5, 0.1), (3.0, 0.05)])
+    def test_table_scale_against_direct_transform(self, moll, p, eps):
+        # the DCT table and the shell-aligned quadrature are independent routes
+        # to the same transform; a misjudged grid step scales every entry
+        from lproth.mollifier import KernelParams, kernel_fourier
+
+        table = build_transform_table(p, eps, moll)
+        params = KernelParams(p, 1, 1.0, eps)
+        for u in (0.3, 0.7, 2.0, 10.0, 50.0, 200.0):
+            direct = kernel_fourier(np.array([u]), params, moll).real
+            assert abs(float(table.khat(np.array([u]))[0]) - direct) < 1e-8
+
     def test_window_support_convention(self):
         assert phi_plus(np.array([0.2]))[0] == 0.0
         assert phi_plus(np.array([1.0]))[0] == 1.0
