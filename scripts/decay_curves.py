@@ -9,10 +9,10 @@ Usage:
 """
 
 import argparse
-import os
 
 import numpy as np
 
+from lproth.cli import emit_csv
 from lproth.oscillatory import decay_fit
 
 
@@ -22,15 +22,12 @@ def main():
     ap.add_argument("--p", type=float, nargs="+", default=[1.0, 1.5, 2.0, 3.0])
     ap.add_argument("--kl-nodes", type=int, default=32)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
     ts = list(np.logspace(1, 4, 7))
     for p in args.p:
         fit = decay_fit(p, ts, n_kl=args.kl_nodes)
-        path = os.path.join(args.out, f"decay_p{p}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,abs_I,envelope\n")
-            for t, v in zip(fit.t_samples, fit.values):
-                fh.write(f"{t:.17e},{v:.17e},{fit.c_fit * t ** (-1.0 / fit.r_theory):.17e}\n")
+        rows = [[t, v, fit.c_fit * t ** (-1.0 / fit.r_theory)]
+                for t, v in zip(fit.t_samples, fit.values)]
+        [path] = emit_csv([(f"decay_p{p}.csv", ["t", "abs_I", "envelope"], rows)], args.out)
         tag = "degenerate (no decay expected)" if fit.degenerate else f"-1/r = {-1.0 / fit.r_theory:.3f}"
         print(f"p={p}: slope {fit.slope:+.3f}   {tag}   -> {path}")
 

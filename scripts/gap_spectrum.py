@@ -10,8 +10,8 @@ Usage:
 """
 
 import argparse
-import os
 
+from lproth.cli import emit_csv
 from lproth.sets import bourgain_set, gap_spectrum_sample
 
 
@@ -22,16 +22,12 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default="spectra")
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
     A = bourgain_set(2)
     for p in (2.0, 1.5):
         spec = gap_spectrum_sample(A, p, args.box, args.hits, seed=args.seed)
         counts, edges = spec.histogram(bins=64)
-        path = os.path.join(args.out, f"gap_spectrum_p{p}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("gap,count\n")
-            for i, c in enumerate(counts):
-                fh.write(f"{0.5 * (edges[i] + edges[i + 1]):.17e},{float(c):.17e}\n")
+        rows = [[0.5 * (edges[i] + edges[i + 1]), c] for i, c in enumerate(counts)]
+        [path] = emit_csv([(f"gap_spectrum_p{p}.csv", ["gap", "count"], rows)], args.out)
         print(f"p={p}: {spec.gaps.size} progressions, "
               f"max dist(2 gap^2, Z) = {spec.max_half_integer_deviation:.4f} -> {path}")
 

@@ -2,9 +2,11 @@
 
 Every report record names the claim it checks through a stable anchor
 slug; a report without an anchored record fails the built-in linter and
-is never written.  All numerics are fully determined by (config, seed);
-wall-clock data is isolated in a single ``timing`` subtree so reports can
-be byte-compared with that subtree masked.
+is never written.  Claims that the acceptance gate
+(``tests/test_acceptance.py``) also checks are measured by ``lproth.claims``;
+the others are computed inline in their suite.  All numerics are fully
+determined by (config, seed); wall-clock data is isolated in a single
+``timing`` subtree so reports can be byte-compared with it masked.
 
 Exit codes: 0 all checks passed, 1 usage/validation error, 2 at least one
 check failed, 3 internal failure (budget or quadrature).
@@ -18,7 +20,6 @@ import dataclasses
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 import tempfile
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms, gowers, lpgeom, mollifier, oscillatory, sets
+from . import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets
+from .claims import Check, check
 from .util import spawn_rng
 
 SUITES = ("kernels", "gowers", "forms", "oscillatory", "counterexamples", "search", "verify-all")
@@ -190,42 +192,6 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
-    name: str
-    anchor: str
-    values: dict
-    bound: object
-    passed: bool
-    margin: float = float("nan")
-
-
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-            "==": operator.eq}
-
-
-def _check(name: str, anchor: str, values: dict, x, op: str, bound,
-           requires: bool = True) -> Check:
-    """The record of the claim ``x op bound``; a failed precondition ``requires`` fails it.
-
-    ``op``: upper bound ``<``/``<=``, lower bound ``>``/``>=``, exact ``==``,
-    or closed band ``in`` with ``bound = [lo, hi]``.  The margin is the
-    slack relative to the bound: (b - x)/|b|, (x - b)/|b|, or the slack to
-    the nearer end over (hi - lo); exact checks, zero bounds (no scale) and
-    failed preconditions have none.  Boolean properties are ``Check(..., None, ok)``.
-    """
-    if op == "in":
-        lo, hi = bound
-        passed = lo <= x <= hi
-        margin = min(x - lo, hi - x) / (hi - lo)
-    else:
-        passed = _COMPARE[op](x, bound)
-        slack = bound - x if op in ("<", "<=") else x - bound
-        margin = slack / abs(bound) if op != "==" and bound != 0.0 else math.nan
-    return Check(name, anchor, values, bound, bool(requires and passed),
-                 margin if requires else math.nan)
-
-
 class SuiteContext:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -241,34 +207,22 @@ class SuiteContext:
 def _kernels_checks(ctx: SuiteContext) -> list[Check]:
     cfg, m = ctx.cfg, ctx.m
     p, d, eps = cfg.p, cfg.d, cfg.epsilon
-    out = []
     psi0 = float(m.psi(np.array([0.0]))[0])
-    out.append(_check("window value at zero", "window-normalization",
-                      {"psi0": psi0}, abs(psi0 - 1.0), "<", 1e-12))
+    out = [check("window value at zero", "window-normalization",
+                 {"psi0": psi0}, abs(psi0 - 1.0), "<", 1e-12)]
     edge = float(m.psi_hat(np.array([2.5]))[0])
-    out.append(_check("transform support edge", "window-band-support",
-                      {"psi_hat_2p5": edge}, edge, "==", 0.0))
+    out.append(check("transform support edge", "window-band-support",
+                     {"psi_hat_2p5": edge}, edge, "==", 0.0))
     direct = mollifier.omega_eps_direct_oscillatory(np.zeros(1) + 1.0, mollifier.KernelParams(p, 1, 1.0, 1.0), m)
     closed = mollifier.omega_eps_eval(np.array([1.0]), mollifier.KernelParams(p, 1, 1.0, 1.0), m)
-    out.append(_check("closed form vs oscillatory form", "kernel-closed-vs-oscillatory",
-                      {"direct": direct, "closed": closed}, abs(direct - closed), "<", 1e-4))
-    masses = [mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, e), m)
-              for e in (0.04, 0.02, 0.01, 0.005)]
-    ratio = max(masses) / min(masses)
-    out.append(_check("kernel mass band", "kernel-mass-band",
-                      {"masses": masses, "ratio": ratio}, ratio, "<", 1.5))
-    c11 = mollifier.c1_eps(1.0, p, d, m)
-    out.append(_check("unit mass ratio", "mass-ratio-unit", {"c1_at_1": c11}, c11, "==", 1.0))
+    out.append(check("closed form vs oscillatory form", "kernel-closed-vs-oscillatory",
+                     {"direct": direct, "closed": closed}, abs(direct - closed), "<", 1e-4))
+    out.append(claims.kernel_mass_band(p, d, m))
+    out.append(claims.mass_ratio_unit(p, d, m))
     c1e = mollifier.c1_eps(eps, p, d, m)
-    out.append(_check("mass ratio band", "mass-ratio-band", {"c1": c1e}, c1e, "in", [0.1, 10.0]))
-    kern = mollifier.build_cancelled_kernel(mollifier.KernelParams(p, d, 1.0, eps), m)
-    resid = abs(kern.total_integral())
-    ref = mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, eps), m)
-    out.append(_check("cancelled kernel integral", "cancellation-integral",
-                      {"residual": resid, "reference": ref}, resid, "<=", 1e-6 * ref))
-    k0 = mollifier.kernel_fourier(np.zeros(1), mollifier.KernelParams(p, 1, 1.0, eps), m)
-    out.append(_check("transform vanishes at origin", "transform-zero-at-origin",
-                      {"k_hat_0": abs(k0)}, abs(k0), "<", 1e-8))
+    out.append(check("mass ratio band", "mass-ratio-band", {"c1": c1e}, c1e, "in", [0.1, 10.0]))
+    out.append(claims.cancellation_integral(mollifier.KernelParams(p, d, 1.0, eps), m))
+    out.append(claims.transform_zero_at_origin(mollifier.KernelParams(p, 1, 1.0, eps), m))
     lam_j = 2.0
     etas = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     kv = [abs(mollifier.kernel_fourier(np.array([e]), mollifier.KernelParams(p, 1, lam_j, eps), m))
@@ -282,19 +236,16 @@ def _kernels_checks(ctx: SuiteContext) -> list[Check]:
     flip = pts.copy(); flip[:, 0] *= -1.0
     v2 = mollifier.omega_eps_eval(flip, mollifier.KernelParams(p, d, 1.0, eps), m)
     refl = float(np.max(np.abs(v1 - v2)))
-    out.append(_check("reflection invariance", "kernel-reflection-invariance",
-                      {"max_dev": refl}, refl, "==", 0.0))
+    out.append(check("reflection invariance", "kernel-reflection-invariance",
+                     {"max_dev": refl}, refl, "==", 0.0))
     # weak limit vs sphere rule carries the explicit 2 pi of the line-integral normalization
     rule = lpgeom.sphere_quadrature(p, d, 1.0, n=cfg.quad_nodes)
     target = 2.0 * math.pi * rule.total_mass
     mass_small = mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, 0.005), m)
-    out.append(_check("weak limit of shell kernels", "kernel-weak-limit",
-                      {"kernel_mass": mass_small, "sphere_mass_2pi": target},
-                      abs(mass_small - target) / target, "<", 0.01))
-    inv = lpgeom.sigma_mass_invariance(p, d, [1.0, 2.0, 4.0], n=cfg.quad_nodes)
-    out.append(_check("sphere mass invariance", "sphere-mass-invariance",
-                      {"masses": inv.masses, "max_rel_dev": inv.max_relative_deviation},
-                      inv.max_relative_deviation, "<", 1e-4))
+    out.append(check("weak limit of shell kernels", "kernel-weak-limit",
+                     {"kernel_mass": mass_small, "sphere_mass_2pi": target},
+                     abs(mass_small - target) / target, "<", 0.01))
+    out.append(claims.sphere_mass_invariance(p, d, cfg.quad_nodes))
     ctx.curve("window_profile.csv", ["u", "psi_hat"],
               mollifier.window_profile_rows(m).tolist())
     ctx.curve("kernel_profile.csv", ["r", "omega_eps"],
@@ -305,42 +256,21 @@ def _kernels_checks(ctx: SuiteContext) -> list[Check]:
 def _gowers_checks(ctx: SuiteContext) -> list[Check]:
     cfg, m = ctx.cfg, ctx.m
     rng = spawn_rng(cfg.seed, 29)
-    out = []
-    worst = 0.0
-    for _ in range(10):
-        F = gowers.CyclicGridFunction.from_array(
-            rng.normal(size=16) + 1j * rng.normal(size=16))
-        b = gowers.u3_eighth_brute(F).real
-        r = gowers.u3_eighth_recursive(F)
-        worst = max(worst, abs(b - r) / abs(r))
-    out.append(_check("difference-cube oracle equivalence", "u3-oracle-equivalence",
-                      {"worst_rel": worst}, worst, "<", 1e-10))
-    worst2 = 0.0
-    for _ in range(10):
-        F = gowers.CyclicGridFunction.from_array(
-            rng.normal(size=64) + 1j * rng.normal(size=64))
-        b = gowers.u2_fourth_brute(F).real
-        s = gowers.u2_norm(F) ** 4
-        worst2 = max(worst2, abs(b - s) / abs(s))
-    out.append(_check("spectral fourth-moment identity", "u2-spectral-identity",
-                      {"worst_rel": worst2}, worst2, "<", 1e-10))
+    out = [claims.u3_oracle_equivalence(rng, [(16, 1, 10)])]
+    out.append(claims.u2_spectral_identity(rng, 10))
     F = gowers.CyclicGridFunction.from_array(rng.normal(size=16) + 1j * rng.normal(size=16))
     base = gowers.u3_norm(F)
     xi = 3
     mod = gowers.CyclicGridFunction.from_array(
         F.values * np.exp(2j * np.pi * xi * np.arange(16) / 16))
     dev = abs(gowers.u3_norm(mod) - base) / base
-    out.append(_check("modulation invariance", "u3-modulation-invariance",
-                      {"rel_dev": dev}, dev, "<", 1e-10))
+    out.append(check("modulation invariance", "u3-modulation-invariance",
+                     {"rel_dev": dev}, dev, "<", 1e-10))
     tr = gowers.CyclicGridFunction.from_array(np.roll(F.values, 5))
     devt = abs(gowers.u3_norm(tr) - base) / base
-    out.append(_check("translation invariance", "u3-translation-invariance",
-                      {"rel_dev": devt}, devt, "<", 1e-10))
-    for (pp, tt) in ((cfg.p, 2.0), (3.0, 5.0)):
-        tc = gowers.u3_tensor_check(pp, tt, M=64)
-        out.append(_check(f"tensor factorization p={pp} t={tt}", "u3-tensor-product",
-                          {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap},
-                          tc.relative_gap, "<", 1e-2))
+    out.append(check("translation invariance", "u3-translation-invariance",
+                     {"rel_dev": devt}, devt, "<", 1e-10))
+    out.extend(claims.u3_tensor_product(pp, tt) for pp, tt in ((cfg.p, 2.0), (3.0, 5.0)))
     dists = [gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m).value
              for eta in _U3_ETAS]
     out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
@@ -355,47 +285,40 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
 def _forms_checks(ctx: SuiteContext) -> list[Check]:
     cfg, m = ctx.cfg, ctx.m
     p = cfg.p
-    out = []
     N = 32.0
     lam = 2.0
     eps = 0.25
-    h = eps * lam / (8.0 * p)
-    n = int(np.ceil(N / h)); h = N / n
+    _, h = forms.resolved_grid(N, lam, eps, p)
     f = forms.full_box(N, h, 1)
-    resid = abs(forms.decomposition_residual(f, lam, eps, m, p))
-    out.append(_check("form decomposition identity", "form-decomposition-identity",
-                      {"residual": resid}, resid, "<", 1e-10))
+    out = [claims.form_decomposition_identity(f, lam, eps, m, p)]
     a = forms.m_eps_lambda(f, lam, 1.0, m, p).value
     b = forms.m_lambda(f, lam, m, p).value
-    out.append(_check("unit width consistency", "form-kernel-consistency",
-                      {"m_eps_1": a, "m_base": b}, a - b, "==", 0.0))
+    out.append(check("unit width consistency", "form-kernel-consistency",
+                     {"m_eps_1": a, "m_base": b}, a - b, "==", 0.0))
     cw = mollifier.kernel_total_mass(mollifier.KernelParams(p, 1, 1.0, 1.0), m)
     dev = abs(b - cw * N) / (cw * N)
-    out.append(_check("full box main term", "full-box-main-term",
-                      {"value": b, "target": cw * N, "rel_dev": dev}, dev, "<", 3 * lam / N))
+    out.append(check("full box main term", "full-box-main-term",
+                     {"value": b, "target": cw * N, "rel_dev": dev}, dev, "<", 3 * lam / N))
     rule = lpgeom.sphere_quadrature(p, 1, lam, n=64)
     nv = forms.n_lambda(f, rule, lam).value
     target = forms.full_box_sharp_oracle(rule, N)
-    out.append(_check("sharp form sphere mass", "sharp-form-sphere-mass",
-                      {"value": nv, "target": target}, abs(nv - target) / target, "<", 0.05))
-    indicators = (forms.random_indicator(16.0, 1.0, 2, 0.25, seed=cfg.seed * 31 + trial)
-                  for trial in range(cfg.trials))
-    ok = all(forms.box_partition_pigeonhole(g, 2.0).threshold_ok for g in indicators)
-    out.append(Check("half-density pigeonhole", "pigeonhole-half-density",
-                     {"trials": cfg.trials}, None, ok))
+    out.append(check("sharp form sphere mass", "sharp-form-sphere-mass",
+                     {"value": nv, "target": target}, abs(nv - target) / target, "<", 0.05))
+    out.append(claims.pigeonhole_half_density(
+        2, 0.25, range(cfg.seed * 31, cfg.seed * 31 + cfg.trials)))
     lams = [N / 16.0, N / 8.0, N / 4.0]
     en = forms.energy_sum(f, lams, eps, m, p)
-    out.append(_check("energy certificate ratio", "energy-ratio-bound",
-                      {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
+    out.append(check("energy certificate ratio", "energy-ratio-bound",
+                     {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
     mt = forms.roth_main_term_experiment(0.5, 1, N, lam, cfg.trials, m, p, seed=cfg.seed)
-    out.append(_check("density main term positive", "main-term-positive",
-                      {"min_normalized": mt.min_normalized}, mt.min_normalized, ">", 1e-3 * cw))
+    out.append(check("density main term positive", "main-term-positive",
+                     {"min_normalized": mt.min_normalized}, mt.min_normalized, ">", 1e-3 * cw))
     f2 = forms.random_indicator(8.0, h, 1, 0.5, seed=cfg.seed)
     v0 = forms.m_lambda(forms.translate_box(f2, 0), lam, m, p).value
     v1 = forms.m_lambda(forms.translate_box(f2, 3), lam, m, p).value
     tdev = abs(v0 - v1) / max(abs(v0), 1e-15)
-    out.append(_check("translation invariance of forms", "form-translation-invariance",
-                      {"rel_dev": tdev}, tdev, "<", 1e-10))
+    out.append(check("translation invariance of forms", "form-translation-invariance",
+                     {"rel_dev": tdev}, tdev, "<", 1e-10))
     rows = [[fv.kind, fv.lam, fv.eps if fv.eps is not None else float("nan"),
              fv.value, fv.quadrature_error]
             for fv in (forms.m_eps_lambda(f, lam, eps, m, p), forms.m_lambda(f, lam, m, p),
@@ -404,59 +327,32 @@ def _forms_checks(ctx: SuiteContext) -> list[Check]:
     return out
 
 
-# slope floor of |I(t)| at the degenerate exponents, which do not decay
-_NO_DECAY_SLOPE = -0.02
-
-
 def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
     cfg = ctx.cfg
-    out = []
     fam = oscillatory.PhaseFamily(p=2.0, k=0.3, l=-0.2)
     vals = [oscillatory.phase_eval(fam, y)[0] for y in np.linspace(0.8, 1.8, 50)]
     spread = max(vals) - min(vals)
-    out.append(_check("quadratic phase degeneracy", "phase-quadratic-degeneracy",
-                      {"spread": spread, "expected": 2 * fam.k * fam.l}, spread, "<", 1e-12))
-    fam3 = oscillatory.PhaseFamily(p=3.0, k=0.5, l=0.5)
-    dv, dd = oscillatory.phase_eval(fam3, 1.0)
-    rv, rd = oscillatory.phase_eval_remainder(fam3, 1.0)
-    out.append(_check("remainder form agreement", "phase-remainder-agreement",
-                      {"direct": [dv, dd], "remainder": [rv, rd]},
-                      max(abs(dv - rv), abs(dd - rd)), "<", 1e-8))
-    ts = list(np.logspace(1, 4, 7))
-    fit = oscillatory.decay_fit(cfg.p, ts, n_kl=cfg.kl_nodes)
-    # a degenerate exponent sits on the no-decay side of the dichotomy
-    rule = (">=", _NO_DECAY_SLOPE) if fit.degenerate else ("<=", -1.0 / fit.r_theory + 0.05)
-    out.append(_check(f"decay envelope p={cfg.p}", "decay-envelope",
-                      {"slope": fit.slope, "r": fit.r_theory, "values": fit.values},
-                      fit.slope, *rule))
+    out = [check("quadratic phase degeneracy", "phase-quadratic-degeneracy",
+                 {"spread": spread, "expected": 2 * fam.k * fam.l}, spread, "<", 1e-12)]
+    out.append(claims.phase_remainder_agreement())
+    envelope, fit = claims.decay_envelope(cfg.p, cfg.kl_nodes)
+    out.append(envelope)
     ctx.curve(f"decay_p{cfg.p}.csv", ["t", "abs_I", "envelope"],
               [[t, v, fit.c_fit * t ** (-1.0 / fit.r_theory)]
                for t, v in zip(fit.t_samples, fit.values)])
-    for pdeg in (1.0, 2.0):
-        fitd = oscillatory.decay_fit(pdeg, ts, n_kl=12)
-        out.append(_check(f"no-decay at p={pdeg}", "no-decay-degenerate",
-                          {"slope": fitd.slope}, fitd.slope, ">=", _NO_DECAY_SLOPE))
+    out.extend(claims.no_decay_degenerate(pdeg, 12) for pdeg in (1.0, 2.0))
     v1 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.3, 0.1), 50.0)
     v2 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.1, 0.3), 50.0)
     sym = abs(v1 - v2)
-    out.append(_check("shift symmetry", "aggregate-symmetry",
-                      {"dev": sym}, sym, "<", 1e-12))
+    out.append(check("shift symmetry", "aggregate-symmetry",
+                     {"dev": sym}, sym, "<", 1e-12))
     sb = oscillatory.stationary_lower_bound_check(cfg.p, 0.1)
     # at the degenerate p = 2 the derivative vanishes identically (a floor of 0.0)
-    out.append(_check("stationary derivative floor", "stationary-lower-bound",
-                      {"min_abs_dpsi": sb.min_abs_dpsi}, sb.min_abs_dpsi,
-                      ">=" if sb.degenerate else ">", 0.0))
-    rng = spawn_rng(cfg.seed, 37)
-    worst = 0.0
-    for _ in range(20):
-        v = float(rng.uniform(0.001, 0.5))
-        mus = [v]
-        for _ in range(11):
-            v *= 2.0 * float(rng.uniform(1.0, 1.5))
-            mus.append(v)
-        s1, s2, cap = oscillatory.lacunary_sum_bound(mus, k=2)
-        worst = max(worst, s1, s2)
-    out.append(_check("lacunary sum cap", "lacunary-sum-cap", {"trials": 20}, worst, "<=", cap))
+    out.append(check("stationary derivative floor", "stationary-lower-bound",
+                     {"min_abs_dpsi": sb.min_abs_dpsi}, sb.min_abs_dpsi,
+                     ">=" if sb.degenerate else ">", 0.0))
+    out.append(claims.lacunary_sum_cap(spawn_rng(cfg.seed, 37), trials=20, terms=12,
+                                       first_hi=0.5, step_hi=1.5, k=2))
     # scales start past the transform decay onset for order-one frequencies,
     # so count extension only adds tail terms
     table = oscillatory.build_transform_table(cfg.p, cfg.epsilon, ctx.m)
@@ -466,8 +362,8 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
     a6 = oscillatory.multiplier_check(*xi, lam6, table)
     a12 = oscillatory.multiplier_check(*xi, lam12, table)
     rat = a12.abs_m / max(a6.abs_m, 1e-300)
-    out.append(_check("multiplier scale uniformity", "multiplier-scale-uniformity",
-                      {"abs_m_6": a6.abs_m, "abs_m_12": a12.abs_m}, rat, "in", [0.5, 2.0]))
+    out.append(check("multiplier scale uniformity", "multiplier-scale-uniformity",
+                     {"abs_m_6": a6.abs_m, "abs_m_12": a12.abs_m}, rat, "in", [0.5, 2.0]))
     prods = []
     audit_rows = []
     base = np.array([-2.0, -1.0, 1.0]) / np.linalg.norm([-2.0, -1.0, 1.0])
@@ -478,40 +374,28 @@ def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
         prods.append(aud.grad_magnitude * aud.dist)
         audit_rows.append([aud.dist, aud.abs_m, aud.grad_magnitude])
     gratio = max(prods) / max(min(prods), 1e-300)
-    out.append(_check("gradient-distance product stability", "multiplier-gradient-distance",
-                      {"products": prods}, gratio, "<", 4.0))
+    out.append(check("gradient-distance product stability", "multiplier-gradient-distance",
+                     {"products": prods}, gratio, "<", 4.0))
     ctx.curve("multiplier_audit.csv", ["dist", "abs_m", "grad_magnitude"], audit_rows)
     return out
 
 
 def _counterexample_checks(ctx: SuiteContext) -> list[Check]:
     cfg = ctx.cfg
-    out = []
-    A = sets.bourgain_set(2)
-    dens = A.estimate_density(10.0, n=10**5, seed=cfg.seed)
-    out.append(_check("square-shell density", "square-shell-density",
-                      {"density": dens}, dens, "in", [0.15, 0.35]))
+    dens = sets.bourgain_set(2).estimate_density(10.0, n=10**5, seed=cfg.seed)
+    out = [check("square-shell density", "square-shell-density",
+                 {"density": dens}, dens, "in", [0.15, 0.35])]
     rng = spawn_rng(cfg.seed, 41)
     gap2 = max(abs(sets.parallelogram_check(rng.normal(size=2), rng.normal(size=2), 2.0)[2])
                for _ in range(50))
-    out.append(_check("quadratic parallelogram identity", "parallelogram-identity",
-                      {"max_gap": gap2}, gap2, "<", 1e-10))
+    out.append(check("quadratic parallelogram identity", "parallelogram-identity",
+                     {"max_gap": gap2}, gap2, "<", 1e-10))
     _, _, gp = sets.parallelogram_check(np.array([1.0, 1.0]), np.array([1.0, 0.0]), cfg.p)
-    out.append(_check("non-quadratic parallelogram failure", "parallelogram-failure",
-                      {"gap": gp}, abs(gp), ">", 1e-3))
-    spec2 = sets.gap_spectrum_sample(A, 2.0, 10.0, cfg.spectrum_hits,
-                                     max_proposals=10**7, seed=cfg.seed)
-    out.append(_check("half-integer gap restriction", "half-integer-gap-restriction",
-                      {"hits": int(spec2.gaps.size),
-                       "max_dev": spec2.max_half_integer_deviation},
-                      spec2.max_half_integer_deviation, "<=", sets.HALF_INTEGER_CAP + 1e-9,
-                      requires=spec2.gaps.size > 0))
-    specp = sets.gap_spectrum_sample(A, cfg.p, 10.0, cfg.spectrum_hits,
-                                     max_proposals=10**7, seed=cfg.seed + 1)
-    out.append(_check("gap escape at non-quadratic exponent", "gap-escape-nonquadratic",
-                      {"hits": int(specp.gaps.size),
-                       "max_dev": specp.max_half_integer_deviation},
-                      specp.max_half_integer_deviation, ">", 0.45))
+    out.append(check("non-quadratic parallelogram failure", "parallelogram-failure",
+                     {"gap": gp}, abs(gp), ">", 1e-3))
+    out.append(claims.half_integer_gap_restriction(cfg.spectrum_hits, 10**7, cfg.seed))
+    escape, specp = claims.gap_escape_nonquadratic(cfg.p, cfg.spectrum_hits, 10**7, cfg.seed + 1)
+    out.append(escape)
     counts, edges = specp.histogram(bins=32)
     ctx.curve("gap_spectrum.csv", ["gap", "count"],
               [[0.5 * (edges[i] + edges[i + 1]), float(c)] for i, c in enumerate(counts)])
@@ -522,35 +406,24 @@ def _counterexample_checks(ctx: SuiteContext) -> list[Check]:
     members_ok = bool(np.all(lat.contains_batch(base)) and np.all(lat.contains_batch(other)))
     gap_inf = np.max(np.abs(other - base), axis=1)
     dev_inf = float(np.max(np.abs(gap_inf - np.round(gap_inf))))
-    out.append(_check("lattice gap restriction", "lattice-gap-restriction",
-                      {"max_dev_inf": dev_inf}, dev_inf, "<=", 0.2, requires=members_ok))
+    out.append(check("lattice gap restriction", "lattice-gap-restriction",
+                     {"max_dev_inf": dev_inf}, dev_inf, "<=", 0.2, requires=members_ok))
     return out
 
 
 def _search_checks(ctx: SuiteContext) -> list[Check]:
     cfg = ctx.cfg
-    out = []
     Afull = sets.full_box_set(2, 16.0)
     res = sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**5,
                                   box_hi=16.0, seed=cfg.seed)
-    out.append(Check("full box witness", "full-box-witness",
-                     {"found": res.witness is not None,
-                      "proposals": res.proposals_used}, None, res.witness is not None))
+    out = [Check("full box witness", "full-box-witness",
+                 {"found": res.witness is not None,
+                  "proposals": res.proposals_used}, None, res.witness is not None)]
     sound = res.witness is not None and res.witness.verify(Afull, 2.0, 1e-6)
     out.append(Check("witness soundness", "witness-soundness", {}, None, bool(sound)))
-    B = sets.bourgain_set(2)
-    forb = sets.progression_search(B, 2.0, math.sqrt(0.75), tol=1e-3,
-                                   budget=min(cfg.search_budget, 10**6),
-                                   box_hi=10.0, seed=cfg.seed)
-    out.append(Check("forbidden gap exhaustion", "forbidden-gap-exhaustion",
-                     {"proposals": forb.proposals_used}, None,
-                     forb.witness is None and forb.exhausted))
-    seq = sets.lacunary_generate(4.0, 2.0, 3)
-    rep = sets.theorem_experiment(0.4, cfg.p, 2, 64.0, seq,
-                                  seeds=range(cfg.seed, cfg.seed + 5),
-                                  budget_per_scale=cfg.search_budget)
-    out.append(Check("positive progression control", "positive-control",
-                     {"realized": rep.realized}, None, rep.all_seeds_realized))
+    out.append(claims.forbidden_gap_exhaustion(min(cfg.search_budget, 10**6), cfg.seed))
+    control, rep = claims.positive_control(cfg.p, range(cfg.seed, cfg.seed + 5), cfg.search_budget)
+    out.append(control)
     r1, r2 = (sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**4,
                                       box_hi=16.0, seed=123) for _ in range(2))
     same = (r1.witness is not None and r2.witness is not None

@@ -28,7 +28,7 @@ import numpy as np
 from .lpgeom import SphereQuadrature, _as_p
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
-from .util import compensated_sum, spawn_rng
+from .util import spawn_rng
 
 
 @dataclass
@@ -119,6 +119,12 @@ def _check_scale(f: BoxFunction, lam: float, eps: float, p: float) -> None:
             f"needs h <= {eps * lam / (8.0 * p):.4g}")
 
 
+def resolved_grid(N: float, lam: float, eps: float, p: float) -> tuple[int, float]:
+    """(n, h): the fewest equal cells filling [0, N] that resolve the width-eps shell at lam."""
+    n = int(np.ceil(N / (eps * lam / (8.0 * p))))
+    return n, N / n
+
+
 def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     """Lattice gap vectors inside the kernel support and their flat multi-indices."""
     R = lam * (1.0 + 2.0 * eps) ** (1.0 / p)
@@ -152,7 +158,7 @@ def _triple_sum(f: BoxFunction, J: np.ndarray, kvals: np.ndarray) -> float:
         np.multiply(v[s0], v[s1], out=prod)
         prod *= v[s2]
         parts.append(kv * float(np.sum(prod)))
-    return compensated_sum(parts)
+    return math.fsum(parts)
 
 
 def _grid_form(kind: str, f: BoxFunction, lam: float, eps: float, p, support_eps: float,
@@ -179,9 +185,7 @@ def m_eps_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) ->
 
 def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
     """Base mollified form: exactly the eps = 1 code path."""
-    out = m_eps_lambda(f, lam, 1.0, m, p)
-    out.kind = "M_lambda"
-    return out
+    return m_eps_lambda(f, lam, 1.0, m, p)
 
 
 def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
@@ -274,8 +278,8 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
             np.multiply(f.values[window], prod, out=prod)
             prod *= f2
             sums.append(float(np.sum(prod)))
-        parts.append(w * compensated_sum(sums))
-    val = f.h**d * compensated_sum(parts)
+        parts.append(w * math.fsum(sums))
+    val = f.h**d * math.fsum(parts)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)
 
@@ -325,10 +329,8 @@ def decomposition_residual(f: BoxFunction, lam: float, eps: float, m: MollifierP
 
 @dataclass
 class EnergyReport:
-    lambdas: list
     energies: list
     total: float
-    f4_mass: float
     ratio: float
 
 
@@ -345,11 +347,10 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     pv = _as_p(p)
     c1 = c1_eps(eps, pv, f.d, m)
     energies = [abs(e_lambda(f, lam, eps, m, pv, c1=c1).value) ** 2 for lam in lams]
-    total = compensated_sum(energies)
+    total = math.fsum(energies)
     f4 = f.h**f.d * float(np.sum(f.values**4))
     denom = f.N**f.d * f4
-    return EnergyReport(lambdas=lams, energies=energies, total=total, f4_mass=f4,
-                        ratio=total / denom if denom > 0 else np.inf)
+    return EnergyReport(energies=energies, total=total, ratio=total / denom if denom > 0 else np.inf)
 
 
 @dataclass
@@ -399,7 +400,6 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
 @dataclass
 class MainTermReport:
     min_normalized: float
-    per_trial: list
 
 
 def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials: int,
@@ -414,15 +414,13 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
     if lam > N / 8.0:
         raise ValueError("scale must satisfy lam <= N/8 for the boundary-sensitive run")
     if h is None:
-        h = lam / (8.0 * pv)
-        n = max(8, int(np.ceil(N / h)))
-        h = N / n
+        _, h = resolved_grid(N, lam, 1.0, pv)
     outs = []
     for trial in range(trials):
         f = random_indicator(N, h, d, delta, seed=seed * 1000 + trial,
                              structured=(trial % 2 == 1))
         outs.append(m_lambda(f, lam, m, pv).value / N**d)
-    return MainTermReport(min_normalized=min(outs), per_trial=outs)
+    return MainTermReport(min_normalized=min(outs))
 
 
 def translate_box(f: BoxFunction, cells: int) -> BoxFunction:

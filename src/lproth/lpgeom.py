@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .util import compensated_sum, spawn_rng
+from .util import spawn_rng
 
 MODE_GRAPH = "deterministic-graph"
 MODE_SHELL_MC = "shell-monte-carlo"
@@ -148,7 +148,7 @@ class SphereQuadrature:
 
     @property
     def total_mass(self) -> float:
-        return compensated_sum(self.weights)
+        return math.fsum(self.weights)
 
     def node_tolerance(self) -> float:
         if self.mode == MODE_GRAPH:
@@ -166,14 +166,6 @@ class SphereQuadrature:
         out = np.zeros(1 << self.d)
         np.add.at(out, codes, self.weights)
         return out
-
-    def to_csv(self, path) -> None:
-        header = ",".join([f"y{i+1}" for i in range(self.d)] + ["weight"])
-        data = np.column_stack([self.nodes, self.weights])
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(format(v, ".17e") for v in row) + "\n")
 
 
 def _orthant_signs(d: int) -> np.ndarray:

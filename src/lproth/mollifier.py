@@ -252,6 +252,8 @@ def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
     """
     if params.d > 2:
         raise ValueError("direct transform quadrature supports d <= 2")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError(f"frequency must be finite: {eta}")
     kern = build_cancelled_kernel(params, m)
     if params.d == 1:
         w = float(np.atleast_1d(eta)[0])

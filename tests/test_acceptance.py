@@ -1,21 +1,24 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-PASS lines; each criterion is also an ordinary assertion.
+PASS lines; each criterion is also an ordinary assertion.  Claims shared
+with `lproth run` are measured by `lproth.claims`, and each criterion
+states the bound it expects their records to carry.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
-from lproth import forms, gowers, lpgeom, oscillatory, sets
-from lproth.mollifier import KernelParams, build_cancelled_kernel, c1_eps, kernel_fourier, kernel_total_mass
+from lproth import claims, forms, oscillatory
+from lproth.mollifier import KernelParams
 from lproth.util import spawn_rng
 
 
-def criterion(n, ok, detail):
+def criterion(n, stated, ok, detail):
+    """One PASS/FAIL line: each (record, tolerance) in ``stated`` passed at that bound, and ok."""
+    ok = ok and all(chk.passed and chk.bound == bound for chk, bound in stated)
     line = f"[acceptance {n:>2}] {'PASS' if ok else 'FAIL'}  {detail}"
     print(line)
     assert ok, line
@@ -24,48 +27,24 @@ def criterion(n, ok, detail):
 class TestAcceptance:
     def test_01_difference_cube_oracle_equivalence(self):
         t0 = time.perf_counter()
-        rng = spawn_rng(101, 0)
-        worst = 0.0
-        for M, d, reps in ((16, 1, 25), (8, 2, 25)):
-            for _ in range(reps):
-                F = gowers.CyclicGridFunction.from_array(
-                    rng.normal(size=(M,) * d) + 1j * rng.normal(size=(M,) * d))
-                b = gowers.u3_eighth_brute(F)
-                r = gowers.u3_eighth_recursive(F)
-                worst = max(worst, abs(b.real - r) / abs(r), abs(b.imag) / abs(r))
+        chk = claims.u3_oracle_equivalence(spawn_rng(101, 0), [(16, 1, 25), (8, 2, 25)])
         dt = time.perf_counter() - t0
-        criterion(1, worst < 1e-10 and dt < 60.0,
-                  f"recursive vs definitional U^3 on 50 grids: worst rel {worst:.2e}, {dt:.1f}s")
+        criterion(1, [(chk, 1e-10)], dt < 60.0, f"recursive vs definitional U^3 on 50 grids: "
+                  f"worst rel {chk.values['worst_rel']:.2e}, {dt:.1f}s")
 
     def test_02_spectral_identity(self):
-        rng = spawn_rng(102, 0)
-        worst = 0.0
-        for _ in range(100):
-            F = gowers.CyclicGridFunction.from_array(
-                rng.normal(size=64) + 1j * rng.normal(size=64))
-            b = gowers.u2_fourth_brute(F)
-            s = gowers.u2_norm(F) ** 4
-            worst = max(worst, abs(b.real - s) / s, abs(b.imag) / s)
-        criterion(2, worst < 1e-10,
-                  f"U^2 brute force vs DFT fourth moment on 100 grids: worst rel {worst:.2e}")
+        chk = claims.u2_spectral_identity(spawn_rng(102, 0), 100)
+        criterion(2, [(chk, 1e-10)], True, f"U^2 brute force vs DFT fourth moment on 100 grids: "
+                  f"worst rel {chk.values['worst_rel']:.2e}")
 
     def test_03_decay_dichotomy(self):
         t0 = time.perf_counter()
-        ts = list(np.logspace(1.0, 4.0, 7))
-        lines = []
-        ok = True
-        for p in (1.5, 3.0):
-            fit = oscillatory.decay_fit(p, ts, n_kl=48)
-            thresh = -1.0 / fit.r_theory + 0.05
-            ok = ok and fit.slope <= thresh
-            lines.append(f"p={p}: slope {fit.slope:+.3f} <= {thresh:+.3f}")
-        for p in (1.0, 2.0):
-            fit = oscillatory.decay_fit(p, ts, n_kl=24)
-            ok = ok and fit.slope >= -0.02
-            lines.append(f"p={p}: slope {fit.slope:+.4f} >= -0.02")
+        envelopes = [claims.decay_envelope(p, 48)[0] for p in (1.5, 3.0)]
+        stated = [(chk, -1.0 / chk.values["r"] + 0.05) for chk in envelopes]
+        stated += [(claims.no_decay_degenerate(p, 24), -0.02) for p in (1.0, 2.0)]
         dt = time.perf_counter() - t0
-        ok = ok and dt < 600.0
-        criterion(3, ok, "; ".join(lines) + f"; {dt:.0f}s")
+        slopes = [f"{c.name}: slope {c.values['slope']:+.4f} vs {b:+.3f}" for c, b in stated]
+        criterion(3, stated, dt < 600.0, "; ".join(slopes) + f"; {dt:.0f}s")
 
     def test_04_phase_degeneracy(self):
         rng = spawn_rng(104, 0)
@@ -81,51 +60,32 @@ class TestAcceptance:
             v, _ = oscillatory.phase_eval(fam, y)
             worst = max(worst, abs(v - 2.0 * k * l))
             n += 1
-        fam3 = oscillatory.PhaseFamily(3.0, 0.5, 0.5)
-        dv, dd = oscillatory.phase_eval(fam3, 1.0)
-        rv, rd = oscillatory.phase_eval_remainder(fam3, 1.0)
-        dev3 = max(abs(dv - rv), abs(dd - rd))
-        criterion(4, worst < 1e-12 and dev3 < 1e-8,
+        chk = claims.phase_remainder_agreement()
+        dev3 = max(abs(a - b) for a, b in zip(chk.values["direct"], chk.values["remainder"]))
+        criterion(4, [(chk, 1e-8)], worst < 1e-12,
                   f"quadratic constancy dev {worst:.2e} at 1e4 points; "
                   f"cubic remainder-form dev {dev3:.2e}")
 
     def test_05_square_shell_obstruction(self):
-        A = sets.bourgain_set(2)
-        spectrum = sets.gap_spectrum_sample(A, 2.0, 10.0, 10**5,
-                                        max_proposals=4 * 10**7, seed=105)
-        hits = int(spectrum.gaps.size)
-        dev = spectrum.max_half_integer_deviation
-        out = sets.progression_search(A, 2.0, math.sqrt(0.75), tol=1e-3,
-                                      budget=10**7, box_hi=10.0, seed=105)
-        criterion(5, hits == 10**5 and dev <= 0.4 + 1e-9
-                  and out.witness is None and out.exhausted,
-                  f"{hits} verified progressions, max dist(2 gap^2, Z) = {dev:.6f} <= 0.4; "
-                  f"forbidden probe exhausted {out.proposals_used} proposals")
+        half = claims.half_integer_gap_restriction(10**5, 4 * 10**7, 105)
+        forb = claims.forbidden_gap_exhaustion(10**7, 105)
+        hits = half.values["hits"]
+        criterion(5, [(half, 0.4 + 1e-9), (forb, None)], hits == 10**5,
+                  f"{hits} verified progressions, max dist(2 gap^2, Z) = "
+                  f"{half.values['max_dev']:.6f} <= 0.4; "
+                  f"forbidden probe exhausted {forb.values['proposals']} proposals")
 
     def test_06_nonquadratic_escape(self):
-        A = sets.bourgain_set(2)
-        spectrum = sets.gap_spectrum_sample(A, 1.5, 10.0, 10**5,
-                                        max_proposals=4 * 10**7, seed=106)
-        dev = spectrum.max_half_integer_deviation
-        criterion(6, spectrum.gaps.size == 10**5 and dev > 0.45,
-                  f"p=1.5 spectrum: {spectrum.gaps.size} gaps, max deviation {dev:.4f} > 0.45")
+        chk, spectrum = claims.gap_escape_nonquadratic(1.5, 10**5, 4 * 10**7, 106)
+        criterion(6, [(chk, 0.45)], spectrum.gaps.size == 10**5, f"p=1.5 spectrum: "
+                  f"{spectrum.gaps.size} gaps, max deviation {chk.values['max_dev']:.4f} > 0.45")
 
     def test_07_cancellation_and_multiplier(self, moll):
         params = KernelParams(1.5, 1, 1.0, 0.05)
-        kern = build_cancelled_kernel(params, moll)
-        resid = abs(kern.total_integral())
-        ref = kernel_total_mass(params, moll)
-        khat0 = abs(kernel_fourier(np.zeros(1), params, moll))
+        canc = claims.cancellation_integral(params, moll)
+        zero = claims.transform_zero_at_origin(params, moll)
         rng = spawn_rng(107, 0)
-        cap_ok = True
-        for _ in range(100):
-            v = float(rng.uniform(1e-3, 2.0))
-            mus = [v]
-            for _ in range(14):
-                v *= 2.0 * (1.0 + float(rng.uniform(0.0, 1.0)))
-                mus.append(v)
-            s1, _, cap = oscillatory.lacunary_sum_bound(mus)
-            cap_ok = cap_ok and s1 <= cap
+        cap = claims.lacunary_sum_cap(rng, trials=100, terms=15, first_hi=2.0, step_hi=2.0, k=1)
         # scales start high enough that every added term sits past the
         # transform decay onset (~24 / shell width) for the sampled frequencies
         table = oscillatory.build_transform_table(1.5, 0.05, moll)
@@ -145,75 +105,53 @@ class TestAcceptance:
             ratio = m12 / m6 if m6 > 0 else np.inf
             worst_ratio = max(worst_ratio, ratio, 1.0 / ratio)
             n += 1
-        ok = (resid <= 1e-6 * ref and khat0 <= 1e-8 and cap_ok and worst_ratio <= 2.0)
-        criterion(7, ok,
-                  f"cancelled integral {resid:.2e} <= 1e-6*{ref:.3f}; transform at zero "
-                  f"{khat0:.2e} <= 1e-8; 100 lacunary caps hold; scale-count ratio "
-                  f"worst {worst_ratio:.3f} <= 2")
+        ref = canc.values["reference"]
+        criterion(7, [(canc, 1e-6 * ref), (zero, 1e-8), (cap, 4.0)], worst_ratio <= 2.0,
+                  f"cancelled integral {canc.values['residual']:.2e} <= 1e-6*{ref:.3f}; "
+                  f"transform at zero {zero.values['k_hat_0']:.2e} < 1e-8; 100 lacunary caps "
+                  f"hold; scale-count ratio worst {worst_ratio:.3f} <= 2")
 
     def test_08_kernel_mass_stability(self, moll):
-        ok = True
-        details = []
-        for p in (1.5, 3.0):
-            for d in (1, 2):
-                masses = [kernel_total_mass(KernelParams(p, d, 1.0, e), moll)
-                          for e in (0.04, 0.02, 0.01, 0.005)]
-                ratio = max(masses) / min(masses)
-                ok = ok and ratio < 1.5
-                details.append(f"p={p},d={d}: {ratio:.4f}")
-        unit = c1_eps(1.0, 1.5, 2, moll)
-        ok = ok and unit == 1.0
-        criterion(8, ok, "mass max/min " + ", ".join(details) + f"; c1(1) = {unit}")
+        bands = [claims.kernel_mass_band(p, d, moll) for p in (1.5, 3.0) for d in (1, 2)]
+        unit = claims.mass_ratio_unit(1.5, 2, moll)
+        ratios = ", ".join(f"{chk.values['ratio']:.4f}" for chk in bands)
+        criterion(8, [(chk, 1.5) for chk in bands] + [(unit, 1.0)], True,
+                  f"mass max/min (p=1.5, 3; d=1, 2) {ratios}; c1(1) = {unit.values['c1_at_1']}")
 
     def test_09_decomposition_and_sphere_mass(self, moll):
         rng = spawn_rng(109, 0)
-        worst = 0.0
         N = 32.0
+        stated = []
         for lam, eps in ((2.0, 0.25), (4.0, 0.5)):
-            h = eps * lam / (8.0 * 1.5)
-            n = int(np.ceil(N / h))
-            h = N / n
+            n, h = forms.resolved_grid(N, lam, eps, 1.5)
             for trial in range(3):
                 vals = np.ones(n) if trial == 0 else rng.uniform(-1, 1, size=n)
                 f = forms.BoxFunction(values=vals, N=N, h=h)
-                worst = max(worst, abs(forms.decomposition_residual(f, lam, eps, moll, 1.5)))
-        dev_ok = True
-        for p in (1.5, 3.0):
-            rep = lpgeom.sigma_mass_invariance(p, 2, [1.0, 2.0, 4.0], n=2048)
-            dev_ok = dev_ok and rep.max_relative_deviation < 1e-4
-        rep2 = lpgeom.sigma_mass_invariance(2.0, 2, [1.0, 2.0, 4.0], n=2048)
-        pi_ok = all(abs(m - math.pi) < 1e-6 for m in rep2.masses)
-        criterion(9, worst < 1e-10 and dev_ok and pi_ok,
+                stated.append((claims.form_decomposition_identity(f, lam, eps, moll, 1.5), 1e-10))
+        worst = max(chk.values["residual"] for chk, _ in stated)
+        spheres = {p: claims.sphere_mass_invariance(p, 2, 2048) for p in (1.5, 2.0, 3.0)}
+        stated += [(chk, 1e-4) for chk in spheres.values()]
+        pi_ok = all(abs(m - math.pi) < 1e-6 for m in spheres[2.0].values["masses"])
+        criterion(9, stated, pi_ok,
                   f"decomposition residual worst {worst:.2e} < 1e-10; sphere masses "
                   f"radius-invariant to 1e-4; Euclidean value pi to 1e-6")
 
     def test_10_pigeonhole_exact(self):
-        ok = True
-        count = 0
-        for d in (1, 2):
-            for seed in range(50):
-                f = forms.random_indicator(16.0, 1.0, d, 0.3, seed=seed)
-                rep = forms.box_partition_pigeonhole(f, 2.0)
-                ok = ok and rep.threshold_ok
-                count += 1
-        criterion(10, ok and count == 100,
+        checks = [claims.pigeonhole_half_density(d, 0.3, range(50)) for d in (1, 2)]
+        count = sum(chk.values["trials"] for chk in checks)
+        criterion(10, [(chk, None) for chk in checks], count == 100,
                   f"half-density box count exact on {count} random sets (d = 1, 2)")
 
     def test_11_positive_control(self):
         t0 = time.perf_counter()
-        seq = sets.lacunary_generate(4.0, 2.0, 3)
-        rep = sets.theorem_experiment(0.4, 1.5, 2, 64.0, seq, seeds=range(1, 26),
-                                      budget_per_scale=3 * 10**5)
+        chk, _ = claims.positive_control(1.5, range(1, 26), 3 * 10**5)
         dt = time.perf_counter() - t0
-        hit = sum(1 for g in rep.realized if g)
-        criterion(11, rep.all_seeds_realized and dt < 900.0,
+        hit = sum(1 for g in chk.values["realized"] if g)
+        criterion(11, [(chk, None)], dt < 900.0,
                   f"{hit}/25 seeds realized a lacunary gap (delta=0.4, p=1.5, N=64); {dt:.0f}s")
 
     def test_12_tensorization(self):
-        ok = True
-        details = []
-        for p, t in ((1.5, 2.0), (3.0, 5.0)):
-            tc = gowers.u3_tensor_check(p, t, M=64)
-            ok = ok and tc.relative_gap < 1e-2
-            details.append(f"(p={p}, t={t}): gap {tc.relative_gap:.2e}")
-        criterion(12, ok, "product-structure identity at M=64: " + ", ".join(details))
+        checks = [claims.u3_tensor_product(p, t) for p, t in ((1.5, 2.0), (3.0, 5.0))]
+        gaps = ", ".join(f"{chk.name}: gap {chk.values['gap']:.2e}" for chk in checks)
+        criterion(12, [(chk, 1e-2) for chk in checks], True,
+                  f"product-structure identity at M=64: {gaps}")

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lproth import cli
+from lproth.claims import Check, check
 from lproth.cli import (
-    Check,
     ConfigError,
     ExperimentConfig,
     emit_csv,
@@ -202,27 +202,27 @@ class TestCheckRule:
     ])
     def test_verdict_follows_reported_bound(self, op, below, at, above):
         for x, want in ((1.5, below), (2.0, at), (2.5, above)):
-            chk = cli._check("c", "a", {}, x, op, 2.0)
+            chk = check("c", "a", {}, x, op, 2.0)
             assert chk.bound == 2.0 and chk.passed is want
 
     def test_closed_band(self):
         for x, want in ((0.5, False), (1.0, True), (2.0, True), (3.0, True), (3.5, False)):
-            chk = cli._check("c", "a", {}, x, "in", [1.0, 3.0])
+            chk = check("c", "a", {}, x, "in", [1.0, 3.0])
             assert chk.bound == [1.0, 3.0] and chk.passed is want
 
     def test_relative_margins(self):
-        assert cli._check("c", "a", {}, 1.5, "<", 2.0).margin == 0.25
-        assert cli._check("c", "a", {}, 2.5, ">=", 2.0).margin == 0.25
-        assert cli._check("c", "a", {}, 0.0, ">=", -0.02).margin == 1.0
-        assert cli._check("c", "a", {}, 3.0, "<=", 2.0).margin == -0.5
-        assert cli._check("c", "a", {}, 1.5, "in", [1.0, 3.0]).margin == 0.25
+        assert check("c", "a", {}, 1.5, "<", 2.0).margin == 0.25
+        assert check("c", "a", {}, 2.5, ">=", 2.0).margin == 0.25
+        assert check("c", "a", {}, 0.0, ">=", -0.02).margin == 1.0
+        assert check("c", "a", {}, 3.0, "<=", 2.0).margin == -0.5
+        assert check("c", "a", {}, 1.5, "in", [1.0, 3.0]).margin == 0.25
 
     def test_no_margin_without_scale(self):
         for op, bound in (("==", 0.0), ("==", 1.0), (">", 0.0), ("<", 0.0)):
-            assert math.isnan(cli._check("c", "a", {}, 0.5, op, bound).margin)
+            assert math.isnan(check("c", "a", {}, 0.5, op, bound).margin)
 
     def test_failed_precondition_fails_the_check(self):
-        chk = cli._check("c", "a", {}, 0.1, "<=", 0.2, requires=False)
+        chk = check("c", "a", {}, 0.1, "<=", 0.2, requires=False)
         assert not chk.passed and math.isnan(chk.margin)
 
 

@@ -5,6 +5,8 @@ sum over all n^d cells.  Cells outside the forms' overlap window add exact
 zeros, so the two differ only in summation order.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from lproth import lpgeom
 from lproth.forms import BoxFunction, _kernel_lattice, e_lambda, m_eps_lambda, n_lambda
 from lproth.lpgeom import SphereQuadrature
 from lproth.mollifier import CancelledKernel, KernelParams, c1_eps, omega_eps_eval
-from lproth.util import compensated_sum
 
 P = 1.5
 REL = 1e-12
@@ -32,7 +33,7 @@ def _padded_triple_sum(f, J, kvals):
         s1 = tuple(slice(pad + int(c), pad + int(c) + n) for c in row)
         s2 = tuple(slice(pad + 2 * int(c), pad + 2 * int(c) + n) for c in row)
         parts.append(kv * float(np.sum(f.values * F[s1] * F[s2])))
-    return f.h ** (2 * d) * compensated_sum(parts)
+    return f.h ** (2 * d) * math.fsum(parts)
 
 
 def _padded_m_eps(f, lam, eps, m):
@@ -73,7 +74,7 @@ def _padded_n(f, quad):
         f1 = _padded_interp(f, P_vals, pad, node)
         f2 = _padded_interp(f, P_vals, pad, 2.0 * node)
         parts.append(w * float(np.sum(f.values * f1 * f2)))
-    return f.h**d * compensated_sum(parts)
+    return f.h**d * math.fsum(parts)
 
 
 def _signed_box(N, n, d, seed):

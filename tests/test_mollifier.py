@@ -201,6 +201,13 @@ class TestKernelTransform:
         with pytest.raises(RuntimeError, match="budget exceeded"):
             kernel_fourier(np.array([1e9]), KernelParams(1.5, 1, 1.0, 0.1), moll)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, moll, d, bad):
+        eta = np.full(d, bad)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_fourier(eta, KernelParams(1.5, d, 1.0, 0.1), moll)
+
     def test_decay_in_frequency(self, moll):
         # decay sets in beyond the reciprocal shell width (~25 here)
         lam = 1.0
