@@ -15,6 +15,16 @@ of summation differs from a sum over the whole grid.
 The mollified form with width 1 *is* the base form (same code path), and
 the cancelled form is accumulated in a single pass with the fused kernel
 so the decomposition identity survives floating cancellation.
+
+The lattice forms visit half of the gap lattice: j = 0, and the gaps whose
+first nonzero coordinate is positive with weight 2.  The inner sum
+S(j) = sum_x f(x) f(x+j) f(x+2j) equals S(-j) after the substitution
+x -> x + 2j, and both kernels depend on y only through |y_i|, so
+k(-j) = k(j) bit for bit.  On 0/1 indicators every product is an exact
+integer and doubling is exact, so the correctly rounded fsum is the same as
+over the full lattice, bit for bit; on real values the two differ only by
+the rounding of the reordered products.  The three forms of
+M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 """
 
 from __future__ import annotations
@@ -126,30 +136,41 @@ def resolved_grid(N: float, lam: float, eps: float, p: float) -> tuple[int, floa
 
 
 def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
-    """Lattice gap vectors inside the kernel support and their flat multi-indices."""
+    """Half of the lattice gaps inside the kernel support, and the weight of each.
+
+    j = 0 has weight 1; every other kept gap has its first nonzero coordinate
+    positive and weight 2, since it stands for both j and -j.
+    """
     R = lam * (1.0 + 2.0 * eps) ** (1.0 / p)
     jmax = int(np.floor(R / h)) + 1
     ax = np.arange(-jmax, jmax + 1)
     grids = np.meshgrid(*([ax] * d), indexing="ij")
     J = np.stack([g.ravel() for g in grids], axis=-1)
-    return J, J * h
+    lead = J[np.arange(len(J)), np.argmax(J != 0, axis=1)]  # 0 only at j = 0
+    half = lead >= 0
+    return J[half], np.where(lead[half] > 0, 2.0, 1.0)
 
 
-def _triple_sum(f: BoxFunction, J: np.ndarray, kvals: np.ndarray) -> float:
-    """sum over lattice gaps j of k(y_j) * sum_x f(x) f(x+j) f(x+2j), zero extension.
+def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
+    """S(j) = sum_x f(x) f(x+j) f(x+2j) for each row j of J, with f zero outside the box.
 
     Per axis x runs over [max(0, -2j), min(n, n - 2j)), the cells where x, x+j
     and x+2j all lie in the box; every cell outside adds an exact zero.
+
+    S(-j) = S(j): substituting x -> x + 2j maps the terms of S(-j) onto those
+    of S(j), with the window in the same order and only the three factors of
+    each product multiplied in the opposite order.  For 0/1 indicators every
+    product and every partial sum is an exact integer, so the two agree bit
+    for bit; for real values they differ by rounding in that order.
     """
     n = f.n
     v = f.values
     lo = np.maximum(0, -2 * J)
     hi = np.minimum(n, n - 2 * J)
-    keep = (kvals != 0.0) & np.all(hi > lo, axis=1)
+    S = np.zeros(len(J))
     buf = np.empty(v.size)
-    parts = []
-    for row, a, b, kv in zip(J[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
-                             kvals[keep]):
+    for i in np.flatnonzero(np.all(hi > lo, axis=1)).tolist():
+        a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
         s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
         s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
         s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
@@ -157,30 +178,57 @@ def _triple_sum(f: BoxFunction, J: np.ndarray, kvals: np.ndarray) -> float:
         prod = buf[:math.prod(shape)].reshape(shape)
         np.multiply(v[s0], v[s1], out=prod)
         prod *= v[s2]
-        parts.append(kv * float(np.sum(prod)))
-    return math.fsum(parts)
+        S[i] = np.sum(prod)
+    return S
 
 
-def _grid_form(kind: str, f: BoxFunction, lam: float, eps: float, p, support_eps: float,
-               kernel: Callable[[KernelParams, np.ndarray], np.ndarray]) -> FormValue:
-    """Lattice triple sum of f against kernel(params, y) over the width-support_eps support."""
+def _grid_params(f: BoxFunction, lam: float, eps: float, p) -> KernelParams:
+    """Width-eps kernel parameters at lam, once f's dimension and grid step are checked."""
     pv = _as_p(p)
     if f.d not in (1, 2):
         raise ValueError("grid forms support d in {1, 2}")
     params = KernelParams(pv, f.d, lam, eps)  # rejects a non-finite radius up front
     _check_scale(f, lam, eps, pv)
-    J, Y = _kernel_lattice(pv, f.d, lam, support_eps, f.h)
-    kvals = kernel(params, Y)
-    val = f.h ** (2 * f.d) * _triple_sum(f, J, kvals)
-    rel = min(1.0, (f.h * pv / (eps * lam * 4.0)) ** 2)  # crude second-order heuristic
-    return FormValue(kind=kind, lam=lam, eps=eps, value=val,
-                     quadrature_error=abs(val) * rel + 1e-14)
+    return params
+
+
+def _grid_forms(f: BoxFunction, params: KernelParams, support_eps: float,
+                specs: Sequence[tuple[str, float, Callable[[np.ndarray], np.ndarray]]]
+                ) -> list[FormValue]:
+    """h^(2d) sum_j k(y_j) S(j) for each (kind, eps, kernel k) of specs, from one set of S(j).
+
+    The gaps run over the half lattice of the width-support_eps support.  Each
+    kernel depends on y only through |y_i|, so k(-j) = k(j) bit for bit and
+    the weight 2 counts both.  S(j) is computed once, for the gaps where some
+    kernel is nonzero.  For 0/1 indicators each weighted term 2 k S(j) is
+    exactly the sum of the two terms of j and -j, so the correctly rounded
+    fsum equals the full-lattice sum bit for bit.
+    """
+    h, d = f.h, f.d
+    J, weight = _kernel_lattice(params.p, d, params.lam, support_eps, h)
+    K = np.stack([kernel(J * h) for _, _, kernel in specs]) * weight
+    live = np.any(K != 0.0, axis=0)
+    S = _gap_sums(f, J[live])
+    out = []
+    for (kind, eps, _), kw in zip(specs, K[:, live]):
+        val = h ** (2 * d) * math.fsum(kw * S)
+        # crude second-order heuristic
+        rel = min(1.0, (h * params.p / (eps * params.lam * 4.0)) ** 2)
+        out.append(FormValue(kind=kind, lam=params.lam, eps=eps, value=val,
+                             quadrature_error=abs(val) * rel + 1e-14))
+    return out
+
+
+def _shell_form(params: KernelParams, m: MollifierPair):
+    """(kind, eps, kernel) of the mollified form with the shell kernel of params."""
+    kind = "M_eps_lambda" if params.eps != 1.0 else "M_lambda"
+    return kind, params.eps, lambda Y: omega_eps_eval(Y, params, m)
 
 
 def m_eps_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) -> FormValue:
     """Mollified counting form with shell kernel of width eps at scale lam."""
-    return _grid_form("M_eps_lambda" if eps != 1.0 else "M_lambda", f, lam, eps, p, eps,
-                      lambda params, Y: omega_eps_eval(Y, params, m))
+    params = _grid_params(f, lam, eps, p)
+    return _grid_forms(f, params, eps, [_shell_form(params, m)])[0]
 
 
 def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
@@ -191,12 +239,10 @@ def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
 def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
              c1: Optional[float] = None) -> FormValue:
     """Cancelled form, accumulated in one pass with the fused kernel."""
-    def kernel(params: KernelParams, Y: np.ndarray) -> np.ndarray:
-        c = c1 if c1 is not None else c1_eps(eps, params.p, f.d, m)
-        return CancelledKernel(params, c, m)(Y)
-
+    params = _grid_params(f, lam, eps, p)
+    c = c1 if c1 is not None else c1_eps(eps, params.p, f.d, m)
     # union support of the two kernels (eps <= 1)
-    return _grid_form("E_lambda", f, lam, eps, p, 1.0, kernel)
+    return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
 # Cells per block of the sharp form's window: the four block-sized operands
@@ -317,14 +363,26 @@ def full_box_mollified_oracle(lam: float, eps: float, m: MollifierPair, p, d: in
     return _quadrant_integral(kern, lambda Y1, Y2: spans(Y1) * spans(Y2), R, 24.0 * R / width)
 
 
+def decomposition_forms(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p
+                        ) -> tuple[FormValue, FormValue, FormValue, float]:
+    """(M_eps, M, E, c1): the three forms from one set of gap sums, and the c1 that E uses.
+
+    The width-1 support is the union support (eps <= 1), so one half
+    lattice and one S(j) per gap serve all three kernels.
+    """
+    params = _grid_params(f, lam, eps, p)
+    unit = KernelParams(params.p, f.d, lam, 1.0)
+    c1 = c1_eps(eps, params.p, f.d, m)
+    m_eps, m_unit, e = _grid_forms(f, params, 1.0, [
+        _shell_form(params, m), _shell_form(unit, m),
+        ("E_lambda", eps, CancelledKernel(params, c1, m))])
+    return m_eps, m_unit, e, c1
+
+
 def decomposition_residual(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) -> float:
     """M_eps - c1 M - E, which is zero by construction up to float association."""
-    pv = _as_p(p)
-    c1 = c1_eps(eps, pv, f.d, m)
-    a = m_eps_lambda(f, lam, eps, m, pv).value
-    b = m_lambda(f, lam, m, pv).value
-    e = e_lambda(f, lam, eps, m, pv, c1=c1).value
-    return a - c1 * b - e
+    a, b, e, c1 = decomposition_forms(f, lam, eps, m, p)
+    return a.value - c1 * b.value - e.value
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """The windowed counting forms against a literal zero-padded reference.
 
 The references below embed f in a zero box wide enough for every shift and
-sum over all n^d cells.  Cells outside the forms' overlap window add exact
-zeros, so the two differ only in summation order.
+sum over all n^d cells, and the lattice references visit every gap j and -j.
+Cells outside the forms' overlap window add exact zeros and S(-j) = S(j), so
+the two differ only in summation order; on 0/1 indicators not even that.
 """
 
 import math
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lproth import lpgeom
-from lproth.forms import BoxFunction, _kernel_lattice, e_lambda, m_eps_lambda, n_lambda
+from lproth.forms import (BoxFunction, _gap_sums, _kernel_lattice, decomposition_forms,
+                          e_lambda, m_eps_lambda, m_lambda, n_lambda, random_indicator)
 from lproth.lpgeom import SphereQuadrature
 from lproth.mollifier import CancelledKernel, KernelParams, c1_eps, omega_eps_eval
 
@@ -36,14 +38,22 @@ def _padded_triple_sum(f, J, kvals):
     return f.h ** (2 * d) * math.fsum(parts)
 
 
+def _full_lattice(d, lam, eps, h):
+    """Every lattice gap j, and its vector j h, out to the width-eps kernel support."""
+    jmax = int(np.floor(KernelParams(P, d, lam, eps).support_radius / h)) + 1
+    ax = np.arange(-jmax, jmax + 1)
+    J = np.stack([g.ravel() for g in np.meshgrid(*([ax] * d), indexing="ij")], axis=-1)
+    return J, J * h
+
+
 def _padded_m_eps(f, lam, eps, m):
-    J, Y = _kernel_lattice(P, f.d, lam, eps, f.h)
+    J, Y = _full_lattice(f.d, lam, eps, f.h)
     return _padded_triple_sum(f, J, omega_eps_eval(Y, KernelParams(P, f.d, lam, eps), m))
 
 
 def _padded_e(f, lam, eps, m):
     kern = CancelledKernel(KernelParams(P, f.d, lam, eps), c1_eps(eps, P, f.d, m), m)
-    J, Y = _kernel_lattice(P, f.d, lam, 1.0, f.h)
+    J, Y = _full_lattice(f.d, lam, 1.0, f.h)
     return _padded_triple_sum(f, J, kern(Y))
 
 
@@ -150,3 +160,49 @@ class TestLatticeWindow:
         got_e = e_lambda(f, lam, eps, moll, P).value
         assert got_m == pytest.approx(_padded_m_eps(f, lam, eps, moll), rel=REL)
         assert got_e == pytest.approx(_padded_e(f, lam, eps, moll), rel=REL)
+
+    @pytest.mark.parametrize("d,N,n,lam,eps", [
+        (1, 32.0, 768, 2.0, 0.25),
+        (2, 8.0, 96, 2.0, 0.5),
+    ])
+    def test_indicator_is_exact(self, moll, d, N, n, lam, eps):
+        # every product is an exact integer, and 2 k S(j) is exactly k S(j) + k S(-j)
+        f = random_indicator(N, N / n, d, 0.5, seed=n)
+        assert m_eps_lambda(f, lam, eps, moll, P).value == _padded_m_eps(f, lam, eps, moll)
+        assert e_lambda(f, lam, eps, moll, P).value == _padded_e(f, lam, eps, moll)
+
+
+class TestHalfLattice:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_halves_the_full_lattice(self, d):
+        J, weight = _kernel_lattice(P, d, 2.0, 0.5, 0.25)
+        full, _ = _full_lattice(d, 2.0, 0.5, 0.25)
+        both = np.concatenate([J, -J[weight == 2.0]])
+        assert sorted(map(tuple, both.tolist())) == sorted(map(tuple, full.tolist()))
+        assert np.all(J[weight == 1.0] == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=2),
+           n=st.integers(min_value=1, max_value=24),
+           density=st.floats(min_value=0.05, max_value=1.0),
+           gaps=st.lists(st.lists(st.integers(min_value=-14, max_value=14),
+                                  min_size=2, max_size=2),
+                         min_size=1, max_size=6),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_gap_sum_is_even_on_indicators(self, d, n, density, gaps, seed):
+        f = random_indicator(float(n), 1.0, d, density, seed=seed)
+        J = np.array(gaps)[:, :d]
+        assert np.array_equal(_gap_sums(f, J), _gap_sums(f, -J))
+
+
+class TestSharedSums:
+    def test_matches_separate_forms_on_signed_box(self, moll):
+        lam, eps = 2.0, 0.5
+        f = _signed_box(8.0, 96, 2, seed=5)
+        shared = decomposition_forms(f, lam, eps, moll, P)[:3]
+        separate = (m_eps_lambda(f, lam, eps, moll, P), m_lambda(f, lam, moll, P),
+                    e_lambda(f, lam, eps, moll, P))
+        for got, ref in zip(shared, separate):
+            assert (got.kind, got.eps) == (ref.kind, ref.eps)
+            assert got.value == pytest.approx(ref.value, rel=REL)
+            assert got.quadrature_error == pytest.approx(ref.quadrature_error, rel=REL)
