@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lpgeom import SphereQuadrature, _as_p
+from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
 from .util import spawn_rng
@@ -120,18 +120,23 @@ class FormValue:
     quadrature_error: float
 
 
+def _max_step(lam: float, eps: float, p: float) -> float:
+    """Largest grid step that resolves the width-eps shell at scale lam."""
+    return eps * lam / (8.0 * p)
+
+
 def _check_scale(f: BoxFunction, lam: float, eps: float, p: float) -> None:
     if lam > f.N / 4.0 + 1e-12:
         raise ValueError(f"gap scale {lam} too large for box {f.N} (needs lam <= N/4)")
-    if f.h > eps * lam / (8.0 * p) + 1e-12:
+    if f.h > _max_step(lam, eps, p) + 1e-12:
         raise ValueError(
             f"grid step {f.h} under-resolves the width-{eps} shell at scale {lam}; "
-            f"needs h <= {eps * lam / (8.0 * p):.4g}")
+            f"needs h <= {_max_step(lam, eps, p):.4g}")
 
 
-def resolved_grid(N: float, lam: float, eps: float, p: float) -> tuple[int, float]:
+def resolved_grid(N: float, lam: float, eps: float, p) -> tuple[int, float]:
     """(n, h): the fewest equal cells filling [0, N] that resolve the width-eps shell at lam."""
-    n = int(np.ceil(N / (eps * lam / (8.0 * p))))
+    n = int(np.ceil(N / _max_step(lam, eps, valid_exponent(p))))
     return n, N / n
 
 
@@ -141,7 +146,7 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     j = 0 has weight 1; every other kept gap has its first nonzero coordinate
     positive and weight 2, since it stands for both j and -j.
     """
-    R = lam * (1.0 + 2.0 * eps) ** (1.0 / p)
+    R = KernelParams(p, d, lam, eps).support_radius
     jmax = int(np.floor(R / h)) + 1
     ax = np.arange(-jmax, jmax + 1)
     grids = np.meshgrid(*([ax] * d), indexing="ij")
@@ -184,11 +189,10 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
 
 def _grid_params(f: BoxFunction, lam: float, eps: float, p) -> KernelParams:
     """Width-eps kernel parameters at lam, once f's dimension and grid step are checked."""
-    pv = _as_p(p)
     if f.d not in (1, 2):
         raise ValueError("grid forms support d in {1, 2}")
-    params = KernelParams(pv, f.d, lam, eps)  # rejects a non-finite radius up front
-    _check_scale(f, lam, eps, pv)
+    params = KernelParams(p, f.d, lam, eps)  # rejects a bad exponent or radius up front
+    _check_scale(f, lam, eps, params.p)
     return params
 
 
@@ -349,9 +353,8 @@ def full_box_mollified_oracle(lam: float, eps: float, m: MollifierPair, p, d: in
     (the span's kink at N/2 is one more edge) in one dimension, the
     positive-quadrant rule in two.
     """
-    pv = _as_p(p)
-    params = KernelParams(pv, d, lam, eps)
-    R = params.support_radius
+    params = KernelParams(p, d, lam, eps)
+    pv, R = params.p, params.support_radius
     spans = lambda y: np.clip(N - 2.0 * y, 0.0, None)
     kern = lambda y: omega_eps_eval(y, params, m)
     if d == 1:
@@ -402,7 +405,7 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     for a, b in zip(lams, lams[1:]):
         if b < 2.0 * a:
             raise ValueError("scale sequence must at least double at each step")
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     c1 = c1_eps(eps, pv, f.d, m)
     energies = [abs(e_lambda(f, lam, eps, m, pv, c1=c1).value) ** 2 for lam in lams]
     total = math.fsum(energies)
@@ -468,7 +471,7 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
     Ensembles alternate i.i.d. cell draws with structured stripes; the
     observed minimum of M_lam / N^d is the empirical density constant.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if lam > N / 8.0:
         raise ValueError("scale must satisfy lam <= N/8 for the boundary-sensitive run")
     if h is None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import even_bump
-from .lpgeom import _as_p
+from .lpgeom import valid_exponent
 from .mollifier import KernelParams, MollifierPair, omega_eps_eval
 
 BRUTE_FORCE_TUPLE_BUDGET = 10**8
@@ -189,7 +189,7 @@ def delta_u2_profile(F: CyclicGridFunction):
 
 def _embedding_period(eta: float, eps: float, p: float, lam: float) -> float:
     """Cyclic period of the kernel embedding: five support diameters of the wider shell."""
-    R = lam * (1.0 + 2.0 * max(eta, eps)) ** (1.0 / p)
+    R = KernelParams(p, 1, lam, max(eta, eps)).support_radius  # the same in every dimension
     return 5.0 * R  # orthant-restricted support has one-sided diameter R
 
 
@@ -262,7 +262,7 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
     limit would require dimensions beyond desk scale, so the probe
     reports a divergence rate rather than a Cauchy tail.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if eta == eps:
         return U3Distance(eta=eta, eps=eps, value=0.0, M=M, d=d, cell=0.0)
     F = embed_kernel_difference(eta, eps, pv, d, M, m, lam=lam)
@@ -274,7 +274,7 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
 # ---------------------------------------------------------------------------
 
 
-def oscillation_resolved(p: float, t: float, cell: float) -> bool:
+def _oscillation_resolved(p: float, t: float, cell: float) -> bool:
     """Whether the grid resolves the phase oscillation of e^{it |y|^p} on the cutoff support."""
     return abs(t) * p * 3.0 ** (p - 1.0) * cell <= 0.5
 
@@ -299,13 +299,13 @@ def u3_tensor_check(p, t: float, M: int = 64, d: int = 2,
     at any resolution; ``resolved`` reports whether the grid additionally
     samples the continuum oscillation faithfully.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if d != 2:
         raise ValueError("tensor check is defined for d = 2")
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
     cell = period / M
-    resolved = oscillation_resolved(pv, t, cell)
+    resolved = _oscillation_resolved(pv, t, cell)
     if require_resolved and not resolved:
         raise ValueError("grid under-samples the requested oscillation")
     ax = (np.arange(M) - M // 2) * cell

@@ -20,7 +20,7 @@ approximate it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -34,33 +34,18 @@ NODE_TOL_GRAPH = 1e-10
 SHELL_HALF_WIDTH = 1e-3  # half-width h of the MC shell in u = ||y||_p^p
 
 
-@dataclass(frozen=True)
-class LpExponent:
-    """The metric exponent with its derived decay indices.
-
-    ``r`` is the oscillatory decay index max(p+1, 2p-1) and ``gamma`` the
-    derived smoothing exponent 1/(8r).  ``degenerate`` flags p in {1, 2},
-    where the gap-restriction phenomenon collapses; those values are
-    accepted for counterexample demonstrations but rejected by the
-    progression-theorem experiments.
-    """
-
-    p: float
-    degenerate: bool = field(init=False)
-    r: float = field(init=False)
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise ValueError(f"exponent must be finite and >= 1, got {self.p}")
-        object.__setattr__(self, "degenerate", self.p in (1.0, 2.0))
-        r = self.p + 1.0 if self.p < 2.0 else 2.0 * self.p - 1.0
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "gamma", 1.0 / (8.0 * r))
+# The exponents at which the progression theorem fails (the l1 and l2 metrics):
+# the progression experiments reject them, and the decay and stationary checks
+# take their no-decay and zero-floor branches.
+DEGENERATE_P = (1.0, 2.0)
 
 
-def _as_p(p) -> float:
-    return p.p if isinstance(p, LpExponent) else float(p)
+def valid_exponent(p) -> float:
+    """The exponent as a float; a NaN, an infinite or a below-one p is rejected."""
+    pv = float(p)
+    if not (math.isfinite(pv) and pv >= 1.0):
+        raise ValueError(f"exponent must be finite and >= 1, got {p}")
+    return pv
 
 
 def as_vector(y) -> np.ndarray:
@@ -75,7 +60,7 @@ def as_vector(y) -> np.ndarray:
 def lp_norm(y, p) -> float:
     """(sum |y_i|^p)^(1/p)."""
     y = as_vector(y)
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if pv == 1.0:
         return float(np.sum(np.abs(y)))
     if pv == 2.0:
@@ -85,7 +70,7 @@ def lp_norm(y, p) -> float:
 
 def lp_norm_batch(ys: np.ndarray, p) -> np.ndarray:
     """Row-wise lp norm of an (n, d) array."""
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     ys = np.asarray(ys, dtype=float)
     return np.sum(np.abs(ys) ** pv, axis=-1) ** (1.0 / pv)
 
@@ -97,7 +82,7 @@ def grad_q_magnitude(y, p) -> float:
     Undefined at the origin, where the surface density 1/|grad Q| blows up.
     """
     y = as_vector(y)
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if not np.any(y != 0.0):
         raise ValueError("gradient magnitude undefined at the origin")
     return float(pv * np.sqrt(np.sum(np.abs(y) ** (2.0 * (pv - 1.0)))))
@@ -110,7 +95,7 @@ def unit_ball_volume(p, d: int, mode: str = "closed-form", n_samples: int = 10**
     ``closed-form`` evaluates 2^d Gamma(1+1/p)^d / Gamma(1+d/p); ``mc``
     is a hit-or-miss estimate from the bounding cube (d <= 6).
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if mode == "closed-form":
         return float(2.0**d * special.gamma(1.0 + 1.0 / pv) ** d / special.gamma(1.0 + d / pv))
     if mode == "mc":
@@ -131,7 +116,7 @@ def unit_ball_volume(p, d: int, mode: str = "closed-form", n_samples: int = 10**
 
 def sigma_total_mass(p, d: int) -> float:
     """Closed-form total mass of the normalized sphere measure: (d/p) nu_p."""
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     return d / pv * unit_ball_volume(pv, d)
 
 
@@ -247,7 +232,7 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
     {1,2,3}; shell Monte Carlo supports d <= 8.  Output is deterministic
     given (inputs, seed).
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"radius must be positive and finite, got {lam}")
     if mode == MODE_GRAPH:

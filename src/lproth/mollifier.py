@@ -26,13 +26,13 @@ form's independent oracle, omega_eps_direct_oscillatory, keeps adaptive quad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
-from .lpgeom import _as_p, unit_ball_volume
+from .lpgeom import unit_ball_volume, valid_exponent
 from .util import spawn_rng
 
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
@@ -119,12 +119,11 @@ class KernelParams:
     eps: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "p", valid_exponent(self.p))
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"width must lie in (0, 1], got {self.eps}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"radius must be positive and finite, got {self.lam}")
-        if not math.isfinite(self.p):
-            raise ValueError(f"exponent must be finite, got {self.p}")
 
     @property
     def support_radius(self) -> float:
@@ -207,9 +206,8 @@ def kernel_mass_mc(params: KernelParams, m: MollifierPair, n: int = 10**6,
 
 def c1_eps(eps: float, p, d: int, m: MollifierPair) -> float:
     """Mass ratio c1(eps): integral of omega_eps over integral of omega; c1(1) = 1 exactly."""
-    pv = _as_p(p)
-    num = kernel_total_mass(KernelParams(pv, d, 1.0, eps), m)
-    den = kernel_total_mass(KernelParams(pv, d, 1.0, 1.0), m)
+    num = kernel_total_mass(KernelParams(p, d, 1.0, eps), m)
+    den = kernel_total_mass(KernelParams(p, d, 1.0, 1.0), m)
     return num / den
 
 
@@ -260,7 +258,7 @@ def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
         r, wq = _radial_rule(_shell_edges(params.p, params.eps, params.lam, cancelled=True), w)
         return complex(2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r))), 0.0)
     eta = np.asarray(eta, dtype=float)
-    R = params.lam * 3.0 ** (1.0 / params.p)
+    R = replace(params, eps=1.0).support_radius  # the union support of the two kernels
     width = 2.0 * params.eps * params.lam / params.p
     n_min = max(24.0 * R / max(width, 1e-3), 4.0 * R * float(np.max(np.abs(eta))) / np.pi)
     osc = lambda Y1, Y2: np.cos(Y1 * eta[0]) * np.cos(Y2 * eta[1])

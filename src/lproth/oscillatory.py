@@ -38,7 +38,7 @@ from scipy import fft as sfft
 from scipy.interpolate import CubicSpline
 
 from .bumps import FALL_HI, RISE_LO, phi_plus
-from .lpgeom import LpExponent, _as_p
+from .lpgeom import DEGENERATE_P, valid_exponent
 from .mollifier import KernelParams, MollifierPair, build_cancelled_kernel
 
 KL_HALF = 0.5  # shifts are truncated to |k|, |l| <= 1/2
@@ -64,6 +64,9 @@ class PhaseFamily:
     p: float
     k: float
     l: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", valid_exponent(self.p))
 
     def admissible_interval(self) -> tuple[float, float]:
         return _admissible_interval(self.k, self.l)
@@ -135,7 +138,7 @@ def _panel_count(p: float, t: float, k: float, l: float, lo: float, hi: float,
 
     The degenerate exponents have a constant phase and keep the 512 floor.
     """
-    if p in (1.0, 2.0):
+    if p in DEGENERATE_P:
         n = 512
     else:
         prange = abs(t) * _max_abs_dpsi(p, k, l, lo, hi) * (hi - lo)
@@ -212,7 +215,7 @@ def i_of_t(p, t: float, n_kl: int = 48) -> float:
     stands for its orbit: 4 cells in general, 2 on the diagonal or the
     anti-diagonal, 1 at the centre when n_kl is odd.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x
     wk = KL_HALF * w
@@ -233,7 +236,7 @@ def i_of_t_lattice(p, t: float, n_kl: int = 64, n_y: int = 4096) -> float:
     shifted-product Riemann sum of one precomputed modulated window vector;
     no Gauss nodes and no adaptive panels are shared with the primary path.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     h_kl = 2.0 * KL_HALF / n_kl
     span_lo = RISE_LO - 2.0 * KL_HALF
     span_hi = FALL_HI
@@ -262,6 +265,12 @@ def i_of_t_lattice(p, t: float, n_kl: int = 64, n_y: int = 4096) -> float:
     return float(total * h_kl * h_kl)
 
 
+def decay_index(p) -> float:
+    """The decay index r = max(p + 1, 2p - 1) of I(t) ~ t^(-1/r)."""
+    p = valid_exponent(p)
+    return p + 1.0 if p < 2.0 else 2.0 * p - 1.0
+
+
 @dataclass
 class DecayFit:
     t_samples: list
@@ -279,7 +288,7 @@ def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> De
     every sample; measured decay may be strictly faster than 1/r, so only
     the one-sided comparison is meaningful.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if t_samples is None:
         t_samples = list(np.logspace(1.0, 4.0, 7))
     ts = [float(t) for t in t_samples]
@@ -291,10 +300,10 @@ def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> De
     if max(vals) < 1e-12:
         raise RuntimeError("all values below the quadrature noise floor; fit degenerate")
     slope = float(np.polyfit(np.log(ts), np.log(np.maximum(vals, 1e-300)), 1)[0])
-    r = LpExponent(pv).r
+    r = decay_index(pv)
     c_fit = float(max(v * t ** (1.0 / r) for v, t in zip(vals, ts)))
     return DecayFit(t_samples=ts, values=vals, slope=slope, r_theory=r, c_fit=c_fit,
-                    degenerate=pv in (1.0, 2.0))
+                    degenerate=pv in DEGENERATE_P)
 
 
 @dataclass
@@ -309,13 +318,13 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     """Grid minimum of |psi'| over shifts with |k|, |l| in [eta, 1/2].
 
     Evaluation points keep all four shifted arguments inside the support
-    window truncated at eta.  For p = 2 the derivative vanishes identically
-    and the degenerate flag is set.
+    window truncated at eta.  For the degenerate p in {1, 2} the derivative
+    vanishes identically and the degenerate flag is set.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if not (0.0 < eta < 0.5):
         raise ValueError("eta must lie in (0, 0.5)")
-    if pv == 2.0:
+    if pv in DEGENERATE_P:
         return StationaryBound(eta=eta, min_abs_dpsi=0.0, min_normalized=0.0, degenerate=True)
     mags = np.linspace(eta, KL_HALF, _STATIONARY_GRID)
     signs = np.array([-1.0, 1.0])
@@ -390,7 +399,7 @@ class TransformTable:
 
 
 def build_transform_table(p, eps: float, m: MollifierPair) -> TransformTable:
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     L = math.pi / 0.02  # frequency spacing of the cosine table
     # a smooth interval count keeps the DCT-I fast; scale by the real step, not _TABLE_R_STEP
     n_r = sfft.next_fast_len(math.ceil(L / _TABLE_R_STEP), real=True) + 1

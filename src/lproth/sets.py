@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import BoxFunction, random_indicator
-from .lpgeom import _as_p, lp_norm, lp_norm_batch, sphere_quadrature
+from .lpgeom import DEGENERATE_P, lp_norm, lp_norm_batch, sphere_quadrature, valid_exponent
 from .util import spawn_rng
 
 BOURGAIN_SHELL = 0.1
@@ -101,7 +101,7 @@ def parallelogram_check(x, y, p) -> tuple[float, float, float]:
     The gap vanishes identically for p = 2 and generically does not
     otherwise; that failure is what unlocks unrestricted gap lengths.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lhs = 2.0 * float(np.sum(np.abs(y) ** pv))
@@ -178,7 +178,7 @@ def gap_spectrum_sample(A: PointSet, p, box_hi: float, n_hits: int,
     the budget is an admissible outcome (it is the expected one for
     forbidden-gap probes).
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     rng = spawn_rng(seed, 13)
     gaps = []
     hits = 0
@@ -217,7 +217,7 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     construction and only the three memberships are at stake.  Any
     returned witness is re-verified independently before release.
     """
-    pv = _as_p(p)
+    pv = valid_exponent(p)
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     rng = spawn_rng(seed, 17)
@@ -293,8 +293,8 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: LacunarySequ
     counts as realized when at least one scale yields a verified witness.
     Failures are findings, not errors.
     """
-    pv = _as_p(p)
-    if pv in (1.0, 2.0):
+    pv = valid_exponent(p)
+    if pv in DEGENERATE_P:
         raise ValueError("degenerate exponents are rejected by the progression experiment")
     if d > 3:
         raise ValueError("experiment supports d <= 3")

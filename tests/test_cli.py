@@ -70,6 +70,9 @@ class TestConfigParsing:
             ExperimentConfig(suite="forms", d=11).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(suite="nope").validate()
+        for p in (math.nan, math.inf, 0.5, -1.0):
+            with pytest.raises(ConfigError, match="exponent must be finite and >= 1"):
+                ExperimentConfig(suite="oscillatory", p=p).validate()
 
     def test_usage_exit_code(self, capsys):
         assert cli.main(["run"]) == 1
@@ -305,6 +308,22 @@ class TestRunSuite:
         assert code == 0
         rec = next(r for r in report["records"] if r["anchor"] == "decay-envelope")
         assert rec["passed"]  # no-decay branch of the dichotomy
+
+    def test_stationary_floor_at_p_1(self, tmp_path):
+        # psi' = 1 + 1 - 1 - 1 vanishes identically at p = 1, as at p = 2
+        cfg = ExperimentConfig(suite="oscillatory", p=1.0, kl_nodes=8, seed=7,
+                               out_dir=str(tmp_path / "out"))
+        report, _, _ = run_suite(cfg)
+        rec = next(r for r in report["records"] if r["anchor"] == "stationary-lower-bound")
+        assert rec["passed"] and rec["bound"] == 0.0
+        assert rec["values"]["min_abs_dpsi"] == 0.0
+
+    def test_forms_suite_off_the_quarter_grid(self, capsys, tmp_path):
+        # at p = 1.2 the forms grid has 615 cells on [0, 32], so 8 is not a whole
+        # number of cells; the translation check must still build its box
+        assert cli.main(["run", "--suite", "forms", "--p", "1.2",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert "fail: 0" in capsys.readouterr().out
 
     def test_csv_report_format(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path / "out"), fmt="csv")

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import lpgeom
+from lproth import lpgeom, oscillatory, sets
 from lproth.lpgeom import (
-    LpExponent,
+    DEGENERATE_P,
     grad_q_magnitude,
     lp_norm,
     sigma_mass_invariance,
     sigma_total_mass,
     sphere_quadrature,
     unit_ball_volume,
+    valid_exponent,
 )
+from lproth.mollifier import KernelParams
 
 # scalar oracle (30-digit arithmetic): (1 + 2^1.5)^(2/3)
 LP_NORM_1_M2_P15 = 2.4472608147714755
@@ -22,22 +24,42 @@ LP_NORM_1_M2_P15 = 2.4472608147714755
 GRADQ_1_05_P15 = 1.8371173070873836
 
 
-class TestLpExponent:
+BAD_EXPONENTS = [math.nan, math.inf, -math.inf, 0.5, -1.0]
+
+# entry points that take p, each called with a bad p and valid other arguments
+ENTRY_POINTS = {
+    "lp_norm": lambda p: lp_norm([1.0, 2.0], p),
+    "sphere_quadrature": lambda p: sphere_quadrature(p, 2, 1.0, n=64),
+    "sigma_total_mass": lambda p: sigma_total_mass(p, 2),
+    "i_of_t": lambda p: oscillatory.i_of_t(p, 10.0, n_kl=4),
+    "stationary_lower_bound_check": lambda p: oscillatory.stationary_lower_bound_check(p, 0.1),
+    "parallelogram_check": lambda p: sets.parallelogram_check([1.0, 1.0], [1.0, 0.0], p),
+    "progression_search": lambda p: sets.progression_search(
+        sets.full_box_set(2, 16.0), p, 2.0, tol=1e-6, budget=10, box_hi=16.0),
+    "KernelParams": lambda p: KernelParams(p, 1, 1.0, 0.5),
+    "PhaseFamily": lambda p: oscillatory.PhaseFamily(p, 0.3, 0.1),
+}
+
+
+class TestValidExponent:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LpExponent(0.5)
-        with pytest.raises(ValueError):
-            LpExponent(float("inf"))
+        for p in BAD_EXPONENTS:
+            with pytest.raises(ValueError, match="exponent must be finite and >= 1"):
+                valid_exponent(p)
 
-    def test_degenerate_flags(self):
-        assert LpExponent(2.0).degenerate
-        assert LpExponent(1.0).degenerate
-        assert not LpExponent(1.5).degenerate
+    def test_returns_the_float(self):
+        assert valid_exponent(1) == 1.0 and type(valid_exponent(1)) is float
+        assert valid_exponent(np.float64(1.5)) == 1.5
+        assert valid_exponent(1e306) == 1e306
 
-    def test_decay_indices(self):
-        assert LpExponent(1.5).r == pytest.approx(2.5)
-        assert LpExponent(3.0).r == pytest.approx(5.0)
-        assert LpExponent(3.0).gamma == pytest.approx(1.0 / 40.0)
+    def test_degenerate_set(self):
+        assert DEGENERATE_P == (1.0, 2.0)
+
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_entry_points_reject(self, name, p):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            ENTRY_POINTS[name](p)
 
 
 class TestLpNorm:

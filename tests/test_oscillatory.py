@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lproth.bumps import phi_plus
-from lproth.lpgeom import LpExponent
 from lproth.oscillatory import (
     KL_HALF,
     PhaseFamily,
@@ -18,6 +17,7 @@ from lproth.oscillatory import (
     _window_product,
     build_transform_table,
     decay_fit,
+    decay_index,
     dist_to_degenerate_subspace,
     fit_stationary_exponent,
     i_of_t,
@@ -185,9 +185,13 @@ class TestFundamentalDomain:
 
 class TestDecayFit:
     def test_theory_indices(self):
-        assert LpExponent(1.5).r == pytest.approx(2.5)
-        assert LpExponent(3.0).r == pytest.approx(5.0)
-        assert LpExponent(2.0).r == pytest.approx(3.0)
+        # r = max(p + 1, 2p - 1), the two branches meeting at p = 2
+        assert decay_index(1.0) == 2.0
+        assert decay_index(1.5) == 2.5
+        assert decay_index(2.0) == 3.0
+        assert decay_index(3.0) == 5.0
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            decay_index(0.5)
 
     def test_envelope_definition_covers_samples(self):
         fit = decay_fit(3.0, list(np.logspace(1, 3.2, 6)), n_kl=16)
@@ -203,8 +207,10 @@ class TestDecayFit:
 
 class TestStationaryBound:
     def test_quadratic_degenerate(self):
-        out = stationary_lower_bound_check(2.0, 0.1)
-        assert out.degenerate and out.min_abs_dpsi == 0.0
+        # psi' vanishes identically at p = 2 and at p = 1 (1 + 1 - 1 - 1)
+        for p in (2.0, 1.0):
+            out = stationary_lower_bound_check(p, 0.1)
+            assert out.degenerate and out.min_abs_dpsi == 0.0
 
     def test_cubic_positive_floor(self):
         out = stationary_lower_bound_check(3.0, 0.1)
