@@ -62,6 +62,13 @@ class TestValidExponent:
             ENTRY_POINTS[name](p)
 
 
+class TestLpExponent:
+    def test_decay_indices(self):
+        # r = max(p + 1, 2p - 1) on either side of p = 2
+        assert oscillatory.decay_index(1.5) == pytest.approx(2.5)
+        assert oscillatory.decay_index(3.0) == pytest.approx(5.0)
+
+
 class TestLpNorm:
     def test_pythagorean(self):
         assert lp_norm([3.0, 4.0], 2.0) == pytest.approx(5.0, abs=1e-14)
