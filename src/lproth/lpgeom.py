@@ -19,6 +19,7 @@ approximate it:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,18 @@ def _orthant_signs(d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _jacobi_axis(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on [-1, 1], computed once per (n, alpha, beta).
+
+    The arrays are shared by every later call, so they are read-only.
+    """
+    x, w = special.roots_jacobi(n, alpha, beta)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _graph_rule(p: float, d: int, lam: float, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Positive-orthant rule built natively at radius lam.
 
@@ -176,7 +189,7 @@ def _graph_rule(p: float, d: int, lam: float, nodes_per_axis: int) -> tuple[np.n
     for j in range(1, d):
         alpha = (d - j) / p - 1.0  # exponent of (1 - t)
         beta = 1.0 / p - 1.0  # exponent of t
-        x, w = special.roots_jacobi(nodes_per_axis, alpha, beta)
+        x, w = _jacobi_axis(nodes_per_axis, alpha, beta)
         axes_t.append(0.5 * (x + 1.0))
         axes_w.append(w * 0.5 ** (alpha + beta + 1.0))
     tg = np.meshgrid(*axes_t, indexing="ij")

@@ -46,6 +46,7 @@ _NODES_PER_PERIOD = 16  # Simpson points per period of the running phase
 _INNER_REL_TOL = 1e-8  # doubling stops once I_{k,l}(t) moves by less than this
 _INNER_N_MAX = 1 << 22  # panel budget of inner_integral's doubling
 _CELL_N_MAX = 1 << 21  # panel budget of one i_of_t shift cell
+_CHUNK_POINTS = 1 << 17  # Simpson nodes per array pass of i_of_t; bounds its memory
 _STATIONARY_GRID = 40  # shift magnitudes per sign in stationary_lower_bound_check
 _TABLE_U_MAX = 4000.0  # largest tabulated transform argument
 _TABLE_R_STEP = 2.5e-4  # largest radial step of the cosine-transform grid
@@ -187,18 +188,57 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PE
         n *= 2
 
 
+def _shift_cells(p: float, t: float, ks: Sequence[float], ls: Sequence[float]) -> list:
+    """|I_{k,l}(t)|^2 for each shift pair (k, l) by composite Simpson at the
+    panel count sized to the oscillation.
+
+    Every panel count is fixed, and checked against the budget, before any
+    cell is evaluated.  The Simpson nodes of consecutive cells then share one
+    flat array of at most _CHUNK_POINTS nodes (a larger cell fills one on its
+    own).  Each cell keeps the nodes np.linspace(lo, hi, n + 1) gives,
+    i * (hi - lo) / n + lo with the last node at hi, and its own dot product,
+    so its value does not depend on the cells it is evaluated with.
+    """
+    ks = np.asarray(ks, dtype=float)
+    ls = np.asarray(ls, dtype=float)
+    cells = []  # (position, lo, hi, n) of every admissible cell
+    for c, (k, l) in enumerate(zip(ks, ls)):
+        lo, hi = _admissible_interval(k, l)
+        if hi <= lo:
+            continue
+        n = _panel_count(p, t, k, l, lo, hi, _NODES_PER_PERIOD)
+        if n > _CELL_N_MAX:
+            raise RuntimeError("oscillatory budget exceeded at the requested modulation")
+        cells.append((c, lo, hi, n))
+    out = [0.0] * len(ks)
+    weights = {}  # Simpson weights / 3 by panel count
+    start = 0
+    while start < len(cells):
+        stop, points = start + 1, cells[start][3] + 1
+        while stop < len(cells) and points + cells[stop][3] + 1 <= _CHUNK_POINTS:
+            points += cells[stop][3] + 1
+            stop += 1
+        pos, lo, hi, n = (np.array(v) for v in zip(*cells[start:stop]))
+        size = n + 1
+        first = np.cumsum(size) - size  # offset of each cell's first node
+        y = ((np.arange(points) - np.repeat(first, size)) * np.repeat((hi - lo) / n, size)
+             + np.repeat(lo, size))
+        y[first + n] = hi
+        k = np.repeat(ks[pos], size)
+        l = np.repeat(ls[pos], size)
+        f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
+        for c, lo_c, hi_c, n_c, s in zip(pos.tolist(), lo, hi, n.tolist(), first.tolist()):
+            if n_c not in weights:
+                weights[n_c] = _simpson_weights(n_c) / 3.0
+            val = (hi_c - lo_c) / n_c * np.dot(weights[n_c], f[s:s + n_c + 1])
+            out[c] = val.real**2 + val.imag**2
+        start = stop
+    return out
+
+
 def _shift_cell(p: float, t: float, k: float, l: float) -> float:
-    """|I_{k,l}(t)|^2 by composite Simpson at the panel count sized to the oscillation."""
-    lo, hi = _admissible_interval(k, l)
-    if hi <= lo:
-        return 0.0
-    n = _panel_count(p, t, k, l, lo, hi, _NODES_PER_PERIOD)
-    if n > _CELL_N_MAX:
-        raise RuntimeError("oscillatory budget exceeded at the requested modulation")
-    y = np.linspace(lo, hi, n + 1)
-    f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
-    val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
-    return val.real**2 + val.imag**2
+    """|I_{k,l}(t)|^2 of one shift pair, through the same path as i_of_t."""
+    return _shift_cells(p, t, [k], [l])[0]
 
 
 def i_of_t(p, t: float, n_kl: int = 48) -> float:
@@ -219,12 +259,14 @@ def i_of_t(p, t: float, n_kl: int = 48) -> float:
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x
     wk = KL_HALF * w
+    domain = [(i, j) for i in range(n_kl) for j in range(min(i, n_kl - 1 - i) + 1)]
+    cells = iter(_shift_cells(pv, t, [ks[i] for i, _ in domain], [ks[j] for _, j in domain]))
     total = 0.0
-    for i, (a, wa) in enumerate(zip(ks, wk)):
+    for i, wa in enumerate(wk):
         row = 0.0
         for j in range(min(i, n_kl - 1 - i) + 1):
             mult = (1.0 if j == i else 2.0) * (1.0 if i + j == n_kl - 1 else 2.0)
-            row += mult * wk[j] * _shift_cell(pv, t, a, ks[j])
+            row += mult * wk[j] * next(cells)
         total += wa * row
     return float(total)
 

@@ -18,6 +18,7 @@ as exhaustion, with the budget attached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,25 +51,29 @@ class PointSet:
         return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
+        """Membership of each row of an (n, dim) array.
+
+        Works one coordinate column at a time; the squared radius adds the
+        columns left to right, the order a row sum over so few entries takes.
+        """
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.dim:
-            raise ValueError("dimension mismatch")
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (n, {self.dim}), got {X.shape}")
+        cols = X.T
         if self.kind == "bourgain":
-            r2 = np.sum(X * X, axis=1)
+            r2 = functools.reduce(np.add, (c * c for c in cols))
             return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
         if self.kind == "lattice-cube":
-            return np.all(np.abs(X - np.round(X)) <= self.eps0, axis=1)
+            return functools.reduce(np.logical_and,
+                                    (np.abs(c - np.round(c)) <= self.eps0 for c in cols))
         if self.kind == "full-box":
-            return np.all((X >= 0.0) & (X <= self.N), axis=1)
+            return functools.reduce(np.logical_and, ((c >= 0.0) & (c <= self.N) for c in cols))
         if self.kind == "grid-indicator":
             f = self.box
-            inside = np.all((X >= 0.0) & (X < f.N), axis=1)
-            out = np.zeros(X.shape[0], dtype=bool)
-            if np.any(inside):
-                idx = np.floor(X[inside] / f.h).astype(int)
-                flat = f.values[tuple(idx.T)] if f.d > 1 else f.values[idx[:, 0]]
-                out[inside] = flat > 0.5
-            return out
+            inside = functools.reduce(np.logical_and, ((c >= 0.0) & (c < f.N) for c in cols))
+            # rows outside the box look up cell 0 and are masked out after
+            idx = tuple(np.floor(np.where(inside, c, 0.0) / f.h).astype(int) for c in cols)
+            return (f.values[idx] > 0.5) & inside
         raise ValueError(f"unknown set kind {self.kind!r}")
 
     def estimate_density(self, box_hi: float, n: int = 10**5, seed: int = 0) -> float:

@@ -189,6 +189,29 @@ class TestSphereQuadrature:
         b = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_graph_rule_repeats_and_owns_its_arrays(self, d):
+        first = sphere_quadrature(1.5, d, 2.0, n=512)
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        again = sphere_quadrature(1.5, d, 2.0, n=512)
+        assert np.array_equal(again.nodes, nodes) and np.array_equal(again.weights, weights)
+
+    def test_jacobi_axes_cached_read_only(self, monkeypatch):
+        calls = []
+        roots = lpgeom.special.roots_jacobi
+        monkeypatch.setattr(lpgeom.special, "roots_jacobi",
+                            lambda *a: calls.append(a) or roots(*a))
+        lpgeom._jacobi_axis.cache_clear()
+        for _ in range(3):
+            sphere_quadrature(1.5, 3, 1.0, n=512)
+        assert len(calls) == 2  # one per slice axis, on the first call only
+        x, w = lpgeom._jacobi_axis(*calls[0])
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
     def test_mass_reduction_order_independent(self, rng):
         rule = sphere_quadrature(1.5, 2, 1.0, n=1024)
         base = rule.total_mass

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lproth import oscillatory
 from lproth.bumps import phi_plus
 from lproth.oscillatory import (
     KL_HALF,
@@ -181,6 +183,53 @@ class TestFundamentalDomain:
         negated = _shift_cell(p, t, ks[n_kl - 1 - i], ks[n_kl - 1 - j])
         for other in (swapped, negated):
             assert abs(other - cell) <= 1e-9 * cell + 1e-14
+
+
+def i_of_t_cell_loop(p, t, n_kl):
+    """Reference I(t): the fundamental-domain sum with every cell on its own np.linspace grid."""
+    x, w = np.polynomial.legendre.leggauss(n_kl)
+    ks, wk = KL_HALF * x, KL_HALF * w
+    total = 0.0
+    for i, wa in enumerate(wk):
+        row = 0.0
+        for j in range(min(i, n_kl - 1 - i) + 1):
+            k, l = ks[i], ks[j]
+            lo, hi = _admissible_interval(k, l)
+            n = _panel_count(p, t, k, l, lo, hi, 16)
+            y = np.linspace(lo, hi, n + 1)
+            f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
+            val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
+            mult = (1.0 if j == i else 2.0) * (1.0 if i + j == n_kl - 1 else 2.0)
+            row += mult * wk[j] * (val.real**2 + val.imag**2)
+        total += wa * row
+    return float(total)
+
+
+class TestArrayPass:
+    """i_of_t evaluates many shift cells in one array and must equal the per-cell loop bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 10.0, -100.0, 1e3])
+    @pytest.mark.parametrize("n_kl", [7, 8, 24])
+    def test_equals_cell_loop(self, p, t, n_kl):
+        assert i_of_t(p, t, n_kl=n_kl) == i_of_t_cell_loop(p, t, n_kl)
+
+    @pytest.mark.parametrize("chunk", [100, 1300, 5000])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # 100: every cell alone and over the budget; 1300, 5000: chunks end mid-grid
+        monkeypatch.setattr(oscillatory, "_CHUNK_POINTS", chunk)
+        for p, t in ((1.5, 10.0), (3.0, 300.0), (2.0, 10.0)):
+            assert i_of_t(p, t, n_kl=8) == i_of_t_cell_loop(p, t, 8)
+
+    def test_budget_checked_before_evaluation(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("a cell was evaluated before the budget check")
+
+        monkeypatch.setattr(oscillatory, "_window_product", no_evaluation)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            i_of_t(3.0, 1e6, n_kl=4)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDecayFit:

@@ -5,6 +5,7 @@ import pytest
 
 from lproth.forms import random_indicator
 from lproth.sets import (
+    BOURGAIN_SHELL,
     GapSpectrum,
     bourgain_set,
     full_box_set,
@@ -53,6 +54,65 @@ class TestLatticeMembership:
         one = np.sum(np.abs(y), axis=1)
         assert np.all(np.abs(sup - np.round(sup)) <= 2 * eps0 + 1e-12)
         assert np.all(np.abs(one - np.round(one)) <= 2 * d * eps0 + 1e-12)
+
+
+def axis_reduction_membership(A, X):
+    """Reference membership: the row reductions over whole (n, d) arrays."""
+    if A.kind == "bourgain":
+        r2 = np.sum(X * X, axis=1)
+        return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
+    if A.kind == "lattice-cube":
+        return np.all(np.abs(X - np.round(X)) <= A.eps0, axis=1)
+    if A.kind == "full-box":
+        return np.all((X >= 0.0) & (X <= A.N), axis=1)
+    f = A.box
+    inside = np.all((X >= 0.0) & (X < f.N), axis=1)
+    out = np.zeros(X.shape[0], dtype=bool)
+    if np.any(inside):
+        idx = np.floor(X[inside] / f.h).astype(int)
+        out[inside] = f.values[tuple(idx.T)] > 0.5
+    return out
+
+
+def boundary_points(d, N, eps0, rng):
+    """Rows on every membership boundary, rows holding a NaN, and random rows."""
+    r2 = np.array([0.1] + [k + s for k in range(1, 6) for s in (-0.1, 0.1)])
+    shell = np.repeat(np.sqrt(r2 / d)[:, None], d, axis=1)  # r^2 = k +- 0.1
+    ints = np.arange(-2.0, 10.0)
+    lattice = np.concatenate([ints - eps0, ints + eps0, ints])
+    box = np.array([0.0, -0.0, N, np.nextafter(N, 0.0), np.nextafter(N, 2 * N),
+                    np.nextafter(0.0, -1.0), N / 2])
+    coords = np.concatenate([lattice, box, np.arange(0.0, N + 0.25, 0.25)])
+    picks = rng.choice(coords, size=(4000, d))
+    bad = rng.choice(coords, size=(30, d))
+    bad[np.arange(30), rng.integers(0, d, 30)] = np.nan
+    return np.concatenate([shell, picks, bad, np.full((1, d), np.nan),
+                           rng.uniform(-1.0, N + 1.0, size=(20000, d))])
+
+
+class TestColumnWiseMembership:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_axis_reductions(self, d, rng):
+        N, eps0 = 8.0, 0.1
+        sets = [bourgain_set(d), lattice_cube_set(d, eps0), full_box_set(d, N),
+                grid_indicator_set(random_indicator(N, 0.5, d, 0.4, seed=3))]
+        X = boundary_points(d, N, eps0, rng)
+        for A in sets:
+            got = A.contains_batch(X)
+            assert got.shape == (X.shape[0],)
+            assert np.array_equal(got, axis_reduction_membership(A, X)), A.kind
+            assert not np.any(got[np.isnan(X).any(axis=1)])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 1), (5, 3), (2, 2, 2)])
+    def test_rejects_malformed_batches(self, shape):
+        with pytest.raises(ValueError, match=r"expected points of shape \(n, 2\)"):
+            bourgain_set(2).contains_batch(np.zeros(shape))
+
+    def test_contains_takes_one_point(self):
+        assert bourgain_set(2).contains([0.6, 0.8])
+        assert not full_box_set(2, 4.0).contains((5.0, 1.0))
+        with pytest.raises(ValueError, match="expected points of shape"):
+            bourgain_set(2).contains([0.6, 0.8, 0.0])
 
 
 class TestParallelogram:
