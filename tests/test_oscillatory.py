@@ -216,7 +216,7 @@ class TestArrayPass:
 
     @pytest.mark.parametrize("chunk", [100, 1300, 5000])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # 100: every cell alone and over the budget; 1300, 5000: chunks end mid-grid
+        # 100: every cell fills a chunk on its own; 1300, 5000: chunks end mid-grid
         monkeypatch.setattr(oscillatory, "_CHUNK_POINTS", chunk)
         for p, t in ((1.5, 10.0), (3.0, 300.0), (2.0, 10.0)):
             assert i_of_t(p, t, n_kl=8) == i_of_t_cell_loop(p, t, 8)
