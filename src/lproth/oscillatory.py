@@ -46,18 +46,31 @@ _NODES_PER_PERIOD = 16  # Simpson points per period of the running phase
 _INNER_REL_TOL = 1e-8  # doubling stops once I_{k,l}(t) moves by less than this
 _INNER_N_MAX = 1 << 22  # panel budget of inner_integral's doubling
 _CELL_N_MAX = 1 << 21  # panel budget of one i_of_t shift cell
-_CHUNK_POINTS = 1 << 17  # Simpson nodes per array pass of i_of_t; bounds its memory
+_CHUNK_POINTS = 1 << 15  # nodes per array pass of i_of_t and of the psi' floor; bounds memory
 _STATIONARY_GRID = 40  # shift magnitudes per sign in stationary_lower_bound_check
 _TABLE_U_MAX = 4000.0  # largest tabulated transform argument
 _TABLE_R_STEP = 2.5e-4  # largest radial step of the cosine-transform grid
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
-def _admissible_interval(k: float, l: float, rise: float = RISE_LO) -> tuple[float, float]:
-    """Points y where y, y+k, y+l and y+k+l all lie inside [rise, FALL_HI]."""
-    lo = rise - min(0.0, k, l, k + l)
-    hi = FALL_HI - max(0.0, k, l, k + l)
+def _admissible_interval(k, l, rise: float = RISE_LO):
+    """Points y where y, y+k, y+l and y+k+l all lie inside [rise, FALL_HI].
+
+    Shift arrays give one interval per pair (k[i], l[i]).
+    """
+    kl = k + l
+    lo = rise - np.minimum(np.minimum(0.0, k), np.minimum(l, kl))
+    hi = FALL_HI - np.maximum(np.maximum(0.0, k), np.maximum(l, kl))
     return lo, hi
+
+
+def _linspace_rows(lo, hi, num: int) -> np.ndarray:
+    """Row i holds np.linspace(lo[i], hi[i], num) bit for bit: i * step + lo, last node hi."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    y = np.arange(num) * ((hi - lo) / (num - 1))[..., None] + lo[..., None]
+    y[..., -1] = hi
+    return y
 
 
 @dataclass(frozen=True)
@@ -128,22 +141,22 @@ def _dpsi_values(y, p: float, k: float, l: float) -> np.ndarray:
                 - (y + k) ** (p - 1.0) - (y + l) ** (p - 1.0))
 
 
-def _max_abs_dpsi(p: float, k: float, l: float, lo: float, hi: float) -> float:
-    probe = np.linspace(lo, hi, 33)
-    return float(np.max(np.abs(_dpsi_values(probe, p, k, l))))
+def _panel_count(p: float, t: float, k, l, lo, hi, nodes_per_period: int) -> np.ndarray:
+    """Even Simpson panel counts with ``nodes_per_period`` points per phase period.
 
-
-def _panel_count(p: float, t: float, k: float, l: float, lo: float, hi: float,
-                 nodes_per_period: int) -> int:
-    """Even Simpson panel count with ``nodes_per_period`` points per phase period.
-
-    The degenerate exponents have a constant phase and keep the 512 floor.
+    k, l, lo and hi may be arrays with one entry per shift cell; all cells
+    are probed for max |psi'| in one array, 33 points per cell.  The
+    degenerate exponents have a constant phase and keep the 512 floor.
     """
+    k, l, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k, l, lo, hi)))
     if p in DEGENERATE_P:
-        n = 512
+        n = np.full(k.shape, 512)
     else:
-        prange = abs(t) * _max_abs_dpsi(p, k, l, lo, hi) * (hi - lo)
-        n = int(max(512, nodes_per_period * prange / (2.0 * math.pi)))
+        probe = _linspace_rows(lo, hi, 33)
+        dmax = np.max(np.abs(_dpsi_values(probe, p, k[..., None], l[..., None])), axis=-1)
+        x = nodes_per_period * (abs(t) * dmax * (hi - lo)) / (2.0 * math.pi)
+        # x > 512 is False for NaN; counts past 2^62 exceed every budget anyway
+        n = np.where(x > 512, np.minimum(x, 2.0**62), 512).astype(np.int64)
     return n + n % 2
 
 
@@ -168,7 +181,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PE
     lo, hi = fam.admissible_interval()
     if hi <= lo:
         return 0.0 + 0.0j
-    n = _panel_count(p, t, k, l, lo, hi, nodes_per_period)
+    n = int(_panel_count(p, t, k, l, lo, hi, nodes_per_period))
     prev = None
     while True:
         if n > _INNER_N_MAX:
@@ -201,36 +214,34 @@ def _shift_cells(p: float, t: float, ks: Sequence[float], ls: Sequence[float]) -
     """
     ks = np.asarray(ks, dtype=float)
     ls = np.asarray(ls, dtype=float)
-    cells = []  # (position, lo, hi, n) of every admissible cell
-    for c, (k, l) in enumerate(zip(ks, ls)):
-        lo, hi = _admissible_interval(k, l)
-        if hi <= lo:
-            continue
-        n = _panel_count(p, t, k, l, lo, hi, _NODES_PER_PERIOD)
-        if n > _CELL_N_MAX:
-            raise RuntimeError("oscillatory budget exceeded at the requested modulation")
-        cells.append((c, lo, hi, n))
+    lo, hi = _admissible_interval(ks, ls)
+    cells = np.flatnonzero(hi > lo)  # positions of the admissible cells
+    lo, hi = lo[cells], hi[cells]
+    panels = _panel_count(p, t, ks[cells], ls[cells], lo, hi, _NODES_PER_PERIOD)
+    if np.any(panels > _CELL_N_MAX):
+        raise RuntimeError("oscillatory budget exceeded at the requested modulation")
+    sizes = (panels + 1).tolist()
     out = [0.0] * len(ks)
     weights = {}  # Simpson weights / 3 by panel count
     start = 0
-    while start < len(cells):
-        stop, points = start + 1, cells[start][3] + 1
-        while stop < len(cells) and points + cells[stop][3] + 1 <= _CHUNK_POINTS:
-            points += cells[stop][3] + 1
+    while start < len(sizes):
+        stop, points = start + 1, sizes[start]
+        while stop < len(sizes) and points + sizes[stop] <= _CHUNK_POINTS:
+            points += sizes[stop]
             stop += 1
-        pos, lo, hi, n = (np.array(v) for v in zip(*cells[start:stop]))
+        pos, lo_c, hi_c, n = cells[start:stop], lo[start:stop], hi[start:stop], panels[start:stop]
         size = n + 1
         first = np.cumsum(size) - size  # offset of each cell's first node
-        y = ((np.arange(points) - np.repeat(first, size)) * np.repeat((hi - lo) / n, size)
-             + np.repeat(lo, size))
-        y[first + n] = hi
+        y = ((np.arange(points) - np.repeat(first, size)) * np.repeat((hi_c - lo_c) / n, size)
+             + np.repeat(lo_c, size))
+        y[first + n] = hi_c
         k = np.repeat(ks[pos], size)
         l = np.repeat(ls[pos], size)
         f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
-        for c, lo_c, hi_c, n_c, s in zip(pos.tolist(), lo, hi, n.tolist(), first.tolist()):
+        for c, a, b, n_c, s in zip(pos.tolist(), lo_c, hi_c, n.tolist(), first.tolist()):
             if n_c not in weights:
                 weights[n_c] = _simpson_weights(n_c) / 3.0
-            val = (hi_c - lo_c) / n_c * np.dot(weights[n_c], f[s:s + n_c + 1])
+            val = (b - a) / n_c * np.dot(weights[n_c], f[s:s + n_c + 1])
             out[c] = val.real**2 + val.imag**2
         start = stop
     return out
@@ -371,20 +382,19 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     mags = np.linspace(eta, KL_HALF, _STATIONARY_GRID)
     signs = np.array([-1.0, 1.0])
     kl_vals = (signs[:, None] * mags[None, :]).ravel()
-    lo_supp = max(RISE_LO, eta)
-    best = np.inf
-    best_norm = np.inf
-    for k in kl_vals:
-        for l in kl_vals:
-            lo, hi = _admissible_interval(k, l, rise=lo_supp)
-            if hi <= lo:
-                continue
-            y = np.linspace(lo, hi, 640)
-            der = np.abs(_dpsi_values(y, pv, k, l))
-            mn = float(np.min(der))
-            best = min(best, mn)
-            best_norm = min(best_norm, mn / abs(k * l))
-    return StationaryBound(eta=eta, min_abs_dpsi=best, min_normalized=best_norm,
+    k, l = (v.ravel() for v in np.meshgrid(kl_vals, kl_vals, indexing="ij"))
+    lo, hi = _admissible_interval(k, l, rise=max(RISE_LO, eta))
+    keep = hi > lo
+    k, l, lo, hi = k[keep], l[keep], lo[keep], hi[keep]
+    nodes = 640
+    block = max(1, _CHUNK_POINTS // nodes)  # shift pairs per array pass
+    mins = np.empty(k.size)
+    for s in range(0, k.size, block):
+        c = slice(s, s + block)
+        y = _linspace_rows(lo[c], hi[c], nodes)
+        mins[c] = np.min(np.abs(_dpsi_values(y, pv, k[c, None], l[c, None])), axis=1)
+    return StationaryBound(eta=eta, min_abs_dpsi=float(np.min(mins, initial=np.inf)),
+                           min_normalized=float(np.min(mins / np.abs(k * l), initial=np.inf)),
                            degenerate=False)
 
 

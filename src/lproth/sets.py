@@ -30,6 +30,7 @@ from .util import spawn_rng
 
 BOURGAIN_SHELL = 0.1
 HALF_INTEGER_CAP = 0.4
+_CHUNK_ROWS = 1 << 13  # rows per membership test in the pool and the search
 
 
 @dataclass
@@ -55,6 +56,7 @@ class PointSet:
 
         Works one coordinate column at a time; the squared radius adds the
         columns left to right, the order a row sum over so few entries takes.
+        A row with a NaN or infinite coordinate is not a member.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
@@ -62,17 +64,21 @@ class PointSet:
         cols = X.T
         if self.kind == "bourgain":
             r2 = functools.reduce(np.add, (c * c for c in cols))
-            return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN, so not a member
+                return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
         if self.kind == "lattice-cube":
-            return functools.reduce(np.logical_and,
-                                    (np.abs(c - np.round(c)) <= self.eps0 for c in cols))
+            with np.errstate(invalid="ignore"):
+                return functools.reduce(np.logical_and,
+                                        (np.abs(c - np.round(c)) <= self.eps0 for c in cols))
         if self.kind == "full-box":
             return functools.reduce(np.logical_and, ((c >= 0.0) & (c <= self.N) for c in cols))
         if self.kind == "grid-indicator":
             f = self.box
             inside = functools.reduce(np.logical_and, ((c >= 0.0) & (c < f.N) for c in cols))
-            # rows outside the box look up cell 0 and are masked out after
-            idx = tuple(np.floor(np.where(inside, c, 0.0) / f.h).astype(int) for c in cols)
+            # rows outside the box look up cell 0 and are masked out after; x/h can
+            # round up to the cell count just below N, which is the last cell
+            idx = tuple(np.minimum(np.floor(np.where(inside, c, 0.0) / f.h).astype(int), m - 1)
+                        for c, m in zip(cols, f.values.shape))
             return (f.values[idx] > 0.5) & inside
         raise ValueError(f"unknown set kind {self.kind!r}")
 
@@ -158,16 +164,26 @@ class GapSpectrum:
 
 
 def _member_pool(A: PointSet, box_hi: float, count: int, rng, max_draws: int = 10**8) -> np.ndarray:
+    """The first ``count`` members among uniform draws from [0, box_hi]^dim.
+
+    Draws come in whole blocks, so the RNG stream depends only on how many
+    blocks are drawn; membership is tested _CHUNK_ROWS rows at a time and
+    stops as soon as ``count`` members are in hand.
+    """
     out = []
     got = 0
     draws = 0
     while got < count and draws < max_draws:
         n = max(4 * (count - got), 4096)
         pts = rng.uniform(0.0, box_hi, size=(n, A.dim))
-        keep = pts[A.contains_batch(pts)]
-        out.append(keep)
-        got += keep.shape[0]
         draws += n
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = pts[start:start + _CHUNK_ROWS]
+            keep = rows.compress(A.contains_batch(rows), axis=0)
+            out.append(keep)
+            got += keep.shape[0]
+            if got >= count:
+                break
     pool = np.concatenate(out, axis=0)
     if pool.shape[0] == 0:
         raise RuntimeError("no set members found in the probe box")
@@ -221,6 +237,12 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     tolerance window, so every proposal satisfies the gap constraint by
     construction and only the three memberships are at stake.  Any
     returned witness is re-verified independently before release.
+
+    Proposals are drawn in whole batches of 100,000 (fewer for the last
+    batch of the budget), and ``proposals_used`` counts the proposals drawn.
+    Within a batch they are evaluated _CHUNK_ROWS at a time and evaluation
+    stops at the first chunk with a hit; the witness is the first hit in
+    batch order.
     """
     pv = valid_exponent(p)
     if tol <= 0.0:
@@ -237,17 +259,18 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
         xs = _member_pool(A, box_hi, n, rng)
         pick = rng.integers(0, nodes.shape[0], size=n)
         scale = 1.0 + rng.uniform(-0.9, 0.9, size=n) * (tol / lam)
-        ys = nodes[pick] * scale[:, None]
-        ok = A.contains_batch(xs + ys) & A.contains_batch(xs + 2.0 * ys)
         used += n
-        if np.any(ok):
-            i = int(np.argmax(ok))
-            x, y = xs[i], ys[i]
-            gap = lp_norm(y, pv)
-            w = ProgressionWitness(x=x, y=y, p=pv, gap=gap)
-            if not w.verify(A, lam, tol):
-                raise AssertionError("internal: candidate failed independent re-verification")
-            return SearchOutcome(witness=w, proposals_used=used, exhausted=False)
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            x = xs[rows]
+            ys = nodes[pick[rows]] * scale[rows, None]
+            ok = A.contains_batch(x + ys) & A.contains_batch(x + 2.0 * ys)
+            if np.any(ok):
+                i = int(np.argmax(ok))
+                w = ProgressionWitness(x=x[i], y=ys[i], p=pv, gap=lp_norm(ys[i], pv))
+                if not w.verify(A, lam, tol):
+                    raise AssertionError("internal: candidate failed independent re-verification")
+                return SearchOutcome(witness=w, proposals_used=used, exhausted=False)
     return SearchOutcome(witness=None, proposals_used=used, exhausted=True)
 
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lproth import oscillatory
-from lproth.bumps import phi_plus
+from lproth.bumps import FALL_HI, RISE_LO, phi_plus
+from lproth.lpgeom import DEGENERATE_P
 from lproth.oscillatory import (
     KL_HALF,
     PhaseFamily,
     _admissible_interval,
+    _dpsi_values,
     _panel_count,
     _phase_values,
     _shift_cell,
@@ -135,6 +137,35 @@ class TestAggregate:
         assert abs(a - b) / a < 2e-2
 
 
+def record_dpsi_rows(monkeypatch):
+    """Patch _dpsi_values to log (k, l, nodes) for every row it evaluates."""
+    rows = []
+    real = oscillatory._dpsi_values
+
+    def record(y, p, k, l):
+        y = np.atleast_2d(y)
+        rows.extend(zip(np.broadcast_to(k, y.shape)[:, 0], np.broadcast_to(l, y.shape)[:, 0], y))
+        return real(y, p, k, l)
+
+    monkeypatch.setattr(oscillatory, "_dpsi_values", record)
+    return rows
+
+
+def interval_one_pair(k, l, rise=RISE_LO):
+    """Reference admissible interval of one shift pair, by Python min and max."""
+    return rise - min(0.0, k, l, k + l), FALL_HI - max(0.0, k, l, k + l)
+
+
+def panel_count_one_cell(p, t, k, l, lo, hi, nodes_per_period):
+    """Reference panel count: one cell's own 33-point np.linspace probe of |psi'|."""
+    if p in DEGENERATE_P:
+        n = 512
+    else:
+        dmax = float(np.max(np.abs(_dpsi_values(np.linspace(lo, hi, 33), p, k, l))))
+        n = int(max(512, nodes_per_period * (abs(t) * dmax * (hi - lo)) / (2.0 * math.pi)))
+    return n + n % 2
+
+
 def i_of_t_full_grid(p, t, n_kl, nodes_per_period=16):
     """Reference I(t): the Simpson cell value at every one of the n_kl^2 Gauss nodes."""
     x, w = np.polynomial.legendre.leggauss(n_kl)
@@ -142,10 +173,10 @@ def i_of_t_full_grid(p, t, n_kl, nodes_per_period=16):
     for a, wa in zip(KL_HALF * x, KL_HALF * w):
         row = 0.0
         for b, wb in zip(KL_HALF * x, KL_HALF * w):
-            lo, hi = _admissible_interval(a, b)
+            lo, hi = interval_one_pair(a, b)
             if hi <= lo:
                 continue
-            n = _panel_count(p, t, a, b, lo, hi, nodes_per_period)
+            n = panel_count_one_cell(p, t, a, b, lo, hi, nodes_per_period)
             y = np.linspace(lo, hi, n + 1)
             f = _window_product(y, a, b) * np.exp(1j * t * _phase_values(y, p, a, b))
             val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
@@ -194,8 +225,8 @@ def i_of_t_cell_loop(p, t, n_kl):
         row = 0.0
         for j in range(min(i, n_kl - 1 - i) + 1):
             k, l = ks[i], ks[j]
-            lo, hi = _admissible_interval(k, l)
-            n = _panel_count(p, t, k, l, lo, hi, 16)
+            lo, hi = interval_one_pair(k, l)
+            n = panel_count_one_cell(p, t, k, l, lo, hi, 16)
             y = np.linspace(lo, hi, n + 1)
             f = _window_product(y, k, l) * np.exp(1j * t * _phase_values(y, p, k, l))
             val = (hi - lo) / n * np.dot(_simpson_weights(n) / 3.0, f)
@@ -232,6 +263,43 @@ class TestArrayPass:
         assert time.perf_counter() - start < 1.0
 
 
+class TestPanelCount:
+    """_panel_count probes every cell in one array and must equal the per-cell probe."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("t", [0.0, 10.0, -100.0, 1e3, 1e5])
+    def test_equals_per_cell_probe(self, p, t):
+        for n_kl in (7, 24):
+            ks = KL_HALF * np.polynomial.legendre.leggauss(n_kl)[0]
+            k, l = (v.ravel() for v in np.meshgrid(ks, ks, indexing="ij"))
+            lo, hi = _admissible_interval(k, l)
+            got = _panel_count(p, t, k, l, lo, hi, 16)
+            ref = [panel_count_one_cell(p, t, *args, 16) for args in zip(k, l, lo, hi)]
+            assert got.dtype.kind == "i" and got.tolist() == ref
+            assert [interval_one_pair(a, b) for a, b in zip(k, l)] == list(zip(lo, hi))
+
+    def test_probes_every_cell_on_its_linspace_grid(self, monkeypatch):
+        rows = record_dpsi_rows(monkeypatch)
+        ks = KL_HALF * np.polynomial.legendre.leggauss(8)[0]
+        k, l = (v.ravel() for v in np.meshgrid(ks, ks, indexing="ij"))
+        lo, hi = _admissible_interval(k, l)
+        _panel_count(1.5, 100.0, k, l, lo, hi, 16)
+        assert len(rows) == k.size
+        for (a, b, y), args in zip(rows, zip(k, l, lo, hi)):
+            assert (a, b) == args[:2] and np.array_equal(y, np.linspace(args[2], args[3], 33))
+
+    def test_one_cell(self):
+        lo, hi = _admissible_interval(0.3, -0.2)
+        assert (lo, hi) == interval_one_pair(0.3, -0.2)
+        for p, t in ((1.5, 1e3), (3.0, -40.0), (2.0, 1e4)):
+            n = _panel_count(p, t, 0.3, -0.2, lo, hi, 16)
+            assert n.shape == () and int(n) == panel_count_one_cell(p, t, 0.3, -0.2, lo, hi, 16)
+
+    def test_huge_modulation_exceeds_the_budget(self):
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            i_of_t(3.0, 1e30, n_kl=4)
+
+
 class TestDecayFit:
     def test_theory_indices(self):
         # r = max(p + 1, 2p - 1), the two branches meeting at p = 2
@@ -254,7 +322,52 @@ class TestDecayFit:
             decay_fit(1.5, [10.0, 100.0, 1000.0])
 
 
+def stationary_pair_loop(p, eta):
+    """Reference psi' floor: one np.linspace grid per shift pair, minima taken pair by pair."""
+    mags = np.linspace(eta, KL_HALF, 40)
+    kl_vals = np.concatenate([-mags, mags])
+    best = best_norm = np.inf
+    for k in kl_vals:
+        for l in kl_vals:
+            lo, hi = interval_one_pair(k, l, rise=max(RISE_LO, eta))
+            if hi <= lo:
+                continue
+            mn = float(np.min(np.abs(_dpsi_values(np.linspace(lo, hi, 640), p, k, l))))
+            best = min(best, mn)
+            best_norm = min(best_norm, mn / abs(k * l))
+    return best, best_norm
+
+
 class TestStationaryBound:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("eta", [0.05, 0.3])
+    def test_equals_pair_loop(self, p, eta):
+        out = stationary_lower_bound_check(p, eta)
+        assert (out.min_abs_dpsi, out.min_normalized) == stationary_pair_loop(p, eta)
+
+    @pytest.mark.parametrize("chunk", [1, 640 * 3 + 1, 640 * 7, 1 << 15])
+    def test_every_pair_on_its_linspace_grid(self, monkeypatch, chunk):
+        # at most one, three, seven and 51 shift pairs per array pass
+        monkeypatch.setattr(oscillatory, "_CHUNK_POINTS", chunk)
+        rows = record_dpsi_rows(monkeypatch)
+        eta = 0.1
+        stationary_lower_bound_check(1.5, eta)
+        mags = np.linspace(eta, KL_HALF, 40)
+        kl_vals = np.concatenate([-mags, mags])
+        expected = [(k, l, *interval_one_pair(k, l, rise=max(RISE_LO, eta)))
+                    for k in kl_vals for l in kl_vals]
+        expected = [e for e in expected if e[3] > e[2]]
+        assert len(rows) == len(expected)
+        for (a, b, y), (k, l, lo, hi) in zip(rows, expected):
+            assert (a, b) == (k, l) and np.array_equal(y, np.linspace(lo, hi, 640))
+
+    @pytest.mark.parametrize("chunk", [1, 640 * 7])
+    def test_blocks_equal_pair_loop(self, monkeypatch, chunk):
+        # at most one and seven shift pairs per array pass
+        monkeypatch.setattr(oscillatory, "_CHUNK_POINTS", chunk)
+        out = stationary_lower_bound_check(1.5, 0.1)
+        assert (out.min_abs_dpsi, out.min_normalized) == stationary_pair_loop(1.5, 0.1)
+
     def test_quadratic_degenerate(self):
         # psi' vanishes identically at p = 2 and at p = 1 (1 + 1 - 1 - 1)
         for p in (2.0, 1.0):

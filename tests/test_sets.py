@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lproth import sets
 from lproth.forms import random_indicator
+from lproth.lpgeom import lp_norm, sphere_quadrature, valid_exponent
 from lproth.sets import (
     BOURGAIN_SHELL,
     GapSpectrum,
+    ProgressionWitness,
+    SearchOutcome,
     bourgain_set,
     full_box_set,
     gap_spectrum_sample,
@@ -60,9 +64,11 @@ def axis_reduction_membership(A, X):
     """Reference membership: the row reductions over whole (n, d) arrays."""
     if A.kind == "bourgain":
         r2 = np.sum(X * X, axis=1)
-        return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
+        with np.errstate(invalid="ignore"):
+            return np.abs(r2 - np.maximum(np.round(r2), 0.0)) <= BOURGAIN_SHELL
     if A.kind == "lattice-cube":
-        return np.all(np.abs(X - np.round(X)) <= A.eps0, axis=1)
+        with np.errstate(invalid="ignore"):
+            return np.all(np.abs(X - np.round(X)) <= A.eps0, axis=1)
     if A.kind == "full-box":
         return np.all((X >= 0.0) & (X <= A.N), axis=1)
     f = A.box
@@ -75,7 +81,7 @@ def axis_reduction_membership(A, X):
 
 
 def boundary_points(d, N, eps0, rng):
-    """Rows on every membership boundary, rows holding a NaN, and random rows."""
+    """Rows on every membership boundary, rows holding a NaN or an infinity, and random rows."""
     r2 = np.array([0.1] + [k + s for k in range(1, 6) for s in (-0.1, 0.1)])
     shell = np.repeat(np.sqrt(r2 / d)[:, None], d, axis=1)  # r^2 = k +- 0.1
     ints = np.arange(-2.0, 10.0)
@@ -85,9 +91,9 @@ def boundary_points(d, N, eps0, rng):
     coords = np.concatenate([lattice, box, np.arange(0.0, N + 0.25, 0.25)])
     picks = rng.choice(coords, size=(4000, d))
     bad = rng.choice(coords, size=(30, d))
-    bad[np.arange(30), rng.integers(0, d, 30)] = np.nan
-    return np.concatenate([shell, picks, bad, np.full((1, d), np.nan),
-                           rng.uniform(-1.0, N + 1.0, size=(20000, d))])
+    bad[np.arange(30), rng.integers(0, d, 30)] = rng.choice([np.nan, np.inf, -np.inf], 30)
+    return np.concatenate([shell, picks, bad, np.full((1, d), np.nan), np.full((1, d), np.inf),
+                           np.full((1, d), -np.inf), rng.uniform(-1.0, N + 1.0, size=(20000, d))])
 
 
 class TestColumnWiseMembership:
@@ -101,12 +107,27 @@ class TestColumnWiseMembership:
             got = A.contains_batch(X)
             assert got.shape == (X.shape[0],)
             assert np.array_equal(got, axis_reduction_membership(A, X)), A.kind
-            assert not np.any(got[np.isnan(X).any(axis=1)])
+            assert not np.any(got[~np.isfinite(X).all(axis=1)])
 
     @pytest.mark.parametrize("shape", [(5,), (5, 2, 1), (5, 3), (2, 2, 2)])
     def test_rejects_malformed_batches(self, shape):
         with pytest.raises(ValueError, match=r"expected points of shape \(n, 2\)"):
             bourgain_set(2).contains_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("A", [bourgain_set(2), lattice_cube_set(2, 0.1)], ids=lambda A: A.kind)
+    def test_infinite_rows_are_quiet_non_members(self, A):
+        # a RuntimeWarning is an error under the test configuration
+        X = np.array([[np.inf, 1.0], [-np.inf, 1.0], [1.0, np.inf], [np.inf, -np.inf]])
+        assert not np.any(A.contains_batch(X))
+
+    def test_grid_point_just_below_the_edge(self):
+        f = random_indicator(7.0, 0.7, 2, 0.5, seed=1)
+        A = grid_indicator_set(f)
+        below = np.nextafter(7.0, 0.0)
+        assert below / 0.7 == 10.0  # rounds up to the cell count
+        assert A.contains([below, 1.0]) == bool(f.values[9, 1] > 0.5)
+        assert A.contains([1.0, below]) == bool(f.values[1, 9] > 0.5)
+        assert not A.contains([7.0, 1.0])
 
     def test_contains_takes_one_point(self):
         assert bourgain_set(2).contains([0.6, 0.8])
@@ -208,6 +229,150 @@ class TestProgressionSearch:
         assert np.array_equal(a.witness.x, b.witness.x)
         assert np.array_equal(a.witness.y, b.witness.y)
         assert a.proposals_used == b.proposals_used
+
+
+def full_batch_pool(A, box_hi, count, rng, max_draws=10**8):
+    """Reference pool: every draw of every block tested, then the first ``count`` members."""
+    out, got, draws = [], 0, 0
+    while got < count and draws < max_draws:
+        n = max(4 * (count - got), 4096)
+        pts = rng.uniform(0.0, box_hi, size=(n, A.dim))
+        keep = pts[A.contains_batch(pts)]
+        out.append(keep)
+        got += keep.shape[0]
+        draws += n
+    return np.concatenate(out, axis=0)[:count]
+
+
+def full_batch_search(A, p, lam, tol, budget, box_hi, seed=0):
+    """Reference search: every proposal of a batch tested, then the first hit kept."""
+    pv = valid_exponent(p)
+    rng = sets.spawn_rng(seed, 17)
+    nodes = sphere_quadrature(pv, A.dim, lam, n=2048, mode="deterministic-graph", seed=seed).nodes
+    used = 0
+    while used < budget:
+        n = min(100_000, budget - used)
+        xs = full_batch_pool(A, box_hi, n, rng)
+        pick = rng.integers(0, nodes.shape[0], size=n)
+        scale = 1.0 + rng.uniform(-0.9, 0.9, size=n) * (tol / lam)
+        ys = nodes[pick] * scale[:, None]
+        ok = A.contains_batch(xs + ys) & A.contains_batch(xs + 2.0 * ys)
+        used += n
+        if np.any(ok):
+            i = int(np.argmax(ok))
+            w = ProgressionWitness(x=xs[i], y=ys[i], p=pv, gap=lp_norm(ys[i], pv))
+            return SearchOutcome(witness=w, proposals_used=used, exhausted=False)
+    return SearchOutcome(witness=None, proposals_used=used, exhausted=True)
+
+
+def same_outcome(a, b):
+    if (a.witness is None) != (b.witness is None):
+        return False
+    if a.witness is not None and not (np.array_equal(a.witness.x, b.witness.x)
+                                      and np.array_equal(a.witness.y, b.witness.y)
+                                      and a.witness.gap == b.witness.gap):
+        return False
+    return a.proposals_used == b.proposals_used and a.exhausted == b.exhausted
+
+
+SHELL = bourgain_set(2)  # density about 0.2: a pool of n needs a second block of draws
+GRID = grid_indicator_set(random_indicator(32.0, 1.0, 2, 0.4, seed=5))
+
+
+class TestEarlyStop:
+    """The pool stops testing at ``count`` members and the search at its first hit,
+    with the same draws, witnesses and counts as testing everything."""
+
+    @pytest.mark.parametrize("A", [SHELL, GRID, full_box_set(2, 8.0)], ids=lambda A: A.kind)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    def test_pool_equals_full_batch(self, monkeypatch, A, seed, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(sets, "_CHUNK_ROWS", chunk)
+        for count in (1, 4096, 30_000):
+            got_rng, ref_rng = sets.spawn_rng(seed, 13), sets.spawn_rng(seed, 13)
+            got = sets._member_pool(A, 10.0, count, got_rng)
+            ref = full_batch_pool(A, 10.0, count, ref_rng)
+            assert got.shape == (count, 2)
+            assert np.array_equal(got, ref)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_pool_needs_a_second_block(self):
+        rng = sets.spawn_rng(3, 13)
+        first = rng.uniform(0.0, 10.0, size=(4 * 20_000, 2))
+        assert np.count_nonzero(SHELL.contains_batch(first)) < 20_000
+        got_rng, ref_rng = sets.spawn_rng(3, 13), sets.spawn_rng(3, 13)
+        assert np.array_equal(sets._member_pool(SHELL, 10.0, 20_000, got_rng),
+                              full_batch_pool(SHELL, 10.0, 20_000, ref_rng))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("A", [SHELL, GRID], ids=lambda A: A.kind)
+    def test_pool_count_ends_on_a_chunk_boundary(self, monkeypatch, A):
+        pts = sets.spawn_rng(4, 13).uniform(0.0, 10.0, size=(4096, 2))
+        member = A.contains_batch(pts)
+        # a chunk size whose third chunk ends on a member row; that row's member
+        # completes the pool, and a pool this size draws only the first block
+        chunk = next(c for c in range(400, 1000) if member[3 * c - 1])
+        monkeypatch.setattr(sets, "_CHUNK_ROWS", chunk)
+        count = int(np.count_nonzero(member[:3 * chunk]))
+        assert count <= 4096 // 4
+        got = sets._member_pool(A, 10.0, count, sets.spawn_rng(4, 13))
+        ref = full_batch_pool(A, 10.0, count, sets.spawn_rng(4, 13))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got, pts[A.contains_batch(pts)][:count])
+
+    def test_pool_of_full_box_ends_on_a_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(sets, "_CHUNK_ROWS", 1024)
+        A = full_box_set(2, 10.0)
+        for count in (1024, 3072):
+            got = sets._member_pool(A, 10.0, count, sets.spawn_rng(2, 13))
+            assert np.array_equal(got, full_batch_pool(A, 10.0, count, sets.spawn_rng(2, 13)))
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_equals_full_batch(self, p, seed):
+        cases = [(GRID, 4.0, 1.0, 150_000), (GRID, 8.0, 1.0, 150_000),
+                 (full_box_set(2, 16.0), 2.0, 1e-6, 10_000), (SHELL, 1.3, 1e-3, 20_000)]
+        for A, lam, tol, budget in cases:
+            box_hi = A.N or 10.0
+            got = progression_search(A, p, lam, tol=tol, budget=budget, box_hi=box_hi, seed=seed)
+            ref = full_batch_search(A, p, lam, tol, budget, box_hi, seed=seed)
+            assert same_outcome(got, ref), (A.kind, lam)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.834, 0.836, 0.84])
+    def test_search_late_hits_equal_full_batch(self, seed, lam):
+        # near the edge of the allowed Euclidean gaps (2 lam^2 ~ 1.4) hits are rare:
+        # at 0.834 and 0.836 they land past row 3,000 of a batch, at 0.836 for
+        # seeds 1 and 2 in the third batch, and 0.84 exhausts the budget
+        got = progression_search(SHELL, 2.0, lam, tol=1e-3, budget=250_000, box_hi=10.0, seed=seed)
+        ref = full_batch_search(SHELL, 2.0, lam, 1e-3, 250_000, 10.0, seed=seed)
+        assert same_outcome(got, ref)
+
+    @pytest.mark.parametrize("chunk", [10, 211, 4096])
+    def test_search_first_hit_across_chunks(self, monkeypatch, chunk):
+        # the first hits of these seeds sit in rows 8 to 26 of the first batch
+        monkeypatch.setattr(sets, "_CHUNK_ROWS", chunk)
+        for seed in (1, 2, 3, 4):
+            got = progression_search(GRID, 1.5, 6.0, tol=1.0, budget=30_000, box_hi=32.0, seed=seed)
+            ref = full_batch_search(GRID, 1.5, 6.0, 1.0, 30_000, 32.0, seed=seed)
+            assert got.witness is not None and same_outcome(got, ref)
+
+    def test_budget_counts_whole_batches(self):
+        got = progression_search(full_box_set(2, 16.0), 1.5, 2.0, tol=1e-6, budget=250_000,
+                                 box_hi=16.0, seed=1)
+        assert got.witness is not None and got.proposals_used == 100_000
+        out = progression_search(SHELL, 2.0, math.sqrt(0.75), tol=1e-3, budget=250_000,
+                                 box_hi=10.0, seed=3)
+        assert out.exhausted and out.proposals_used == 250_000
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_spectrum_equals_full_batch_pool(self, monkeypatch, seed):
+        got = gap_spectrum_sample(SHELL, 1.5, 10.0, 3000, seed=seed)
+        monkeypatch.setattr(sets, "_member_pool", full_batch_pool)
+        ref = gap_spectrum_sample(SHELL, 1.5, 10.0, 3000, seed=seed)
+        assert np.array_equal(got.gaps, ref.gaps)
+        assert got.proposals_used == ref.proposals_used
 
 
 class TestLacunaryGenerate:
