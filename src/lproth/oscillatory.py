@@ -66,8 +66,6 @@ def _admissible_interval(k, l, rise: float = RISE_LO):
 
 def _linspace_rows(lo, hi, num: int) -> np.ndarray:
     """Row i holds np.linspace(lo[i], hi[i], num) bit for bit: i * step + lo, last node hi."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     y = np.arange(num) * ((hi - lo) / (num - 1))[..., None] + lo[..., None]
     y[..., -1] = hi
     return y
@@ -148,9 +146,9 @@ def _panel_count(p: float, t: float, k, l, lo, hi, nodes_per_period: int) -> np.
     are probed for max |psi'| in one array, 33 points per cell.  The
     degenerate exponents have a constant phase and keep the 512 floor.
     """
-    k, l, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k, l, lo, hi)))
+    k, l, lo, hi = (np.asarray(v, dtype=float) for v in (k, l, lo, hi))
     if p in DEGENERATE_P:
-        n = np.full(k.shape, 512)
+        n = np.full(lo.shape, 512)
     else:
         probe = _linspace_rows(lo, hi, 33)
         dmax = np.max(np.abs(_dpsi_values(probe, p, k[..., None], l[..., None])), axis=-1)
