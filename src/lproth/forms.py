@@ -6,6 +6,9 @@ lattice multiples of the same step so that x, x+y, x+2y are grid-aligned
 and no interpolation enters the mollified forms.  The sharp-gap form
 samples the lp-sphere quadrature nodes instead and evaluates f by
 multilinear interpolation, which preserves the [-1, 1] range.
+Its node sums run on a thread pool, one thread per usable CPU, and are
+combined in node order; each node sum takes the same operations in the
+same order on any thread, so the value does not depend on the core count.
 
 Every form sums, gap by gap, only over the overlap window: the cells x for
 which f(x), f(x+y) and f(x+2y) can all be nonzero.  Zero extension stays
@@ -30,6 +33,9 @@ M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,6 +56,10 @@ class BoxFunction:
     h: float
 
     def __post_init__(self):
+        for name in ("N", "h"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         self.values = np.asarray(self.values, dtype=float)
         n = int(round(self.N / self.h))
         if abs(n * self.h - self.N) > 1e-9 * self.N:
@@ -249,9 +259,10 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
     return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
-# Cells per block of the sharp form's window: the four block-sized operands
-# (f, the two interpolated copies and a work buffer, 512 KiB each) then
-# stay in a 2 MiB cache instead of streaming the whole grid per corner.
+# Cells per block of the sharp form's window: a worker's four block-sized
+# operands (f, the two interpolated copies and a work buffer, 512 KiB each)
+# then stay in a 2 MiB cache instead of streaming the whole grid per corner.
+# The blocks and their buffers are per worker thread.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -289,47 +300,84 @@ def _interp_shifted(rim: np.ndarray, base: np.ndarray, frac: np.ndarray, window:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
+              ) -> Optional[float]:
+    """sum_x f(x) f(x + y) f(x + 2y) at the gap y = node, or None if no x can count.
+
+    x, x + y and x + 2y can all meet the box only on the overlap window;
+    cells outside add exact zeros.  The window is summed in blocks of about
+    _BLOCK_CELLS cells, in the work buffers bufs, and the block sums are
+    added by fsum.
+    """
+    n = f.n
+    buf1, buf2, tmp = bufs
+    b1, fr1 = _cell_offset(node, f.h)
+    b2, fr2 = _cell_offset(2.0 * node, f.h)
+    lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
+    hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
+    if any(b <= a for a, b in zip(lo, hi)):
+        return None
+    inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
+    inner_cells = math.prod(b - a for a, b in zip(lo[1:], hi[1:]))
+    rows = max(1, _BLOCK_CELLS // inner_cells)
+    sums = []
+    for r0 in range(lo[0], hi[0], rows):
+        window = (slice(r0, min(r0 + rows, hi[0])),) + inner
+        shape = tuple(sl.stop - sl.start for sl in window)
+        size = math.prod(shape)
+        t = tmp[:size].reshape(shape)
+        prod = _interp_shifted(rim, b1, fr1, window, buf1[:size].reshape(shape), t)
+        f2 = _interp_shifted(rim, b2, fr2, window, buf2[:size].reshape(shape), t)
+        np.multiply(f.values[window], prod, out=prod)
+        prod *= f2
+        sums.append(float(np.sum(prod)))
+    return math.fsum(sums)
+
+
 def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     """Sharp-gap counting form: x on the grid, gaps on sphere-quadrature nodes.
 
     A strictly positive value certifies, up to interpolation tolerance, a
     3-progression in supp f whose gap length is lam in the lp metric.
+
+    The node sums run on a thread pool with one thread per usable CPU (at
+    most one per node); numpy releases the interpreter lock on the window
+    rows.  Each worker has its own three work buffers of
+    max(_BLOCK_CELLS, n^(d-1)) cells.  Every node sum is computed by the
+    same operations in the same order whichever thread runs it, and the
+    results are combined in node order by one fsum, so the value does not
+    depend on the core count, bit for bit.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
         raise ValueError("quadrature radius does not match the requested gap scale")
     if f.d != quad.d:
         raise ValueError("dimension mismatch between grid and quadrature")
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
-    n, d = f.n, f.d
+    d = f.d
     rim = np.pad(f.values, 1)
-    row_cells = n ** (d - 1)
-    buf1, buf2, tmp = (np.empty(max(_BLOCK_CELLS, row_cells)) for _ in range(3))
-    parts = []
-    for node, w in zip(quad.nodes, quad.weights):
-        b1, fr1 = _cell_offset(node, f.h)
-        b2, fr2 = _cell_offset(2.0 * node, f.h)
-        # x, x + y and x + 2y can all meet the box only here; cells outside add exact zeros
-        lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
-        hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
-        if any(b <= a for a, b in zip(lo, hi)):
-            continue
-        inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
-        inner_cells = math.prod(b - a for a, b in zip(lo[1:], hi[1:]))
-        rows = max(1, _BLOCK_CELLS // inner_cells)
-        sums = []
-        for r0 in range(lo[0], hi[0], rows):
-            window = (slice(r0, min(r0 + rows, hi[0])),) + inner
-            shape = tuple(sl.stop - sl.start for sl in window)
-            size = math.prod(shape)
-            t = tmp[:size].reshape(shape)
-            prod = _interp_shifted(rim, b1, fr1, window, buf1[:size].reshape(shape), t)
-            f2 = _interp_shifted(rim, b2, fr2, window, buf2[:size].reshape(shape), t)
-            np.multiply(f.values[window], prod, out=prod)
-            prod *= f2
-            sums.append(float(np.sum(prod)))
-        parts.append(w * math.fsum(sums))
-    val = f.h**d * math.fsum(parts)
+    cells = max(_BLOCK_CELLS, f.n ** (d - 1))
+    local = threading.local()
+
+    def node_sum(node: np.ndarray) -> Optional[float]:
+        if not hasattr(local, "bufs"):
+            local.bufs = tuple(np.empty(cells) for _ in range(3))
+        return _node_sum(f, rim, node, local.bufs)
+
+    workers = max(1, min(_usable_cpus(), len(quad.nodes)))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        sums = list(ex.map(node_sum, quad.nodes))
+    val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)
 

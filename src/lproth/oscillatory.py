@@ -166,6 +166,11 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
+def _check_t(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PER_PERIOD) -> complex:
     """I_{k,l}(t) by composite Simpson sized to the oscillation, with doubling.
 
@@ -173,6 +178,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PE
     running phase; the grid is doubled until the value is stable or the
     refinement budget is exhausted.
     """
+    _check_t(t)
     if abs(t) > 1e6:
         raise ValueError("modulation beyond the supported range |t| <= 1e6")
     p, k, l = fam.p, fam.k, fam.l
@@ -264,6 +270,7 @@ def i_of_t(p, t: float, n_kl: int = 48) -> float:
     stands for its orbit: 4 cells in general, 2 on the diagonal or the
     anti-diagonal, 1 at the centre when n_kl is odd.
     """
+    _check_t(t)
     pv = valid_exponent(p)
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x

@@ -43,6 +43,14 @@ class TestBoxFunction:
         with pytest.raises(ValueError, match="finite"):
             BoxFunction(values=[bad, 0.5], N=2.0, h=1.0)
 
+    @pytest.mark.parametrize("name,N,h", [
+        ("N", np.nan, 0.25), ("N", np.inf, 0.25), ("N", -1.0, 0.25), ("N", 0.0, 0.25),
+        ("h", 1.0, 0.0), ("h", 1.0, np.nan), ("h", 1.0, np.inf), ("h", 1.0, -0.25),
+    ])
+    def test_bad_size_or_step_rejected(self, name, N, h):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            BoxFunction(values=np.ones(4), N=N, h=h)
+
     def test_cell_count_enforced(self):
         with pytest.raises(ValueError):
             BoxFunction(values=np.ones(7), N=8.0, h=1.1)
@@ -196,6 +204,13 @@ class TestSharpForm:
         rule = lpgeom.sphere_quadrature(2.0, 2, lam, n=64)
         v = n_lambda(f, rule, lam).value
         assert v < 1e-3 * N**2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        f = full_box(4.0, 0.25, 2)
+        rule = lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            n_lambda(f, rule, bad)
 
     def test_radius_mismatch_guard(self, moll):
         f = full_box(16.0, 0.25, 1)

@@ -7,13 +7,16 @@ the two differ only in summation order; on 0/1 indicators not even that.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import lpgeom
+from lproth import forms, lpgeom
 from lproth.forms import (BoxFunction, _gap_sums, _kernel_lattice, decomposition_forms,
                           e_lambda, m_eps_lambda, m_lambda, n_lambda, random_indicator)
 from lproth.lpgeom import SphereQuadrature
@@ -84,6 +87,36 @@ def _padded_n(f, quad):
         f1 = _padded_interp(f, P_vals, pad, node)
         f2 = _padded_interp(f, P_vals, pad, 2.0 * node)
         parts.append(w * float(np.sum(f.values * f1 * f2)))
+    return f.h**d * math.fsum(parts)
+
+
+def _serial_n(f, quad):
+    """The sharp form with its node sums one after another in one set of buffers."""
+    n, d = f.n, f.d
+    rim = np.pad(f.values, 1)
+    buf1, buf2, tmp = (np.empty(max(forms._BLOCK_CELLS, n ** (d - 1))) for _ in range(3))
+    parts = []
+    for node, w in zip(quad.nodes, quad.weights):
+        b1, fr1 = forms._cell_offset(node, f.h)
+        b2, fr2 = forms._cell_offset(2.0 * node, f.h)
+        lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
+        hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
+        if any(b <= a for a, b in zip(lo, hi)):
+            continue
+        inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
+        rows = max(1, forms._BLOCK_CELLS // math.prod(b - a for a, b in zip(lo[1:], hi[1:])))
+        sums = []
+        for r0 in range(lo[0], hi[0], rows):
+            window = (slice(r0, min(r0 + rows, hi[0])),) + inner
+            shape = tuple(sl.stop - sl.start for sl in window)
+            size = math.prod(shape)
+            t = tmp[:size].reshape(shape)
+            prod = forms._interp_shifted(rim, b1, fr1, window, buf1[:size].reshape(shape), t)
+            f2 = forms._interp_shifted(rim, b2, fr2, window, buf2[:size].reshape(shape), t)
+            np.multiply(f.values[window], prod, out=prod)
+            prod *= f2
+            sums.append(float(np.sum(prod)))
+        parts.append(w * math.fsum(sums))
     return f.h**d * math.fsum(parts)
 
 
@@ -206,3 +239,102 @@ class TestSharedSums:
             assert (got.kind, got.eps) == (ref.kind, ref.eps)
             assert got.value == pytest.approx(ref.value, rel=REL)
             assert got.quadrature_error == pytest.approx(ref.quadrature_error, rel=REL)
+
+
+def _shell_indicator(N=4.0, n=2048):
+    h = N / n
+    ax = (np.arange(n) + 0.5) * h
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    r2 = X**2 + Y**2
+    return BoxFunction(values=(np.abs(r2 - np.round(r2)) <= 0.1).astype(float), N=N, h=h)
+
+
+@pytest.fixture()
+def pool_workers(monkeypatch):
+    """Run the sharp form's pool with a given worker count; record each pool's size."""
+    sizes = []
+
+    def use(workers):
+        def make(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers=workers)
+        monkeypatch.setattr(forms, "ThreadPoolExecutor", make)
+        return sizes
+    return use
+
+
+class TestSharpPool:
+    """The pooled node sums against the serial loop, compared with ==."""
+
+    @pytest.mark.parametrize("d,n,p,nodes", [
+        (1, 150_000, 3.0, 8),    # one axis split into several blocks
+        (1, 256, 1.5, 16),
+        (2, 400, 1.5, 16),       # rows split into several blocks
+        (2, 48, 3.0, 16),
+        (3, 24, 1.5, 8),
+        (3, 20, 3.0, 8),
+    ])
+    def test_signed_box_equals_serial(self, d, n, p, nodes):
+        f = _signed_box(8.0, n, d, seed=n + d)
+        rule = lpgeom.sphere_quadrature(p, d, 1.0, n=nodes)
+        assert n_lambda(f, rule, 1.0).value == _serial_n(f, rule)
+
+    def test_shell_indicator_equals_serial(self):
+        f = _shell_indicator()
+        rule = lpgeom.sphere_quadrature(2.0, 2, 1.0, n=64)  # an allowed gap: 2 lam^2 = 2
+        got = n_lambda(f, rule, 1.0).value
+        assert got > 0.0
+        assert got == _serial_n(f, rule)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_windows_among_live_nodes(self, d):
+        # the first and third gaps take 2y out of the box on the first axis
+        f = _signed_box(4.0, 16, d, seed=d)
+        nodes = np.array([[2.1, 0.3, 0.2], [0.37, -0.81, 0.05], [-2.6, -1.0, 0.4],
+                          [-0.4, 0.2, -0.6]])[:, :d]
+        rule = _rule(nodes)
+        got = n_lambda(f, rule, 1.0).value
+        assert got != 0.0
+        assert got == _serial_n(f, rule)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 11])
+    def test_any_worker_count_is_bit_identical(self, pool_workers, workers):
+        f = _signed_box(8.0, 96, 2, seed=3)
+        rule = lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8)
+        sizes = pool_workers(workers)
+        assert n_lambda(f, rule, 1.0).value == _serial_n(f, rule)
+        assert len(sizes) == 1
+
+    @pytest.mark.parametrize("cpus,nodes,want", [(1, 8, 1), (2, 8, 2), (64, 8, 8)])
+    def test_one_worker_per_usable_cpu_up_to_the_nodes(self, monkeypatch, pool_workers,
+                                                       cpus, nodes, want):
+        monkeypatch.setattr(forms, "_usable_cpus", lambda: cpus)
+        sizes = pool_workers(want)
+        f = _signed_box(4.0, 16, 2, seed=1)
+        n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=nodes), 1.0)
+        assert sizes == [want]
+
+    def test_usable_cpus_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert forms._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert forms._usable_cpus() == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_node_sum_error_reaches_caller(self, monkeypatch, pool_workers, workers):
+        interp = forms._interp_shifted
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise FloatingPointError("node sum failed")
+            return interp(*args)
+        monkeypatch.setattr(forms, "_interp_shifted", failing)
+        pool_workers(workers)
+        f = _signed_box(4.0, 32, 2, seed=2)
+        with pytest.raises(FloatingPointError, match="node sum failed"):
+            n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)

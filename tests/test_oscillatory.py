@@ -106,8 +106,24 @@ class TestInnerIntegral:
         with pytest.raises(ValueError):
             inner_integral(PhaseFamily(1.5, 0.1, 0.1), 2e6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected_before_work(self, monkeypatch, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("panel count sized for a non-finite t")
+        monkeypatch.setattr(oscillatory, "_panel_count", no_work)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            inner_integral(PhaseFamily(1.5, 0.1, 0.2), bad)
+
 
 class TestAggregate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected_before_work(self, monkeypatch, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("shift cells evaluated at a non-finite t")
+        monkeypatch.setattr(oscillatory, "_shift_cells", no_work)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            i_of_t(1.5, bad, n_kl=4)
+
     def test_nonnegative_and_even(self):
         for p in (1.5, 3.0):
             v = i_of_t(p, 100.0, n_kl=16)
