@@ -10,8 +10,6 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from lproth.cli import emit_csv
 from lproth.oscillatory import decay_fit
 
@@ -22,12 +20,10 @@ def main():
     ap.add_argument("--p", type=float, nargs="+", default=[1.0, 1.5, 2.0, 3.0])
     ap.add_argument("--kl-nodes", type=int, default=32)
     args = ap.parse_args()
-    ts = list(np.logspace(1, 4, 7))
     for p in args.p:
-        fit = decay_fit(p, ts, n_kl=args.kl_nodes)
-        rows = [[t, v, fit.c_fit * t ** (-1.0 / fit.r_theory)]
-                for t, v in zip(fit.t_samples, fit.values)]
-        [path] = emit_csv([(f"decay_p{p}.csv", ["t", "abs_I", "envelope"], rows)], args.out)
+        fit = decay_fit(p, n_kl=args.kl_nodes)
+        [path] = emit_csv([(f"decay_p{p}.csv", ["t", "abs_I", "envelope"], fit.envelope_rows())],
+                          args.out)
         tag = "degenerate (no decay expected)" if fit.degenerate else f"-1/r = {-1.0 / fit.r_theory:.3f}"
         print(f"p={p}: slope {fit.slope:+.3f}   {tag}   -> {path}")
 

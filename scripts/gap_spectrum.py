@@ -25,8 +25,7 @@ def main():
     A = bourgain_set(2)
     for p in (2.0, 1.5):
         spec = gap_spectrum_sample(A, p, args.box, args.hits, seed=args.seed)
-        counts, edges = spec.histogram(bins=64)
-        rows = [[0.5 * (edges[i] + edges[i + 1]), c] for i, c in enumerate(counts)]
+        rows = spec.histogram_rows(bins=64)
         [path] = emit_csv([(f"gap_spectrum_p{p}.csv", ["gap", "count"], rows)], args.out)
         print(f"p={p}: {spec.gaps.size} progressions, "
               f"max dist(2 gap^2, Z) = {spec.max_half_integer_deviation:.4f} -> {path}")

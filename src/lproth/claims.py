@@ -1,9 +1,9 @@
 """The claims that the CLI report and the acceptance gate both check.
 
 Each function draws its inputs, measures one claim and returns the
-``Check`` record with that claim's one bound, so ``lproth run`` and
-``tests/test_acceptance.py`` differ only in sizes and seeds.  A claim that
-samples draws from the caller's generator in a fixed order.
+``Check`` record with that claim's one bound.  ``lproth run`` reports every
+one, at other sizes and seeds than ``tests/test_acceptance.py``.  A claim that
+samples draws from the caller's generator in a fixed order, rejected ones included.
 """
 
 import math
@@ -105,6 +105,21 @@ def no_decay_degenerate(p, n_kl: int) -> Check:
                  {"slope": fit.slope}, fit.slope, ">=", _NO_DECAY_SLOPE)
 
 
+def phase_quadratic_degeneracy(rng: np.random.Generator, points: int) -> Check:
+    """psi = 2kl at p = 2 at ``points`` shifts from U[-1/2, 1/2)^2, y uniform on their window."""
+    worst = 0.0
+    for _ in range(points):
+        lo = hi = 0.0
+        while hi <= lo:  # a shift pair without an admissible window is redrawn
+            k, l = rng.uniform(-0.5, 0.5, size=2)
+            fam = oscillatory.PhaseFamily(2.0, k, l)
+            lo, hi = fam.admissible_interval()
+        v, _ = oscillatory.phase_eval(fam, float(rng.uniform(lo, hi)))
+        worst = max(worst, abs(v - 2.0 * k * l))
+    return check("quadratic phase degeneracy", "phase-quadratic-degeneracy",
+                 {"points": points, "max_dev": worst}, worst, "<", 1e-12)
+
+
 def phase_remainder_agreement() -> Check:
     fam = oscillatory.PhaseFamily(p=3.0, k=0.5, l=0.5)
     dv, dd = oscillatory.phase_eval(fam, 1.0)
@@ -127,6 +142,28 @@ def lacunary_sum_cap(rng: np.random.Generator, trials: int, terms: int, first_hi
         s1, s2, cap = oscillatory.lacunary_sum_bound(mus, k=k)
         worst = max(worst, s1, s2)
     return check("lacunary sum cap", "lacunary-sum-cap", {"trials": trials}, worst, "<=", cap)
+
+
+# past the transform decay onset (~24 / shell width) for order-one frequencies
+MULTIPLIER_SCALES = [16.0 * 2.0**j for j in range(12)]
+
+
+def multiplier_scale_uniformity(rng: np.random.Generator, table: oscillatory.TransformTable,
+                                frequencies: int) -> Check:
+    """|m| over 12 scales against 6 at ``frequencies`` draws from U[-2, 2)^3: max(r, 1/r) <= 2."""
+    worst = 1.0
+    for _ in range(frequencies):
+        eta = zeta = dist = 0.0
+        while min(abs(eta), abs(zeta)) < 0.3 or dist < 1e-3:  # redraw where eta or zeta nears zero
+            xi = rng.uniform(-2.0, 2.0, size=3)
+            eta, zeta = -xi[0] + xi[1] - xi[2], xi[0] + 2.0 * xi[2]
+            dist = oscillatory.dist_to_degenerate_subspace(xi)
+        m6 = abs(oscillatory.multiplier_value(xi, MULTIPLIER_SCALES[:6], table))
+        m12 = abs(oscillatory.multiplier_value(xi, MULTIPLIER_SCALES, table))
+        ratio = m12 / m6 if m6 > 0 else math.inf
+        worst = max(worst, ratio, 1.0 / ratio)
+    return check("multiplier scale uniformity", "multiplier-scale-uniformity",
+                 {"frequencies": frequencies, "worst_ratio": worst}, worst, "<=", 2.0)
 
 
 def half_integer_gap_restriction(hits: int, max_proposals: int, seed: int) -> Check:
@@ -197,11 +234,12 @@ def sphere_mass_invariance(p, d: int, n: int) -> Check:
 
 
 def form_decomposition_identity(f: forms.BoxFunction, lam: float, eps: float,
-                                m: MollifierPair, p) -> Check:
-    """M_eps = c1 M + E on the box function f, whose step resolves the width-eps shell."""
-    resid = abs(forms.decomposition_residual(f, lam, eps, m, p))
+                                m: MollifierPair, p):
+    """M_eps = c1 M + E on f, whose step resolves the shell; returns (Check, (M_eps, M, E, c1))."""
+    m_eps, base, e, c1 = values = forms.decomposition_forms(f, lam, eps, m, p)
+    resid = abs(m_eps.value - c1 * base.value - e.value)
     return check("form decomposition identity", "form-decomposition-identity",
-                 {"residual": resid}, resid, "<", 1e-10)
+                 {"residual": resid}, resid, "<", 1e-10), values
 
 
 def pigeonhole_half_density(d: int, density: float, seeds) -> Check:

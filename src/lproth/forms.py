@@ -56,12 +56,8 @@ class BoxFunction:
     h: float
 
     def __post_init__(self):
-        for name in ("N", "h"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        n = _cell_count(self.N, self.h)
         self.values = np.asarray(self.values, dtype=float)
-        n = int(round(self.N / self.h))
         if abs(n * self.h - self.N) > 1e-9 * self.N:
             raise ValueError("box size must be an integer number of cells")
         if self.values.shape != (n,) * self.values.ndim:
@@ -83,8 +79,18 @@ class BoxFunction:
         return float(np.mean(self.values))
 
 
+def _cell_count(N: float, h: float, whole=round) -> int:
+    """The number whole(N / h) of step-h cells across [0, N], for finite positive N and h."""
+    for name, value in (("N", N), ("h", h)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not math.isfinite(N / h):
+        raise ValueError(f"N / h overflows: N = {N}, h = {h}")
+    return int(whole(N / h))
+
+
 def full_box(N: float, h: float, d: int) -> BoxFunction:
-    n = int(round(N / h))
+    n = _cell_count(N, h)
     return BoxFunction(values=np.ones((n,) * d), N=N, h=h)
 
 
@@ -95,7 +101,7 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
     Plain draws pick ceil(density n^d) cells uniformly; structured draws
     lay axis stripes of the requested density (an adversarial ensemble).
     """
-    n = int(round(N / h))
+    n = _cell_count(N, h)
     total = n**d
     want = int(np.ceil(density * total))
     vals = np.zeros(total)
@@ -146,7 +152,7 @@ def _check_scale(f: BoxFunction, lam: float, eps: float, p: float) -> None:
 
 def resolved_grid(N: float, lam: float, eps: float, p) -> tuple[int, float]:
     """(n, h): the fewest equal cells filling [0, N] that resolve the width-eps shell at lam."""
-    n = int(np.ceil(N / _max_step(lam, eps, valid_exponent(p))))
+    n = _cell_count(N, _max_step(lam, eps, valid_exponent(p)), math.ceil)
     return n, N / n
 
 

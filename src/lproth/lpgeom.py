@@ -49,18 +49,13 @@ def valid_exponent(p) -> float:
     return pv
 
 
-def as_vector(y) -> np.ndarray:
+def lp_norm(y, p) -> float:
+    """(sum |y_i|^p)^(1/p) of a flat vector of finite coordinates."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a flat coordinate vector")
     if not np.all(np.isfinite(y)):
         raise ValueError("coordinates must be finite")
-    return y
-
-
-def lp_norm(y, p) -> float:
-    """(sum |y_i|^p)^(1/p)."""
-    y = as_vector(y)
     pv = valid_exponent(p)
     if pv == 1.0:
         return float(np.sum(np.abs(y)))
@@ -74,19 +69,6 @@ def lp_norm_batch(ys: np.ndarray, p) -> np.ndarray:
     pv = valid_exponent(p)
     ys = np.asarray(ys, dtype=float)
     return np.sum(np.abs(ys) ** pv, axis=-1) ** (1.0 / pv)
-
-
-def grad_q_magnitude(y, p) -> float:
-    """Euclidean magnitude of grad Q at y, Q(y) = ||y||_p^p.
-
-    (grad Q)_i = p |y_i|^(p-1) sgn(y_i), so |grad Q| = p (sum |y_i|^(2p-2))^(1/2).
-    Undefined at the origin, where the surface density 1/|grad Q| blows up.
-    """
-    y = as_vector(y)
-    pv = valid_exponent(p)
-    if not np.any(y != 0.0):
-        raise ValueError("gradient magnitude undefined at the origin")
-    return float(pv * np.sqrt(np.sum(np.abs(y) ** (2.0 * (pv - 1.0)))))
 
 
 def unit_ball_volume(p, d: int, mode: str = "closed-form", n_samples: int = 10**6,

@@ -83,23 +83,20 @@ class PhaseFamily:
     def admissible_interval(self) -> tuple[float, float]:
         return _admissible_interval(self.k, self.l)
 
-    def admissible(self, y) -> np.ndarray:
+    def admissible_point(self, y) -> float:
+        """y as a float; a point outside the admissible window is rejected."""
         lo, hi = self.admissible_interval()
-        y = np.asarray(y, dtype=float)
-        return (y >= lo) & (y <= hi)
+        if not lo <= float(y) <= hi:
+            raise ValueError(f"y={y} leaves the admissible window for shifts ({self.k}, {self.l})")
+        return float(y)
 
 
 def phase_eval(fam: PhaseFamily, y) -> tuple[float, float]:
-    """(psi_{k,l}(y), psi'_{k,l}(y)) by the direct formulas."""
-    y = float(y)
-    if not bool(fam.admissible(y)):
-        raise ValueError(f"y={y} leaves the admissible window for shifts ({fam.k}, {fam.l})")
-    p, k, l = fam.p, fam.k, fam.l
-    pts = np.array([y, y + k + l, y + k, y + l])
-    sgn = np.array([1.0, 1.0, -1.0, -1.0])
-    val = float(np.dot(sgn, pts**p))
-    der = float(p * np.dot(sgn, pts ** (p - 1.0)))
-    return val, der
+    """(psi_{k,l}(y), psi'_{k,l}(y)) by the formulas i_of_t runs, on a one-point array
+    (a scalar power can differ from the array power by an ulp)."""
+    ys = np.array([fam.admissible_point(y)])
+    return (float(_phase_values(ys, fam.p, fam.k, fam.l)[0]),
+            float(_dpsi_values(ys, fam.p, fam.k, fam.l)[0]))
 
 
 def phase_eval_remainder(fam: PhaseFamily, y) -> tuple[float, float]:
@@ -111,9 +108,7 @@ def phase_eval_remainder(fam: PhaseFamily, y) -> tuple[float, float]:
     evaluated with a 24^2 Gauss-Legendre rule; the base stays inside the
     admissible window so the integrand is smooth.
     """
-    y = float(y)
-    if not bool(fam.admissible(y)):
-        raise ValueError("inadmissible evaluation point")
+    y = fam.admissible_point(y)
     p, k, l = fam.p, fam.k, fam.l
     x, w = _GL24
     u = 0.5 * (x + 1.0)
@@ -338,6 +333,11 @@ class DecayFit:
     c_fit: float
     degenerate: bool
 
+    def envelope_rows(self) -> list:
+        """[t, |I(t)|, c_fit t^(-1/r)] at each sampled t."""
+        return [[t, v, self.c_fit * t ** (-1.0 / self.r_theory)]
+                for t, v in zip(self.t_samples, self.values)]
+
 
 def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> DecayFit:
     """Log-log decay slope of I(t) with the one-sided envelope constant.
@@ -401,13 +401,6 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     return StationaryBound(eta=eta, min_abs_dpsi=float(np.min(mins, initial=np.inf)),
                            min_normalized=float(np.min(mins / np.abs(k * l), initial=np.inf)),
                            degenerate=False)
-
-
-def fit_stationary_exponent(p, etas: Sequence[float]) -> tuple[float, list]:
-    """Least-squares exponent of min |psi'| against eta."""
-    mins = [stationary_lower_bound_check(p, e).min_abs_dpsi for e in etas]
-    coef = np.polyfit(np.log(etas), np.log(mins), 1)
-    return float(coef[0]), mins
 
 
 def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, float]:

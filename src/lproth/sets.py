@@ -159,8 +159,10 @@ class GapSpectrum:
         else:
             self.max_half_integer_deviation = 0.0
 
-    def histogram(self, bins: int = 64):
-        return np.histogram(self.gaps, bins=bins)
+    def histogram_rows(self, bins: int = 64) -> list:
+        """[bin midpoint, count] rows of the gap histogram."""
+        counts, edges = np.histogram(self.gaps, bins=bins)
+        return [[0.5 * (edges[i] + edges[i + 1]), float(c)] for i, c in enumerate(counts)]
 
 
 def _member_pool(A: PointSet, box_hi: float, count: int, rng, max_draws: int = 10**8) -> np.ndarray:

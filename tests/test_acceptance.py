@@ -47,23 +47,11 @@ class TestAcceptance:
         criterion(3, stated, dt < 600.0, "; ".join(slopes) + f"; {dt:.0f}s")
 
     def test_04_phase_degeneracy(self):
-        rng = spawn_rng(104, 0)
-        worst = 0.0
-        n = 0
-        while n < 10**4:
-            k, l = rng.uniform(-0.5, 0.5, size=2)
-            fam = oscillatory.PhaseFamily(2.0, k, l)
-            lo, hi = fam.admissible_interval()
-            if hi <= lo:
-                continue
-            y = float(rng.uniform(lo, hi))
-            v, _ = oscillatory.phase_eval(fam, y)
-            worst = max(worst, abs(v - 2.0 * k * l))
-            n += 1
+        quad = claims.phase_quadratic_degeneracy(spawn_rng(104, 0), 10**4)
         chk = claims.phase_remainder_agreement()
         dev3 = max(abs(a - b) for a, b in zip(chk.values["direct"], chk.values["remainder"]))
-        criterion(4, [(chk, 1e-8)], worst < 1e-12,
-                  f"quadratic constancy dev {worst:.2e} at 1e4 points; "
+        criterion(4, [(quad, 1e-12), (chk, 1e-8)], quad.values["points"] == 10**4,
+                  f"quadratic constancy dev {quad.values['max_dev']:.2e} at 1e4 points; "
                   f"cubic remainder-form dev {dev3:.2e}")
 
     def test_05_square_shell_obstruction(self):
@@ -86,27 +74,12 @@ class TestAcceptance:
         zero = claims.transform_zero_at_origin(params, moll)
         rng = spawn_rng(107, 0)
         cap = claims.lacunary_sum_cap(rng, trials=100, terms=15, first_hi=2.0, step_hi=2.0, k=1)
-        # scales start high enough that every added term sits past the
-        # transform decay onset (~24 / shell width) for the sampled frequencies
         table = oscillatory.build_transform_table(1.5, 0.05, moll)
-        lam6 = [16.0 * 2.0**j for j in range(6)]
-        lam12 = [16.0 * 2.0**j for j in range(12)]
-        worst_ratio = 1.0
-        n = 0
-        while n < 100:
-            xi = rng.uniform(-2.0, 2.0, size=3)
-            eta = -xi[0] + xi[1] - xi[2]
-            zeta = xi[0] + 2.0 * xi[2]
-            if (abs(eta) < 0.3 or abs(zeta) < 0.3
-                    or oscillatory.dist_to_degenerate_subspace(xi) < 1e-3):
-                continue
-            m6 = abs(oscillatory.multiplier_value(xi, lam6, table))
-            m12 = abs(oscillatory.multiplier_value(xi, lam12, table))
-            ratio = m12 / m6 if m6 > 0 else np.inf
-            worst_ratio = max(worst_ratio, ratio, 1.0 / ratio)
-            n += 1
+        uni = claims.multiplier_scale_uniformity(rng, table, 100)
         ref = canc.values["reference"]
-        criterion(7, [(canc, 1e-6 * ref), (zero, 1e-8), (cap, 4.0)], worst_ratio <= 2.0,
+        worst_ratio = uni.values["worst_ratio"]
+        criterion(7, [(canc, 1e-6 * ref), (zero, 1e-8), (cap, 4.0), (uni, 2.0)],
+                  uni.values["frequencies"] == 100,
                   f"cancelled integral {canc.values['residual']:.2e} <= 1e-6*{ref:.3f}; "
                   f"transform at zero {zero.values['k_hat_0']:.2e} < 1e-8; 100 lacunary caps "
                   f"hold; scale-count ratio worst {worst_ratio:.3f} <= 2")
@@ -127,7 +100,8 @@ class TestAcceptance:
             for trial in range(3):
                 vals = np.ones(n) if trial == 0 else rng.uniform(-1, 1, size=n)
                 f = forms.BoxFunction(values=vals, N=N, h=h)
-                stated.append((claims.form_decomposition_identity(f, lam, eps, moll, 1.5), 1e-10))
+                chk, _ = claims.form_decomposition_identity(f, lam, eps, moll, 1.5)
+                stated.append((chk, 1e-10))
         worst = max(chk.values["residual"] for chk, _ in stated)
         spheres = {p: claims.sphere_mass_invariance(p, 2, 2048) for p in (1.5, 2.0, 3.0)}
         stated += [(chk, 1e-4) for chk in spheres.values()]

@@ -1,16 +1,18 @@
+import ast
 import copy
 import csv
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import cli
+from lproth import claims, cli
 from lproth.claims import Check, check
 from lproth.cli import (
     ConfigError,
@@ -73,6 +75,14 @@ class TestConfigParsing:
         for p in (math.nan, math.inf, 0.5, -1.0):
             with pytest.raises(ConfigError, match="exponent must be finite and >= 1"):
                 ExperimentConfig(suite="oscillatory", p=p).validate()
+
+    @pytest.mark.parametrize("suite", ["oscillatory", "verify-all"])
+    def test_unit_epsilon_exits_1(self, capsys, tmp_path, suite):
+        # c1(1) = 1 cancels the kernel the multiplier audit transforms
+        assert cli.main(["run", "--suite", suite, "--epsilon", "1",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "epsilon=1 leaves suite" in capsys.readouterr().err
+        ExperimentConfig(suite="kernels", epsilon=1.0).validate()
 
     def test_usage_exit_code(self, capsys):
         assert cli.main(["run"]) == 1
@@ -390,3 +400,20 @@ class TestRunSuite:
         assert recs["decay-envelope"]["values"]["slope"] >= -0.02
         assert recs["stationary-lower-bound"]["bound"] == 0.0
         assert report["summary"]["worst_margin"] >= 0.0
+        # the claims the gate measures at 1e4 points and 100 frequencies
+        assert recs["phase-quadratic-degeneracy"]["values"]["points"] == 50
+        assert recs["multiplier-scale-uniformity"]["values"]["frequencies"] == 100
+        assert recs["multiplier-scale-uniformity"]["bound"] == 2.0
+
+
+def test_every_public_claim_is_reported():
+    # a claim that only the acceptance gate measures would split the CLI and the gate again
+    def parse(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    public = {node.name for node in parse(claims).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    reported = {node.func.attr for node in ast.walk(parse(cli))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "claims"}
+    assert public - {"check"} - reported == set()

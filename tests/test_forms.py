@@ -18,6 +18,7 @@ from lproth.forms import (
     m_lambda,
     n_lambda,
     random_indicator,
+    resolved_grid,
     roth_main_term_experiment,
     translate_box,
 )
@@ -50,6 +51,17 @@ class TestBoxFunction:
     def test_bad_size_or_step_rejected(self, name, N, h):
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             BoxFunction(values=np.ones(4), N=N, h=h)
+
+    @pytest.mark.parametrize("name,build", [
+        ("N", lambda: full_box(np.nan, 0.25, 2)),
+        ("N", lambda: random_indicator(np.nan, 0.25, 2, 0.5, 1)),
+        ("h", lambda: full_box(4.0, 0.0, 2)),
+        ("N", lambda: resolved_grid(np.inf, 2.0, 0.25, 1.5)),
+        ("N / h", lambda: full_box(1e308, 1e-10, 1)),
+    ])
+    def test_builders_reject_bad_size_or_step(self, name, build):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            build()
 
     def test_cell_count_enforced(self):
         with pytest.raises(ValueError):

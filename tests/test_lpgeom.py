@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lproth import lpgeom, oscillatory, sets
 from lproth.lpgeom import (
     DEGENERATE_P,
-    grad_q_magnitude,
     lp_norm,
     sigma_mass_invariance,
     sigma_total_mass,
@@ -20,8 +19,6 @@ from lproth.mollifier import KernelParams
 
 # scalar oracle (30-digit arithmetic): (1 + 2^1.5)^(2/3)
 LP_NORM_1_M2_P15 = 2.4472608147714755
-# 1.5 * sqrt(1.5)
-GRADQ_1_05_P15 = 1.8371173070873836
 
 
 BAD_EXPONENTS = [math.nan, math.inf, -math.inf, 0.5, -1.0]
@@ -107,21 +104,6 @@ class TestLpNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             lp_norm([1.0, float("nan")], 2.0)
-
-
-class TestGradQ:
-    def test_euclidean_case(self):
-        assert grad_q_magnitude([3.0, 4.0], 2.0) == pytest.approx(10.0, abs=1e-13)
-
-    def test_quartic_diagonal(self):
-        assert grad_q_magnitude([1.0, 1.0], 4.0) == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
-
-    def test_fractional_oracle(self):
-        assert grad_q_magnitude([1.0, 0.5], 1.5) == pytest.approx(GRADQ_1_05_P15, abs=1e-13)
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            grad_q_magnitude([0.0, 0.0], 1.5)
 
 
 class TestBallVolume:

@@ -23,7 +23,6 @@ from lproth.oscillatory import (
     decay_fit,
     decay_index,
     dist_to_degenerate_subspace,
-    fit_stationary_exponent,
     i_of_t,
     i_of_t_lattice,
     inner_integral,
@@ -65,6 +64,15 @@ class TestPhase:
             dv, dd = phase_eval(fam, y)
             rv, rd = phase_eval_remainder(fam, y)
             assert abs(dv - rv) < 1e-8 and abs(dd - rd) < 1e-8
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_same_formula_as_the_array_pass(self, rng, p):
+        # the remainder oracle checks the phase that i_of_t and the psi' floor run
+        fam = PhaseFamily(p=p, k=0.3, l=-0.2)
+        ys = rng.uniform(*fam.admissible_interval(), size=200)
+        pairs = np.array([phase_eval(fam, y) for y in ys])
+        assert np.array_equal(pairs[:, 0], _phase_values(ys, p, fam.k, fam.l))
+        assert np.array_equal(pairs[:, 1], _dpsi_values(ys, p, fam.k, fam.l))
 
     def test_inadmissible_rejected(self):
         fam = PhaseFamily(p=1.5, k=0.5, l=0.5)
@@ -400,10 +408,6 @@ class TestStationaryBound:
         a = stationary_lower_bound_check(1.5, 0.2).min_abs_dpsi
         b = stationary_lower_bound_check(1.5, 0.1).min_abs_dpsi
         assert 0.0 < b < a
-
-    def test_cubic_exponent_matches_shift_product(self):
-        expo, _ = fit_stationary_exponent(3.0, (0.2, 0.1, 0.05))
-        assert abs(expo - 2.0) < 0.3  # p - 1 = 2 exactly at the cubic exponent
 
     def test_eta_range_guard(self):
         with pytest.raises(ValueError):
