@@ -29,7 +29,7 @@ def main():
     rep = theorem_experiment(args.delta, args.p, 2, args.N, seq,
                              seeds=range(args.seed0, args.seed0 + args.seeds))
     for seed, got in zip(range(args.seed0, args.seed0 + args.seeds), rep.realized):
-        lams = [f"{seq.values[j]:g}" for j in got]
+        lams = [f"{seq[j]:g}" for j in got]
         print(f"seed {seed}: scales realized {lams if lams else 'none'}")
     print(f"all seeds realized at least one scale: {rep.all_seeds_realized}")
 

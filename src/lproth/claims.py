@@ -52,7 +52,7 @@ def check(name: str, anchor: str, values: dict, x, op: str, bound, requires: boo
 
 
 def _random_grid(rng: np.random.Generator, size) -> gowers.CyclicGridFunction:
-    return gowers.CyclicGridFunction.from_array(rng.normal(size=size) + 1j * rng.normal(size=size))
+    return gowers.CyclicGridFunction(rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 def u3_oracle_equivalence(rng: np.random.Generator, grids) -> Check:

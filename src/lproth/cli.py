@@ -80,6 +80,10 @@ REPORT_SCHEMA = {
 _U3_ETAS = (0.05, 0.025)
 _U3_EPS = 0.1
 _U3_OVERSAMPLE = 8
+# box, gap scale and shell width of the forms suite's grid, which needs
+# ceil(512 p) cells; the limit of 2**18 cells admits p <= 512
+_FORM_N, _FORM_LAM, _FORM_EPS = 32.0, 2.0, 0.25
+_FORM_MAX_CELLS = 1 << 18
 
 
 @dataclass
@@ -128,6 +132,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"grid_m={self.grid_m} under-resolves the eta={min(_U3_ETAS)} shell "
                     f"at p={self.p}: the minimum is grid_m={need}")
+        if self.suite in ("forms", "verify-all"):
+            try:
+                cells = forms.resolved_grid(_FORM_N, _FORM_LAM, _FORM_EPS, self.p)[0]
+            except ValueError:  # N / h overflows
+                cells = math.inf
+            if cells > _FORM_MAX_CELLS:
+                raise ConfigError(
+                    f"p={self.p} is out of range for suite {self.suite!r}: the forms grid "
+                    f"needs more than the limit of {_FORM_MAX_CELLS} cells (p <= 512)")
         if not (0.0 < self.epsilon <= 1.0):
             raise ConfigError(f"epsilon out of range: {self.epsilon}")
         if self.epsilon == 1.0 and self.suite in ("oscillatory", "verify-all"):
@@ -261,20 +274,19 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
     rng = spawn_rng(cfg.seed, 29)
     out = [claims.u3_oracle_equivalence(rng, [(16, 1, 10)])]
     out.append(claims.u2_spectral_identity(rng, 10))
-    F = gowers.CyclicGridFunction.from_array(rng.normal(size=16) + 1j * rng.normal(size=16))
+    F = gowers.CyclicGridFunction(rng.normal(size=16) + 1j * rng.normal(size=16))
     base = gowers.u3_norm(F)
     xi = 3
-    mod = gowers.CyclicGridFunction.from_array(
-        F.values * np.exp(2j * np.pi * xi * np.arange(16) / 16))
+    mod = gowers.CyclicGridFunction(F.values * np.exp(2j * np.pi * xi * np.arange(16) / 16))
     dev = abs(gowers.u3_norm(mod) - base) / base
     out.append(check("modulation invariance", "u3-modulation-invariance",
                      {"rel_dev": dev}, dev, "<", 1e-10))
-    tr = gowers.CyclicGridFunction.from_array(np.roll(F.values, 5))
+    tr = gowers.CyclicGridFunction(np.roll(F.values, 5))
     devt = abs(gowers.u3_norm(tr) - base) / base
     out.append(check("translation invariance", "u3-translation-invariance",
                      {"rel_dev": devt}, devt, "<", 1e-10))
     out.extend(claims.u3_tensor_product(pp, tt) for pp, tt in ((cfg.p, 2.0), (3.0, 5.0)))
-    dists = [gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m).value
+    dists = [gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m)
              for eta in _U3_ETAS]
     out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
                      {"distances": dists}, None, bool(dists[1] >= dists[0] > 0)))
@@ -287,10 +299,7 @@ def _gowers_checks(ctx: SuiteContext) -> list[Check]:
 
 def _forms_checks(ctx: SuiteContext) -> list[Check]:
     cfg, m = ctx.cfg, ctx.m
-    p = cfg.p
-    N = 32.0
-    lam = 2.0
-    eps = 0.25
+    p, N, lam, eps = cfg.p, _FORM_N, _FORM_LAM, _FORM_EPS
     _, h = forms.resolved_grid(N, lam, eps, p)
     f = forms.full_box(N, h, 1)
     identity, (m_eps_form, base, e_form, _) = claims.form_decomposition_identity(f, lam, eps, m, p)
@@ -318,7 +327,7 @@ def _forms_checks(ctx: SuiteContext) -> list[Check]:
                      {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
     mt = forms.roth_main_term_experiment(0.5, 1, N, lam, cfg.trials, m, p, seed=cfg.seed)
     out.append(check("density main term positive", "main-term-positive",
-                     {"min_normalized": mt.min_normalized}, mt.min_normalized, ">", 1e-3 * cw))
+                     {"min_normalized": mt}, mt, ">", 1e-3 * cw))
     # a box of about 8 on whole cells of the step h
     f2 = forms.random_indicator(round(8.0 / h) * h, h, 1, 0.5, seed=cfg.seed)
     v0 = forms.m_lambda(forms.translate_box(f2, 0), lam, m, p).value

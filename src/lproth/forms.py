@@ -473,7 +473,6 @@ class PigeonholeReport:
     qualifying: int
     L: int
     threshold_ok: bool
-    delta: float
 
 
 def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
@@ -508,22 +507,16 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
     # claimed bound: qualifying >= delta L / 2 with delta the grid mean
     md = mcells**f.d
     ok = bool(2 * qualifying * md >= total)
-    return PigeonholeReport(qualifying=qualifying, L=int(L), threshold_ok=ok,
-                            delta=float(total) / (L * md))
-
-
-@dataclass
-class MainTermReport:
-    min_normalized: float
+    return PigeonholeReport(qualifying=qualifying, L=int(L), threshold_ok=ok)
 
 
 def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials: int,
                               m: MollifierPair, p, h: Optional[float] = None,
-                              seed: int = 0) -> MainTermReport:
-    """Minimum normalized mollified count over random density-delta sets.
+                              seed: int = 0) -> float:
+    """The minimum of M_lam / N^d over random density-delta sets.
 
     Ensembles alternate i.i.d. cell draws with structured stripes; the
-    observed minimum of M_lam / N^d is the empirical density constant.
+    observed minimum is the empirical density constant.
     """
     pv = valid_exponent(p)
     if lam > N / 8.0:
@@ -535,7 +528,7 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
         f = random_indicator(N, h, d, delta, seed=seed * 1000 + trial,
                              structured=(trial % 2 == 1))
         outs.append(m_lambda(f, lam, m, pv).value / N**d)
-    return MainTermReport(min_normalized=min(outs))
+    return min(outs)
 
 
 def translate_box(f: BoxFunction, cells: int) -> BoxFunction:
@@ -544,6 +537,5 @@ def translate_box(f: BoxFunction, cells: int) -> BoxFunction:
     big = 2 * n + 2 * abs(cells)
     vals = np.zeros((big,) * f.d)
     sl = tuple(slice(abs(cells) + cells, abs(cells) + cells + n) for _ in range(f.d))
-    base = tuple(slice(abs(cells), abs(cells) + n) for _ in range(f.d))
-    vals[sl if cells else base] = f.values
+    vals[sl] = f.values
     return BoxFunction(values=vals, N=big * f.h, h=f.h)

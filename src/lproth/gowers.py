@@ -44,25 +44,26 @@ BRUTE_FORCE_TUPLE_BUDGET = 10**8
 
 @dataclass
 class CyclicGridFunction:
-    """Complex values on Z_M^d with an optional physical cell size."""
+    """Complex values on Z_M^d, given as a cubical array, with an optional physical cell size."""
 
     values: np.ndarray
-    M: int
-    d: int
     cell: float = 1.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape((self.M,) * self.d)
+        self.values = np.asarray(self.values, dtype=complex)
+        shape = self.values.shape
+        if not shape or shape != (shape[0],) * len(shape):
+            raise ValueError(f"expected a cubical array, got shape {shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
 
-    @classmethod
-    def from_array(cls, arr, cell: float = 1.0) -> "CyclicGridFunction":
-        arr = np.asarray(arr, dtype=complex)
-        M = arr.shape[0]
-        if arr.shape != (M,) * arr.ndim:
-            raise ValueError("expected a cubical array")
-        return cls(values=arr, M=M, d=arr.ndim, cell=cell)
+    @property
+    def M(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.values.ndim
 
 
 def delta_h(F: CyclicGridFunction, h) -> CyclicGridFunction:
@@ -71,7 +72,7 @@ def delta_h(F: CyclicGridFunction, h) -> CyclicGridFunction:
     if h.size != F.d:
         raise ValueError(f"shift has {h.size} components, grid dimension is {F.d}")
     shifted = np.roll(F.values, shift=tuple(-int(c) for c in h), axis=tuple(range(F.d)))
-    return CyclicGridFunction(values=shifted * np.conj(F.values), M=F.M, d=F.d, cell=F.cell)
+    return CyclicGridFunction(shifted * np.conj(F.values), cell=F.cell)
 
 
 def _u2_fourth_spectral(values: np.ndarray) -> float:
@@ -237,22 +238,12 @@ def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
     pos = np.ones_like(vals)
     for g in grids:
         pos = pos * (g > 0.0)
-    return CyclicGridFunction(values=vals * pos, M=M, d=d, cell=cell)
-
-
-@dataclass
-class U3Distance:
-    eta: float
-    eps: float
-    value: float
-    M: int
-    d: int
-    cell: float
+    return CyclicGridFunction(vals * pos, cell=cell)
 
 
 def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
-                       d: int = 1, lam: float = 1.0) -> U3Distance:
-    """Continuum-normalized U^3 distance between two shell mollifications.
+                       d: int = 1, lam: float = 1.0) -> float:
+    """Continuum-normalized U^3 distance between two shell mollifications, as a float.
 
     Symmetric in (eta, eps); identical widths give 0 exactly.  As eta
     shrinks at fixed eps the values grow monotonically; in the low
@@ -264,9 +255,8 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
     """
     pv = valid_exponent(p)
     if eta == eps:
-        return U3Distance(eta=eta, eps=eps, value=0.0, M=M, d=d, cell=0.0)
-    F = embed_kernel_difference(eta, eps, pv, d, M, m, lam=lam)
-    return U3Distance(eta=eta, eps=eps, value=u3_norm_continuum(F), M=M, d=d, cell=F.cell)
+        return 0.0
+    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, d, M, m, lam=lam))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +275,6 @@ class TensorCheck:
     rhs: float
     relative_gap: float
     resolved: bool
-    M: int
-    cell: float
 
 
 def u3_tensor_check(p, t: float, M: int = 64, d: int = 2,
@@ -310,16 +298,16 @@ def u3_tensor_check(p, t: float, M: int = 64, d: int = 2,
         raise ValueError("grid under-samples the requested oscillation")
     ax = (np.arange(M) - M // 2) * cell
     f1 = even_bump(ax, C, 2.0 * C) * (ax > 0.0) * np.exp(1j * t * np.abs(ax) ** pv)
-    F1 = CyclicGridFunction(values=f1, M=M, d=1, cell=cell)
+    F1 = CyclicGridFunction(f1, cell=cell)
     Y1, Y2 = np.meshgrid(ax, ax, indexing="ij")
     amp = (even_bump(Y1, C, 2.0 * C) * even_bump(Y2, C, 2.0 * C)
            * (Y1 > 0.0) * (Y2 > 0.0))
     f2 = amp * np.exp(1j * t * (np.abs(Y1) ** pv + np.abs(Y2) ** pv))
-    F2 = CyclicGridFunction(values=f2, M=M, d=2, cell=cell)
+    F2 = CyclicGridFunction(f2, cell=cell)
     lhs = u3_norm_continuum(F2)
     rhs = u3_norm_continuum(F1) ** 2
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return TensorCheck(lhs=lhs, rhs=rhs, relative_gap=gap, resolved=resolved, M=M, cell=cell)
+    return TensorCheck(lhs=lhs, rhs=rhs, relative_gap=gap, resolved=resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +352,7 @@ def u3_form_control_check(f_values: np.ndarray, g_values: np.ndarray, h: float,
         Mg *= 2
     gg = np.zeros(Mg, dtype=complex)
     gg[:ng] = g
-    G = CyclicGridFunction(values=gg, M=Mg, d=1, cell=h)
+    G = CyclicGridFunction(gg, cell=h)
     bound = N * np.sqrt(lam) * u3_norm_continuum(G)
     ratio = abs(T) / bound if bound > 0 else (0.0 if T == 0.0 else np.inf)
     return FormControl(T=T, bound=bound, ratio=ratio)

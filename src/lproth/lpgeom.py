@@ -249,7 +249,6 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
 
 @dataclass
 class MassInvarianceReport:
-    lambdas: list
     masses: list
     max_relative_deviation: float
 
@@ -263,4 +262,4 @@ def sigma_mass_invariance(p, d: int, lambdas, n: int = 4096, mode: str = MODE_GR
         masses.append(rule.total_mass)
     lo, hi = min(masses), max(masses)
     dev = (hi - lo) / max(abs(lo), 1e-300)
-    return MassInvarianceReport(list(map(float, lambdas)), masses, dev)
+    return MassInvarianceReport(masses, dev)

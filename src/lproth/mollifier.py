@@ -9,8 +9,7 @@ The pair (psi, psi_hat) is generated from b(t) = (1-t^2)^2 on [-1,1]:
 Under the convention psi_hat(u) = integral of psi(s) e^{isu} ds these are
 exact transforms of each other.  By construction psi(0) = 1, 0 <= psi <= 1
 (since b >= 0 forces |g| <= g(0)), psi_hat >= 0, and supp psi_hat = [-2, 2].
-The peak value M_psi = psi_hat(0) = 10 pi / 7 exceeds 1; it is tracked
-explicitly and scales every bound that would otherwise assume a unit cap.
+The peak value psi_hat(0) = 10 pi / 7 exceeds 1.
 
 Shell kernels at radius lam and width eps:
 
@@ -87,28 +86,15 @@ def _b_autoconv(u):
 
 @dataclass(frozen=True)
 class MollifierPair:
-    """Window pair with its tracked constants.
-
-    tau, c_low: psi_hat(u) >= c_low for |u| <= tau.  M_psi: sup of psi_hat.
-    """
+    """The window psi and its transform psi_hat."""
 
     psi: Callable[[np.ndarray], np.ndarray]
     psi_hat: Callable[[np.ndarray], np.ndarray]
-    tau: float
-    c_low: float
-    M_psi: float
 
 
 def build_mollifier() -> MollifierPair:
-    psi = lambda x: (_g_window(x) / _G0) ** 2
-    psi_hat = lambda u: 2.0 * np.pi * _b_autoconv(u) / _G0**2
-    tau = 1.0
-    # psi_hat is even and unimodal (b is log-concave), so the minimum over
-    # |u| <= tau sits at the endpoint; evaluate on a grid as a guard anyway
-    grid = np.linspace(0.0, tau, 2001)
-    c_low = float(np.min(psi_hat(grid)))
-    m_psi = float(psi_hat(np.array([0.0]))[0])
-    return MollifierPair(psi=psi, psi_hat=psi_hat, tau=tau, c_low=c_low, M_psi=m_psi)
+    return MollifierPair(psi=lambda x: (_g_window(x) / _G0) ** 2,
+                         psi_hat=lambda u: 2.0 * np.pi * _b_autoconv(u) / _G0**2)
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,6 @@ def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> De
 
 @dataclass
 class StationaryBound:
-    eta: float
     min_abs_dpsi: float
     min_normalized: float  # |psi'| / |k l|
     degenerate: bool
@@ -383,7 +382,7 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     if not (0.0 < eta < 0.5):
         raise ValueError("eta must lie in (0, 0.5)")
     if pv in DEGENERATE_P:
-        return StationaryBound(eta=eta, min_abs_dpsi=0.0, min_normalized=0.0, degenerate=True)
+        return StationaryBound(min_abs_dpsi=0.0, min_normalized=0.0, degenerate=True)
     mags = np.linspace(eta, KL_HALF, _STATIONARY_GRID)
     signs = np.array([-1.0, 1.0])
     kl_vals = (signs[:, None] * mags[None, :]).ravel()
@@ -398,7 +397,7 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
         c = slice(s, s + block)
         y = _linspace_rows(lo[c], hi[c], nodes)
         mins[c] = np.min(np.abs(_dpsi_values(y, pv, k[c, None], l[c, None])), axis=1)
-    return StationaryBound(eta=eta, min_abs_dpsi=float(np.min(mins, initial=np.inf)),
+    return StationaryBound(min_abs_dpsi=float(np.min(mins, initial=np.inf)),
                            min_normalized=float(np.min(mins / np.abs(k * l), initial=np.inf)),
                            degenerate=False)
 
@@ -411,6 +410,8 @@ def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, f
     the sequence length.
     """
     mu = [float(v) for v in mu]
+    if not all(map(math.isfinite, mu)):
+        raise ValueError(f"mu must be finite, got {mu}")
     if any(v <= 0.0 for v in mu):
         raise ValueError("sequence must be positive")
     if k < 1:

@@ -19,6 +19,7 @@ as exhaustion, with the budget attached.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,6 +32,8 @@ from .util import spawn_rng
 BOURGAIN_SHELL = 0.1
 HALF_INTEGER_CAP = 0.4
 _CHUNK_ROWS = 1 << 13  # rows per membership test in the pool and the search
+_MAX_POOL_DRAWS = 10**8  # draws after which the member pool gives up
+_THEOREM_CELL = 1.0  # cell side of the positive control's indicator grid
 
 
 @dataclass
@@ -83,9 +86,18 @@ class PointSet:
         raise ValueError(f"unknown set kind {self.kind!r}")
 
     def estimate_density(self, box_hi: float, n: int = 10**5, seed: int = 0) -> float:
+        """Fraction of n uniform draws from [0, box_hi]^dim that are members."""
+        _check_probe_box(box_hi)
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         rng = spawn_rng(seed, 11)
         pts = rng.uniform(0.0, box_hi, size=(n, self.dim))
         return float(np.mean(self.contains_batch(pts)))
+
+
+def _check_probe_box(box_hi: float) -> None:
+    if not (math.isfinite(box_hi) and box_hi > 0.0):
+        raise ValueError(f"box_hi must be finite and positive, got {box_hi}")
 
 
 def bourgain_set(dim: int) -> PointSet:
@@ -165,7 +177,7 @@ class GapSpectrum:
         return [[0.5 * (edges[i] + edges[i + 1]), float(c)] for i, c in enumerate(counts)]
 
 
-def _member_pool(A: PointSet, box_hi: float, count: int, rng, max_draws: int = 10**8) -> np.ndarray:
+def _member_pool(A: PointSet, box_hi: float, count: int, rng) -> np.ndarray:
     """The first ``count`` members among uniform draws from [0, box_hi]^dim.
 
     Draws come in whole blocks, so the RNG stream depends only on how many
@@ -175,7 +187,7 @@ def _member_pool(A: PointSet, box_hi: float, count: int, rng, max_draws: int = 1
     out = []
     got = 0
     draws = 0
-    while got < count and draws < max_draws:
+    while got < count and draws < _MAX_POOL_DRAWS:
         n = max(4 * (count - got), 4096)
         pts = rng.uniform(0.0, box_hi, size=(n, A.dim))
         draws += n
@@ -202,6 +214,7 @@ def gap_spectrum_sample(A: PointSet, p, box_hi: float, n_hits: int,
     forbidden-gap probes).
     """
     pv = valid_exponent(p)
+    _check_probe_box(box_hi)
     rng = spawn_rng(seed, 13)
     gaps = []
     hits = 0
@@ -247,8 +260,9 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     batch order.
     """
     pv = valid_exponent(p)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_probe_box(box_hi)
     rng = spawn_rng(seed, 17)
     rule = sphere_quadrature(pv, A.dim, lam, n=2048,
                              mode="deterministic-graph" if A.dim <= 3 else "shell-monte-carlo",
@@ -276,75 +290,62 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     return SearchOutcome(witness=None, proposals_used=used, exhausted=True)
 
 
-@dataclass
-class LacunarySequence:
-    values: list
-    min_ratio: float
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def lacunary_generate(lambda1: float, ratio: float, J: int) -> LacunarySequence:
-    """Geometric scale sequence lambda1 * ratio^j with the doubling certificate."""
+def lacunary_generate(lambda1: float, ratio: float, J: int) -> list[float]:
+    """The J scales lambda1 * ratio^j, which at least double when ratio >= 2."""
+    for name, value in (("lambda1", lambda1), ("ratio", ratio)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if ratio < 2.0:
         raise ValueError("ratio must be at least 2 (sequence must at least double)")
     if lambda1 <= 1.0:
         raise ValueError("first scale must exceed 1")
     if J < 1:
         raise ValueError("need at least one scale")
-    vals = [lambda1 * ratio**j for j in range(J)]
-    ratios = [b / a for a, b in zip(vals, vals[1:])] or [ratio]
-    return LacunarySequence(values=vals, min_ratio=min(ratios))
+    return [lambda1 * ratio**j for j in range(J)]
 
 
 @dataclass
 class TheoremExperimentReport:
-    delta: float
-    p: float
-    d: int
-    N: float
-    lambdas: list
     realized: list  # per seed, the list of scale indices with a verified witness
     all_seeds_realized: bool
     witnesses: list
 
 
-def theorem_experiment(delta: float, p, d: int, N: float, sequence: LacunarySequence,
-                       seeds: Sequence[int], budget_per_scale: int = 200_000,
-                       cell: float = 1.0) -> TheoremExperimentReport:
+def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[float],
+                       seeds: Sequence[int], budget_per_scale: int = 200_000
+                       ) -> TheoremExperimentReport:
     """Desk-scale positive control for the progression claim.
 
-    Each seed draws a random density-delta cell indicator on [0, N]^d and
-    searches every scale of the sequence with tolerance d * cell.  A seed
-    counts as realized when at least one scale yields a verified witness.
-    Failures are findings, not errors.
+    Each seed draws a random density-delta indicator of unit cells on
+    [0, N]^d and searches every scale of the sequence with tolerance d.
+    A seed counts as realized when at least one scale yields a verified
+    witness.  Failures are findings, not errors.
     """
     pv = valid_exponent(p)
     if pv in DEGENERATE_P:
         raise ValueError("degenerate exponents are rejected by the progression experiment")
     if d > 3:
         raise ValueError("experiment supports d <= 3")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     lams = list(sequence)
     if max(lams) > N / 4.0:
         raise ValueError("largest scale must satisfy lam <= N/4")
     realized = []
     witnesses = []
-    tol = d * cell
-    for si, seed in enumerate(seeds):
-        f = random_indicator(N, cell, d, delta, seed=int(seed))
+    tol = d * _THEOREM_CELL
+    for seed in seeds:
+        f = random_indicator(N, _THEOREM_CELL, d, delta, seed=seed)
         A = grid_indicator_set(f)
         got = []
         for j, lam in enumerate(lams):
             out = progression_search(A, pv, lam, tol=tol, budget=budget_per_scale,
-                                     box_hi=N, seed=int(seed) * 97 + j)
+                                     box_hi=N, seed=seed * 97 + j)
             if out.witness is not None:
                 got.append(j)
-                witnesses.append((int(seed), j, out.witness))
+                witnesses.append((seed, j, out.witness))
         realized.append(got)
-    return TheoremExperimentReport(
-        delta=delta, p=pv, d=d, N=N, lambdas=lams, realized=realized,
-        all_seeds_realized=all(len(g) > 0 for g in realized), witnesses=witnesses)
+    return TheoremExperimentReport(realized=realized,
+                                   all_seeds_realized=all(len(g) > 0 for g in realized),
+                                   witnesses=witnesses)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import claims, cli
+from lproth import claims, cli, forms
 from lproth.claims import Check, check
 from lproth.cli import (
     ConfigError,
@@ -118,10 +118,24 @@ class TestConfigParsing:
                          "--out", str(tmp_path / "out")]) == 1
         assert "needs more than 2**53 cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "forms", "--p", "1e6"],
+        ["--suite", "forms", "--p", "1e306"],  # the cell count overflows
+        ["--suite", "forms", "--p", "512.5"],
+        ["--suite", "verify-all", "--p", "600", "--grid-m", "1000000"],
+    ])
+    def test_oversized_forms_grid_exits_1(self, capsys, tmp_path, argv):
+        # the forms grid has ceil(512 p) cells
+        assert cli.main(["run", *argv, "--out", str(tmp_path / "out")]) == 1
+        assert "the limit of 262144 cells" in capsys.readouterr().err
+
     def test_minimum_grid_accepted(self):
         ExperimentConfig(suite="gowers", grid_m=170).validate()
         ExperimentConfig(suite="gowers", p=5.0, grid_m=519).validate()
         ExperimentConfig(suite="forms", p=5.0, grid_m=1).validate()
+        # the forms grid at its limit of 2**18 cells
+        ExperimentConfig(suite="forms", p=512.0).validate()
+        ExperimentConfig(suite="verify-all", p=512.0, grid_m=10**6).validate()
 
     def test_negative_seed_exits_1(self, capsys, tmp_path):
         assert cli.main(["run", "--suite", "forms", "--seed", "-1",
@@ -186,7 +200,8 @@ class TestFlagsFromFields:
 
 _VALUES = {
     int: st.one_of(st.integers(min_value=-2, max_value=600), st.integers()),
-    float: st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.05]), st.floats()),
+    float: st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.05, 256.0, 512.0, 513.0, 1e6, 1e306]),
+                     st.floats()),
     str: st.one_of(st.sampled_from(cli.SUITES + ("json", "csv")), st.text(max_size=6)),
 }
 
@@ -195,14 +210,18 @@ _VALUES = {
 @given(st.data())
 def test_validate_accepts_or_raises_config_error(data):
     # a suite plus up to three fields set to arbitrary values of their type,
-    # NaN, +-inf, negative and zero included; validate is the one boundary check
+    # NaN, +-inf, negative and zero included; validate is the one boundary check.
+    # An accepted forms run builds at most the grid limit of cells.
     values = {"suite": data.draw(st.sampled_from(cli.SUITES))}
     for name in data.draw(st.sets(st.sampled_from(sorted(cli._FIELD_TYPES)), max_size=3)):
         values[name] = data.draw(_VALUES[cli._FIELD_TYPES[name]], label=name)
+    cfg = ExperimentConfig(**values)
     try:
-        ExperimentConfig(**values).validate()
+        cfg.validate()
     except ConfigError:
-        pass
+        return
+    if cfg.suite in ("forms", "verify-all"):
+        assert forms.resolved_grid(32.0, 2.0, 0.25, cfg.p)[0] <= 2**18
 
 
 class TestCheckRule:

@@ -43,13 +43,16 @@ class TestWindowPair:
         assert err < 1e-8
 
     def test_lower_bound_window(self, moll):
-        assert moll.c_low > 0.0
-        grid = np.linspace(-moll.tau, moll.tau, 501)
-        assert np.all(moll.psi_hat(grid) >= moll.c_low - 1e-15)
+        # psi_hat is even and unimodal, so on |u| <= 1 its minimum sits at u = 1
+        c_low = float(moll.psi_hat(np.array([1.0]))[0])
+        assert c_low > 0.0
+        grid = np.linspace(-1.0, 1.0, 501)
+        assert np.all(moll.psi_hat(grid) >= c_low - 1e-15)
 
     def test_peak_constant(self, moll):
-        assert moll.M_psi == pytest.approx(float(moll.psi_hat(np.array([0.0]))[0]), rel=1e-14)
-        assert moll.M_psi > 1.0  # the tracked constant replacing any unit cap
+        peak = float(moll.psi_hat(np.array([0.0]))[0])
+        assert peak == pytest.approx(10.0 * math.pi / 7.0, rel=1e-14)
+        assert peak > 1.0  # no bound may assume a unit cap
 
 
 class TestKernelEval:
@@ -57,7 +60,7 @@ class TestKernelEval:
         params = KernelParams(1.5, 2, 1.0, 0.1)
         y = np.array([1.0, 0.0])  # ||y||^p = 1
         v = omega_eps_eval(y, params, moll)
-        assert v == pytest.approx(moll.M_psi / 0.1, rel=1e-14)
+        assert v == pytest.approx(10.0 * math.pi / 7.0 / 0.1, rel=1e-14)
 
     def test_outside_support(self, moll):
         eps = 0.1

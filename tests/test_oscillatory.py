@@ -434,6 +434,12 @@ class TestLacunarySums:
         with pytest.raises(ValueError):
             lacunary_sum_bound([1.0, 1.5])
 
+    def test_non_finite_terms_rejected(self):
+        # [1, nan] passes the positivity and doubling rules and would give NaN sums
+        for mu in ([1.0, math.nan], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                lacunary_sum_bound(mu)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6),
            start=st.floats(min_value=1e-4, max_value=10.0))

@@ -218,9 +218,11 @@ class TestProgressionSearch:
         assert out.proposals_used >= 2 * 10**5
 
     def test_tolerance_guard(self):
-        with pytest.raises(ValueError):
-            progression_search(full_box_set(1, 8.0), 1.5, 1.0, tol=0.0, budget=10,
-                               box_hi=8.0)
+        # a NaN tolerance would make every proposal NaN and the search look exhausted
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                progression_search(full_box_set(1, 8.0), 1.5, 1.0, tol=tol, budget=10,
+                                   box_hi=8.0)
 
     def test_determinism(self):
         A = full_box_set(2, 16.0)
@@ -375,14 +377,30 @@ class TestEarlyStop:
         assert got.proposals_used == ref.proposals_used
 
 
+class TestProbeBox:
+    @pytest.mark.parametrize("box_hi", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_box_rejected(self, box_hi):
+        A = full_box_set(2, 8.0)
+        with pytest.raises(ValueError, match="box_hi"):
+            A.estimate_density(box_hi)
+        with pytest.raises(ValueError, match="box_hi"):
+            gap_spectrum_sample(A, 1.5, box_hi, 10)
+        with pytest.raises(ValueError, match="box_hi"):
+            progression_search(A, 1.5, 1.0, tol=0.1, budget=10, box_hi=box_hi)
+
+    def test_empty_density_sample_rejected(self):
+        with pytest.raises(ValueError, match="n must be"):
+            bourgain_set(2).estimate_density(1.0, n=0)
+
+
 class TestLacunaryGenerate:
     def test_doubling(self):
         seq = lacunary_generate(1.5, 2.0, 5)
-        assert seq.values == [1.5, 3.0, 6.0, 12.0, 24.0]
-        assert seq.min_ratio >= 2.0
+        assert seq == [1.5, 3.0, 6.0, 12.0, 24.0]
+        assert min(b / a for a, b in zip(seq, seq[1:])) >= 2.0
 
     def test_triple(self):
-        assert lacunary_generate(2.0, 3.0, 3).values == [2.0, 6.0, 18.0]
+        assert lacunary_generate(2.0, 3.0, 3) == [2.0, 6.0, 18.0]
 
     def test_sub_doubling_rejected(self):
         with pytest.raises(ValueError):
@@ -391,6 +409,17 @@ class TestLacunaryGenerate:
     def test_small_start_rejected(self):
         with pytest.raises(ValueError):
             lacunary_generate(0.9, 2.0, 4)
+
+    def test_non_finite_ratio_rejected(self):
+        # nan < 2.0 is False, so the doubling rule alone does not catch a NaN ratio
+        for ratio in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="ratio must be finite"):
+                lacunary_generate(2.0, ratio, 3)
+
+    def test_non_finite_start_rejected(self):
+        for lambda1 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda1 must be finite"):
+                lacunary_generate(lambda1, 2.0, 3)
 
 
 class TestTheoremExperiment:
@@ -405,6 +434,11 @@ class TestTheoremExperiment:
         seq = lacunary_generate(4.0, 2.0, 3)
         with pytest.raises(ValueError):
             theorem_experiment(0.4, 2.0, 2, 64.0, seq, seeds=[1])
+
+    def test_empty_seed_list_rejected(self):
+        # with no seeds, all_seeds_realized would hold vacuously
+        with pytest.raises(ValueError, match="seeds"):
+            theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[])
 
     def test_oversized_scale_rejected(self):
         seq = lacunary_generate(4.0, 2.0, 5)
