@@ -28,6 +28,13 @@ integer and doubling is exact, so the correctly rounded fsum is the same as
 over the full lattice, bit for bit; on real values the two differ only by
 the rounding of the reordered products.  The three forms of
 M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
+
+The forms are evaluated at f = 1_A, so the lattice boxes are 0/1
+indicators.  A box whose values are all exactly 0.0 or 1.0 is counted on
+its bool view: each product is a logical and and S(j) is the number of
+cells it keeps, the same integer, bit for bit, that float products give.
+A box with any other value (BoxFunction admits reals in [-1, 1]) takes
+float64 products.
 """
 
 from __future__ import annotations
@@ -102,6 +109,8 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
     lay axis stripes of the requested density (an adversarial ensemble).
     """
     n = _cell_count(N, h)
+    if not (math.isfinite(density) and 0.0 < density <= 1.0):
+        raise ValueError(f"density must be finite and in (0, 1], got {density}")
     total = n**d
     want = int(np.ceil(density * total))
     vals = np.zeros(total)
@@ -183,13 +192,24 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     each product multiplied in the opposite order.  For 0/1 indicators every
     product and every partial sum is an exact integer, so the two agree bit
     for bit; for real values they differ by rounding in that order.
+
+    A box whose values are all exactly 0.0 or 1.0 is counted: the loop runs
+    on its bool view, np.multiply of two bools is their logical and, and S(j)
+    is the number of true cells.  Float products would give the same S(j) bit
+    for bit, since each is 0 or 1 and each partial sum is an integer of at
+    most n^d < 2^53.  Any other box, with real values in [-1, 1] or a value
+    such as 1 + 1e-13, takes float64 products summed by np.sum.
     """
     n = f.n
     v = f.values
+    if np.all((v == 0.0) | (v == 1.0)):
+        v, total = v != 0.0, np.count_nonzero
+    else:
+        total = np.sum
     lo = np.maximum(0, -2 * J)
     hi = np.minimum(n, n - 2 * J)
     S = np.zeros(len(J))
-    buf = np.empty(v.size)
+    buf = np.empty(v.size, dtype=v.dtype)
     for i in np.flatnonzero(np.all(hi > lo, axis=1)).tolist():
         a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
         s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
@@ -199,7 +219,7 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
         prod = buf[:math.prod(shape)].reshape(shape)
         np.multiply(v[s0], v[s1], out=prod)
         prod *= v[s2]
-        S[i] = np.sum(prod)
+        S[i] = total(prod)
     return S
 
 
@@ -456,6 +476,8 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     that ratio as the sequence grows is the J-independence being probed.
     """
     lams = [float(v) for v in lambdas]
+    if not lams:
+        raise ValueError("lambdas must not be empty")
     for a, b in zip(lams, lams[1:]):
         if b < 2.0 * a:
             raise ValueError("scale sequence must at least double at each step")
@@ -484,6 +506,8 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
     """
     if f.values.min() < 0.0:
         raise ValueError("pigeonhole requires nonnegative values")
+    if not (math.isfinite(ell) and ell > 0):
+        raise ValueError(f"ell must be finite and positive, got {ell}")
     mcells = ell / f.h
     if abs(mcells - round(mcells)) > 1e-9:
         raise ValueError("box side must be a whole number of cells")
@@ -519,6 +543,8 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
     observed minimum is the empirical density constant.
     """
     pv = valid_exponent(p)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if lam > N / 8.0:
         raise ValueError("scale must satisfy lam <= N/8 for the boundary-sensitive run")
     if h is None:

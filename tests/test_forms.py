@@ -76,6 +76,17 @@ class TestBoxFunction:
         f = random_indicator(16.0, 1.0, 2, 0.25, seed=2, structured=True)
         assert f.mean() >= 0.25
 
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("density", [1.5, np.nan, -0.5, 0.0, np.inf, -np.inf])
+    def test_bad_density_rejected(self, density, structured):
+        with pytest.raises(ValueError, match="^density must be finite and in"):
+            random_indicator(8.0, 0.5, 2, density, seed=1, structured=structured)
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_unit_density_fills_the_box(self, structured):
+        f = random_indicator(8.0, 0.5, 2, 1.0, seed=1, structured=structured)
+        assert np.all(f.values == 1.0)
+
 
 class TestMollifiedForm:
     def test_zero_function(self, moll):
@@ -264,6 +275,12 @@ class TestEnergySum:
         with pytest.raises(ValueError):
             energy_sum(f, [2.0, 3.0], 0.25, moll, P)
 
+    def test_empty_scale_list_rejected(self, moll):
+        # with no scales the total and the ratio would be 0.0, a vacuous certificate
+        f = full_box(32.0, 0.125, 1)
+        with pytest.raises(ValueError, match="^lambdas must not be empty"):
+            energy_sum(f, [], 0.25, moll, P)
+
     def test_cross_module_majorant(self, moll, rng):
         # cancelled form against the difference-cube majorant of its kernel
         N, lam, eps = 32.0, 2.0, 0.25
@@ -316,6 +333,13 @@ class TestPigeonhole:
         with pytest.raises(ValueError):
             box_partition_pigeonhole(f, 4.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("ell", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_bad_side_rejected(self, d, ell):
+        f = full_box(16.0, 1.0, d)
+        with pytest.raises(ValueError, match="^ell must be finite and positive"):
+            box_partition_pigeonhole(f, ell)
+
 
 class TestMainTerm:
     def test_full_density(self, moll):
@@ -323,6 +347,15 @@ class TestMainTerm:
         low = roth_main_term_experiment(1.0, 1, N, lam, 2, moll, P, seed=3)
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
         assert low == pytest.approx(cw, rel=4.0 * lam / N)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, moll, trials):
+        with pytest.raises(ValueError, match="^trials must be at least 1"):
+            roth_main_term_experiment(0.5, 1, 32.0, 2.0, trials, moll, P, seed=3)
+
+    def test_nan_density_named(self, moll):
+        with pytest.raises(ValueError, match="^density must be finite"):
+            roth_main_term_experiment(np.nan, 1, 32.0, 2.0, 2, moll, P, seed=3)
 
     def test_random_ensemble_positive(self, moll):
         low = roth_main_term_experiment(0.5, 1, 32.0, 2.0, 12, moll, P, seed=9)

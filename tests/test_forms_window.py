@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from lproth import forms, lpgeom
 from lproth.forms import (BoxFunction, _gap_sums, _kernel_lattice, decomposition_forms,
-                          e_lambda, m_eps_lambda, m_lambda, n_lambda, random_indicator)
+                          e_lambda, full_box, m_eps_lambda, m_lambda, n_lambda,
+                          random_indicator)
 from lproth.lpgeom import SphereQuadrature
 from lproth.mollifier import CancelledKernel, KernelParams, c1_eps, omega_eps_eval
 
@@ -39,6 +40,27 @@ def _padded_triple_sum(f, J, kvals):
         s2 = tuple(slice(pad + 2 * int(c), pad + 2 * int(c) + n) for c in row)
         parts.append(kv * float(np.sum(f.values * F[s1] * F[s2])))
     return f.h ** (2 * d) * math.fsum(parts)
+
+
+def _float_gap_sums(f, J):
+    """S(j) from float64 products summed by np.sum: the gap-sum loop before 0/1 boxes were counted."""
+    n = f.n
+    v = f.values
+    lo = np.maximum(0, -2 * J)
+    hi = np.minimum(n, n - 2 * J)
+    S = np.zeros(len(J))
+    buf = np.empty(v.size)
+    for i in np.flatnonzero(np.all(hi > lo, axis=1)).tolist():
+        a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
+        s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
+        s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
+        s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
+        shape = tuple(x1 - x0 for x0, x1 in zip(a, b))
+        prod = buf[:math.prod(shape)].reshape(shape)
+        np.multiply(v[s0], v[s1], out=prod)
+        prod *= v[s2]
+        S[i] = np.sum(prod)
+    return S
 
 
 def _full_lattice(d, lam, eps, h):
@@ -239,6 +261,135 @@ class TestSharedSums:
             assert (got.kind, got.eps) == (ref.kind, ref.eps)
             assert got.value == pytest.approx(ref.value, rel=REL)
             assert got.quadrature_error == pytest.approx(ref.quadrature_error, rel=REL)
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """The dtypes of the arrays np.count_nonzero sees, one entry per call."""
+    seen = []
+    count = np.count_nonzero
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return count(a, *args, **kwargs)
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    return seen
+
+
+def _window_cells(n, J):
+    """Cells of each gap's window, prod max(0, n - 2|j_i|): S(j) of the full box."""
+    return np.prod(np.clip(n - 2 * np.abs(J), 0, None), axis=1).astype(float)
+
+
+def _live_windows(f, J):
+    return int(np.sum(_window_cells(f.n, J) > 0.0))
+
+
+# n = 7: the gap 3 leaves a one-cell window on its axis, and the gaps 4 and -5 none
+_EDGE_GAPS = {1: [[0], [1], [3], [-3], [4], [-5]],
+              2: [[0, 0], [3, 3], [3, -3], [-3, 0], [4, 0], [1, -5], [2, 1]]}
+
+
+class TestCountedGapSums:
+    """0/1 boxes are counted on their bool view; the counts equal the float loop with ==."""
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("d,N,n,lam,eps", [
+        (1, 32.0, 768, 2.0, 0.25),
+        (2, 8.0, 96, 2.0, 0.5),
+    ])
+    def test_random_indicator_equals_float_loop(self, counts, d, N, n, lam, eps, structured):
+        f = random_indicator(N, N / n, d, 0.3, seed=n, structured=structured)
+        J, _ = _kernel_lattice(P, d, lam, eps, f.h)
+        counts.clear()
+        got = _gap_sums(f, J)
+        assert np.array_equal(got, _float_gap_sums(f, J))
+        assert got[0] == np.sum(f.values)
+        assert counts == [np.dtype(bool)] * _live_windows(f, J)
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_box_equals_float_loop(self, counts, d, fill):
+        f = BoxFunction(values=np.full((40,) * d, fill), N=10.0, h=0.25)
+        J, _ = _kernel_lattice(P, d, 2.0, 0.5, f.h)
+        got = _gap_sums(f, J)
+        assert np.array_equal(got, _float_gap_sums(f, J))
+        assert np.array_equal(got, fill * _window_cells(f.n, J))
+        assert counts == [np.dtype(bool)] * _live_windows(f, J)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_cell_and_empty_windows(self, counts, d):
+        J = np.array(_EDGE_GAPS[d])
+        cells = _window_cells(7, J)
+        assert set(cells.tolist()) >= {0.0, 1.0}
+        for f in (full_box(7.0, 1.0, d), random_indicator(7.0, 1.0, d, 0.6, seed=d)):
+            got = _gap_sums(f, J)
+            assert np.array_equal(got, _float_gap_sums(f, J))
+            assert np.all(got[cells == 0.0] == 0.0)
+        assert np.array_equal(_gap_sums(full_box(7.0, 1.0, d), J), cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=2),
+           n=st.integers(min_value=1, max_value=24),
+           density=st.floats(min_value=0.05, max_value=1.0),
+           gaps=st.lists(st.lists(st.integers(min_value=-14, max_value=14),
+                                  min_size=2, max_size=2),
+                         min_size=1, max_size=6),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_property_indicators_equal_float_loop(self, d, n, density, gaps, seed):
+        f = random_indicator(float(n), 1.0, d, density, seed=seed, structured=seed % 2 == 1)
+        J = np.array(gaps)[:, :d]
+        assert np.array_equal(_gap_sums(f, J), _float_gap_sums(f, J))
+
+    def test_indicator_forms_equal_float_forms(self, moll, monkeypatch):
+        lam, eps = 2.0, 0.5
+        f = random_indicator(8.0, 8.0 / 96, 2, 0.5, seed=4)
+        got = decomposition_forms(f, lam, eps, moll, P)[:3]
+        monkeypatch.setattr(forms, "_gap_sums", _float_gap_sums)
+        ref = decomposition_forms(f, lam, eps, moll, P)[:3]
+        assert [g.value for g in got] == [r.value for r in ref]
+
+
+def _near_indicator(N, n, d, seed):
+    """A random indicator with one cell raised to 1 + 1e-13, which BoxFunction admits."""
+    vals = random_indicator(N, N / n, d, 0.5, seed=seed).values
+    vals.flat[np.argmax(vals)] = 1.0 + 1e-13
+    return BoxFunction(values=vals, N=N, h=N / n)
+
+
+def _halves_box(N, n, d, seed):
+    vals = np.random.default_rng(seed).choice([0.0, 0.5, 1.0], size=(n,) * d)
+    return BoxFunction(values=vals, N=N, h=N / n)
+
+
+class TestFloatGapSums:
+    """Boxes with any value other than 0.0 and 1.0 take float products."""
+
+    @pytest.mark.parametrize("build", [_halves_box, _signed_box, _near_indicator])
+    @pytest.mark.parametrize("d,N,n,lam,eps", [
+        (1, 8.0, 96, 2.0, 0.5),
+        (2, 8.0, 96, 2.0, 0.5),
+    ])
+    def test_matches_padded_reference(self, moll, counts, build, d, N, n, lam, eps):
+        f = build(N, n, d, seed=n + d)
+        counts.clear()
+        got_m = m_eps_lambda(f, lam, eps, moll, P).value
+        got_e = e_lambda(f, lam, eps, moll, P).value
+        assert counts == []
+        assert got_m == pytest.approx(_padded_m_eps(f, lam, eps, moll), rel=REL)
+        assert got_e == pytest.approx(_padded_e(f, lam, eps, moll), rel=REL)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_near_one_is_never_counted_as_one(self, counts, d):
+        f = _near_indicator(8.0, 32, d, seed=d)
+        J, _ = _kernel_lattice(P, d, 2.0, 0.5, f.h)
+        counts.clear()
+        got = _gap_sums(f, J)
+        assert counts == []
+        assert np.array_equal(got, _float_gap_sums(f, J))
+        # S(0) = sum f^3 picks up (1 + 1e-13)^3, a few ulp above the count
+        rounded = BoxFunction(values=np.round(f.values), N=f.N, h=f.h)
+        assert got[0] > _gap_sums(rounded, J)[0]
 
 
 def _shell_indicator(N=4.0, n=2048):

@@ -440,6 +440,10 @@ class TestTheoremExperiment:
         with pytest.raises(ValueError, match="seeds"):
             theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[])
 
+    def test_nan_density_named(self):
+        with pytest.raises(ValueError, match="^density must be finite"):
+            theorem_experiment(np.nan, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[1])
+
     def test_oversized_scale_rejected(self):
         seq = lacunary_generate(4.0, 2.0, 5)
         with pytest.raises(ValueError):
