@@ -4,6 +4,8 @@ The references below embed f in a zero box wide enough for every shift and
 sum over all n^d cells, and the lattice references visit every gap j and -j.
 Cells outside the forms' overlap window add exact zeros and S(-j) = S(j), so
 the two differ only in summation order; on 0/1 indicators not even that.
+The gap sums of 0/1 boxes, which are counted on a bool view, are compared
+with == against _float_gap_sums, a copy of the float loop they replace.
 """
 
 import math
@@ -322,11 +324,12 @@ class TestCountedGapSums:
         J = np.array(_EDGE_GAPS[d])
         cells = _window_cells(7, J)
         assert set(cells.tolist()) >= {0.0, 1.0}
-        for f in (full_box(7.0, 1.0, d), random_indicator(7.0, 1.0, d, 0.6, seed=d)):
+        full = full_box(7.0, 1.0, d)
+        assert np.array_equal(_gap_sums(full, J), cells)
+        for f in (full, random_indicator(7.0, 1.0, d, 0.6, seed=d)):
             got = _gap_sums(f, J)
             assert np.array_equal(got, _float_gap_sums(f, J))
             assert np.all(got[cells == 0.0] == 0.0)
-        assert np.array_equal(_gap_sums(full_box(7.0, 1.0, d), J), cells)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(min_value=1, max_value=2),
