@@ -1,15 +1,16 @@
 """Seeded experiment driver with JSON reports and CSV curve sidecars.
 
 Every report record names the claim it checks through a stable anchor
-slug; a report without an anchored record fails the built-in linter and
-is never written.  Each claim that the acceptance gate
-(``tests/test_acceptance.py``) also checks is one ``lproth.claims`` function,
-run here at the CLI's sizes and seeds; the others are inline.  All numerics are fully
-determined by (config, seed); wall-clock data is isolated in a single
+slug; ``lint_report`` rejects a malformed or anchorless record (exit 3,
+nothing written), and the tests check every suite's whole report against
+``REPORT_SCHEMA``, which ``lproth schema`` prints.  Each claim that the
+acceptance gate (``tests/test_acceptance.py``) also checks is one ``lproth.claims``
+function, run here at the CLI's sizes and seeds; the others are inline.  All numerics
+are fully determined by (config, seed); wall-clock data is isolated in a single
 ``timing`` subtree so reports can be byte-compared with it masked.
 
 Exit codes: 0 all checks passed, 1 usage/validation error, 2 at least one
-check failed, 3 internal failure (budget or quadrature).
+check failed, 3 internal failure (budget, quadrature or a malformed record).
 """
 
 from __future__ import annotations
@@ -444,19 +445,27 @@ _SUITE_FNS = {
 
 
 def lint_report(report: dict) -> None:
-    """Reject reports with anchorless or malformed records before writing."""
-    import jsonschema
+    """Reject a malformed or anchorless record before the report is written.
 
-    jsonschema.validate(report, REPORT_SCHEMA)
+    A missing required key reads as ``...`` and fails; numpy scalars count as numbers
+    and tuples as arrays, as in the JSON written.  Tests check the rest against REPORT_SCHEMA."""
+    def is_number(x) -> bool:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
     for rec in report["records"]:
-        if not rec["anchor"].strip():
-            raise ValueError(f"record {rec['name']!r} lacks a claim anchor")
+        name, anchor, bound = (rec.get(key, ...) for key in ("name", "anchor", "bound"))
+        if not (isinstance(name, str) and name and isinstance(anchor, str) and anchor.strip()
+                and isinstance(rec.get("values"), dict) and isinstance(rec.get("passed"), bool)
+                and (bound is None or is_number(bound) or isinstance(bound, (list, tuple))
+                     and len(bound) == 2 and all(map(is_number, bound)))):
+            raise ValueError(f"record {name!r} is malformed or lacks a claim anchor: {rec!r}")
+    margin, worst = report["summary"].get("worst_margin", ...), report["summary"].get("worst_record")
+    if not (margin is None or is_number(margin)) or not (worst is None or isinstance(worst, str)):
+        raise ValueError(f"malformed summary: worst_margin {margin!r}, worst_record {worst!r}")
 
 
 def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.generic, np.ndarray)):  # numpy scalars, bools included, and arrays
         return o.tolist()
     raise TypeError(f"not serializable: {type(o)}")
 
@@ -491,7 +500,7 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
             "worst_record": worst.name if worst else None,
         },
     }
-    lint_report(json.loads(json.dumps(report, default=_json_default)))
+    lint_report(report)
     return report, ctx.curves, (0 if n_fail == 0 else 2)
 
 

@@ -111,6 +111,8 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
     n = _cell_count(N, h)
     if not (math.isfinite(density) and 0.0 < density <= 1.0):
         raise ValueError(f"density must be finite and in (0, 1], got {density}")
+    if structured and 1.0 / density >= 2.0**63:  # the stripe period must fit in int64
+        raise ValueError(f"density must be above 2**-63 for a structured draw, got {density}")
     total = n**d
     want = int(np.ceil(density * total))
     vals = np.zeros(total)
@@ -535,8 +537,7 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
 
 
 def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials: int,
-                              m: MollifierPair, p, h: Optional[float] = None,
-                              seed: int = 0) -> float:
+                              m: MollifierPair, p, seed: int = 0) -> float:
     """The minimum of M_lam / N^d over random density-delta sets.
 
     Ensembles alternate i.i.d. cell draws with structured stripes; the
@@ -547,8 +548,7 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
         raise ValueError(f"trials must be at least 1, got {trials}")
     if lam > N / 8.0:
         raise ValueError("scale must satisfy lam <= N/8 for the boundary-sensitive run")
-    if h is None:
-        _, h = resolved_grid(N, lam, 1.0, pv)
+    _, h = resolved_grid(N, lam, 1.0, pv)
     outs = []
     for trial in range(trials):
         f = random_indicator(N, h, d, delta, seed=seed * 1000 + trial,

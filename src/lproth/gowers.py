@@ -277,19 +277,15 @@ class TensorCheck:
     resolved: bool
 
 
-def u3_tensor_check(p, t: float, M: int = 64, d: int = 2,
-                    require_resolved: bool = False) -> TensorCheck:
+def u3_tensor_check(p, t: float, M: int = 64, require_resolved: bool = False) -> TensorCheck:
     """Product structure of the U^3 norm of phase-modulated tensor cutoffs.
 
     Compares the d = 2 grid norm of phi(y1) phi(y2) 1_{y>0} e^{it(|y1|^p + |y2|^p)}
-    against the matched one-dimensional norm raised to the d-th power.  The
-    factorization is an identity of the sums themselves, so agreement holds
-    at any resolution; ``resolved`` reports whether the grid additionally
-    samples the continuum oscillation faithfully.
+    against the square of the matched one-dimensional norm.  The factorization is
+    an identity of the sums themselves, so agreement holds at any resolution;
+    ``resolved`` reports whether the grid also samples the continuum oscillation.
     """
     pv = valid_exponent(p)
-    if d != 2:
-        raise ValueError("tensor check is defined for d = 2")
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
     cell = period / M

@@ -246,11 +246,6 @@ def _shift_cells(p: float, t: float, ks: Sequence[float], ls: Sequence[float]) -
     return out
 
 
-def _shift_cell(p: float, t: float, k: float, l: float) -> float:
-    """|I_{k,l}(t)|^2 of one shift pair, through the same path as i_of_t."""
-    return _shift_cells(p, t, [k], [l])[0]
-
-
 def i_of_t(p, t: float, n_kl: int = 48) -> float:
     """Truncated shift aggregate I(t) by tensor Gauss-Legendre over the shift square.
 

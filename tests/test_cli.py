@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -381,8 +385,25 @@ class TestRunSuite:
                          "passed": True}],
             "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None},
         }
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError):
             lint_report(report)
+
+    def test_malformed_record_exits_3(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
+                            lambda ctx: [Check("x", "a", {}, "0.1", True)])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--suite", "counterexamples", "--out", str(out)]) == 3
+        assert "internal failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numpy_values_written_as_plain_json(self, monkeypatch, tmp_path):
+        values = {"ok": np.bool_(True), "n": np.int64(3), "v": np.arange(2.0)}
+        monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
+                            lambda ctx: [Check("x", "a", values, np.float32(0.5), True)])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--suite", "counterexamples", "--out", str(out)]) == 0
+        rec = json.loads((out / "report.json").read_text())["records"][0]
+        assert rec["values"] == {"ok": True, "n": 3, "v": [0.0, 1.0]} and rec["bound"] == 0.5
 
     def test_csv_report_parses_with_five_fields(self, tmp_path):
         # the counterexamples suite reports band bounds such as [0.15, 0.35]
@@ -423,6 +444,78 @@ class TestRunSuite:
         assert recs["phase-quadratic-degeneracy"]["values"]["points"] == 50
         assert recs["multiplier-scale-uniformity"]["values"]["frequencies"] == 100
         assert recs["multiplier-scale-uniformity"]["bound"] == 2.0
+
+
+def _round_trip(report):
+    return json.loads(json.dumps(report, default=cli._json_default))
+
+
+@pytest.fixture(scope="module")
+def verify_all_report():
+    return run_suite(tiny_config("verify-all"))[0]
+
+
+_DROP = object()
+# replacements for one report field: blank strings, non-numbers, bools (which JSON
+# does not count as numbers), NaN, numpy scalars, tuples and short lists
+_REPLACEMENTS = st.one_of(
+    st.just(_DROP),
+    st.sampled_from(["", " ", "\t \n", "0.1", "a", True, False, None, math.nan, 0.25, 3, {},
+                     {"x": 1}, np.float64(0.5), np.int64(2), np.float64(math.nan), (0.1, 0.2),
+                     (np.float32(0.1), np.int8(2)), [None, 1.0]]),
+    st.lists(st.floats() | st.integers() | st.booleans(), min_size=1, max_size=3),
+)
+
+
+class TestReportContract:
+    """The published schema holds for every suite, and the run-time lint rejects
+    what it rejects in the fields that depend on what ran."""
+
+    @pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "verify-all"])
+    def test_suite_report_matches_schema(self, suite):
+        jsonschema.validate(_round_trip(run_suite(tiny_config(suite))[0]), cli.REPORT_SCHEMA)
+
+    def test_verify_all_report_matches_schema(self, verify_all_report):
+        jsonschema.validate(_round_trip(verify_all_report), cli.REPORT_SCHEMA)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lint_rejects_what_the_schema_rejects(self, verify_all_report, data):
+        report = verify_all_report
+        index, key = data.draw(st.one_of(
+            st.tuples(st.integers(0, len(report["records"]) - 1),
+                      st.sampled_from(["name", "anchor", "values", "bound", "passed"])),
+            st.tuples(st.none(), st.sampled_from(["worst_margin", "worst_record"]))))
+        value = data.draw(_REPLACEMENTS)
+        mutated = dict(report, records=list(report["records"]), summary=dict(report["summary"]))
+        target = mutated["summary"]
+        if index is not None:
+            target = mutated["records"][index] = dict(report["records"][index])
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+        try:
+            jsonschema.validate(_round_trip(mutated), cli.REPORT_SCHEMA)
+            rejected = key == "anchor" and isinstance(value, str) and not value.strip()
+        except jsonschema.ValidationError:
+            rejected = True
+        if rejected:
+            with pytest.raises(ValueError):
+                lint_report(mutated)
+        else:
+            lint_report(mutated)
+
+
+def test_run_does_not_import_jsonschema(tmp_path):
+    code = ("import sys; from lproth import cli; "
+            f"code = cli.main(['run', '--suite', 'kernels', '--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_every_public_claim_is_reported():

@@ -87,6 +87,18 @@ class TestBoxFunction:
         f = random_indicator(8.0, 0.5, 2, 1.0, seed=1, structured=structured)
         assert np.all(f.values == 1.0)
 
+    @pytest.mark.parametrize("density", [1e-19, 1.08e-19, 2.0**-63, 5e-324])
+    def test_structured_period_beyond_int64_rejected(self, density):
+        # the stripe period round(1 / density) must fit in int64
+        with pytest.raises(ValueError, match="^density must be above 2\\*\\*-63"):
+            random_indicator(8.0, 0.5, 2, density, seed=1, structured=True)
+
+    @pytest.mark.parametrize("density, structured, cell", [
+        (1.1e-19, True, 142), (np.nextafter(2.0**-63, 1.0), True, 142), (1e-19, False, 109)])
+    def test_tiny_density_draws_as_before(self, density, structured, cell):
+        f = random_indicator(8.0, 0.5, 2, density, seed=1, structured=structured)
+        assert np.flatnonzero(f.values).tolist() == [cell]
+
 
 class TestMollifiedForm:
     def test_zero_function(self, moll):

@@ -277,10 +277,6 @@ class TestTensorization:
             u3_tensor_check(3.0, 5.0, M=64, require_resolved=True)
         assert u3_tensor_check(1.5, 0.01, M=64).resolved
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            u3_tensor_check(1.5, 1.0, M=32, d=3)
-
 
 class TestFormControl:
     def test_zero_kernel(self):
