@@ -68,7 +68,7 @@ REPORT_SCHEMA = {
         },
         "summary": {
             "type": "object",
-            "required": ["n_records", "n_pass", "n_fail", "worst_margin"],
+            "required": ["n_records", "n_pass", "n_fail", "worst_margin", "worst_record"],
             "properties": {"worst_margin": {"type": ["number", "null"]},
                            "worst_record": {"type": ["string", "null"]}},
         },
@@ -459,7 +459,7 @@ def lint_report(report: dict) -> None:
                 and (bound is None or is_number(bound) or isinstance(bound, (list, tuple))
                      and len(bound) == 2 and all(map(is_number, bound)))):
             raise ValueError(f"record {name!r} is malformed or lacks a claim anchor: {rec!r}")
-    margin, worst = report["summary"].get("worst_margin", ...), report["summary"].get("worst_record")
+    margin, worst = (report["summary"].get(key, ...) for key in ("worst_margin", "worst_record"))
     if not (margin is None or is_number(margin)) or not (worst is None or isinstance(worst, str)):
         raise ValueError(f"malformed summary: worst_margin {margin!r}, worst_record {worst!r}")
 

@@ -29,12 +29,15 @@ over the full lattice, bit for bit; on real values the two differ only by
 the rounding of the reordered products.  The three forms of
 M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 
-The forms are evaluated at f = 1_A, so the lattice boxes are 0/1
-indicators.  A box whose values are all exactly 0.0 or 1.0 is counted on
-its bool view: each product is a logical and and S(j) is the number of
-cells it keeps, the same integer, bit for bit, that float products give.
-A box with any other value (BoxFunction admits reals in [-1, 1]) takes
-float64 products.
+The forms are evaluated at f = 1_A, so their boxes are 0/1 indicators.
+A box whose values are all exactly 0.0 or 1.0 (_is_indicator) is counted
+on its bool view.  In the lattice forms each product is a logical and and
+S(j) is the number of cells it keeps, the same integer, bit for bit, that
+float products give.  In the sharp form interpolation is linear in f, so
+each node sum is a sum of integer counts, one per pair of interpolation
+corners, times the corner weights; it differs from the float loop only by
+the rounding of those terms.  A box with any other value (BoxFunction
+admits reals in [-1, 1]) takes float64 products in both.
 """
 
 from __future__ import annotations
@@ -183,6 +186,11 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     return J[half], np.where(lead[half] > 0, 2.0, 1.0)
 
 
+def _is_indicator(v: np.ndarray) -> bool:
+    """Whether every value is exactly 0.0 or 1.0, so that the forms can count on a bool view."""
+    return bool(np.all((v == 0.0) | (v == 1.0)))
+
+
 def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     """S(j) = sum_x f(x) f(x+j) f(x+2j) for each row j of J, with f zero outside the box.
 
@@ -204,7 +212,7 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     """
     n = f.n
     v = f.values
-    if np.all((v == 0.0) | (v == 1.0)):
+    if _is_indicator(v):
         v, total = v != 0.0, np.count_nonzero
     else:
         total = np.sum
@@ -287,11 +295,19 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
     return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
-# Cells per block of the sharp form's window: a worker's four block-sized
-# operands (f, the two interpolated copies and a work buffer, 512 KiB each)
-# then stay in a 2 MiB cache instead of streaming the whole grid per corner.
-# The blocks and their buffers are per worker thread.
+# Cells per block of the sharp form's window on the float loop: a worker's
+# four float64 block-sized operands (f, the two interpolated copies and a
+# work buffer, 512 KiB each) then stay in a 2 MiB cache instead of
+# streaming the whole grid per corner.  The blocks and their buffers are
+# per worker thread.
 _BLOCK_CELLS = 1 << 16
+# Cells per block of the counted path, whose two bool buffers take one byte
+# a cell.  Its cost per block is a fixed count of numpy calls, which
+# dominates at _BLOCK_CELLS; on a 2048^2 shell (2 cores, 64 nodes) the
+# node sums took 1.6 s in blocks of 2^16 cells, 0.7-0.8 s at 2^20 and
+# 0.55 s at 2^22, the whole window.  2^22 cells cap a worker's buffers at
+# 8 MiB.
+_COUNT_BLOCK_CELLS = 1 << 22
 
 
 def _cell_offset(y: np.ndarray, h: float):
@@ -301,30 +317,41 @@ def _cell_offset(y: np.ndarray, h: float):
     return base.astype(int), t - base
 
 
+def _corners(base: np.ndarray, frac: np.ndarray) -> list:
+    """(weight, rim offset per axis) of each cell corner of x + y with nonzero weight.
+
+    The corners of x + y sit at x + base + {0, 1} per axis; in an array with
+    a one-cell rim on every side that is one more cell along each axis.
+    """
+    out = []
+    for corner in range(1 << len(base)):
+        w = 1.0
+        off = []
+        for axis in range(len(base)):
+            bit = (corner >> axis) & 1
+            w = w * (frac[axis] if bit else 1.0 - frac[axis])
+            off.append(1 + int(base[axis]) + bit)
+        if w != 0.0:
+            out.append((w, off))
+    return out
+
+
+def _shifted(window: tuple, off) -> tuple:
+    return tuple(slice(sl.start + o, sl.stop + o) for sl, o in zip(window, off))
+
+
 def _interp_shifted(rim: np.ndarray, base: np.ndarray, frac: np.ndarray, window: tuple,
                     out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """f(x + y) on the window of cell centers x, multilinear, zero outside the box.
 
-    rim is f with a one-cell zero rim on every side; the corners of x + y sit
-    at x + base + {0, 1}.  The result is accumulated in out, using tmp.
+    rim is f with a one-cell zero rim on every side.  The result is
+    accumulated in out, using tmp.
     """
-    first = True
-    for corner in range(1 << len(base)):
-        w = 1.0
-        sl = []
-        for axis, ax_win in enumerate(window):
-            bit = (corner >> axis) & 1
-            w = w * (frac[axis] if bit else 1.0 - frac[axis])
-            off = 1 + int(base[axis]) + bit
-            sl.append(slice(ax_win.start + off, ax_win.stop + off))
-        if w == 0.0:
-            continue
-        if first:
-            np.multiply(rim[tuple(sl)], w, out=out)
-            first = False
-        else:
-            np.multiply(rim[tuple(sl)], w, out=tmp)
-            out += tmp
+    corners = _corners(base, frac)
+    np.multiply(rim[_shifted(window, corners[0][1])], corners[0][0], out=out)
+    for w, off in corners[1:]:
+        np.multiply(rim[_shifted(window, off)], w, out=tmp)
+        out += tmp
     return out
 
 
@@ -336,29 +363,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
-              ) -> Optional[float]:
-    """sum_x f(x) f(x + y) f(x + 2y) at the gap y = node, or None if no x can count.
+def _overlap_blocks(n: int, b1: np.ndarray, b2: np.ndarray, block_cells: int):
+    """The overlap window of the shifts with cell parts b1 and b2, in blocks of rows.
 
-    x, x + y and x + 2y can all meet the box only on the overlap window;
-    cells outside add exact zeros.  The window is summed in blocks of about
-    _BLOCK_CELLS cells, in the work buffers bufs, and the block sums are
-    added by fsum.
+    x, x + y and x + 2y can all meet the box only on this window; cells
+    outside add exact zeros.  Each block holds whole rows of the inner axes
+    and about block_cells cells.  None if the window is empty.
     """
-    n = f.n
-    buf1, buf2, tmp = bufs
-    b1, fr1 = _cell_offset(node, f.h)
-    b2, fr2 = _cell_offset(2.0 * node, f.h)
     lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
     hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
     if any(b <= a for a, b in zip(lo, hi)):
         return None
     inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
-    inner_cells = math.prod(b - a for a, b in zip(lo[1:], hi[1:]))
-    rows = max(1, _BLOCK_CELLS // inner_cells)
+    rows = max(1, block_cells // math.prod(b - a for a, b in zip(lo[1:], hi[1:])))
+    return [(slice(r0, min(r0 + rows, hi[0])),) + inner for r0 in range(lo[0], hi[0], rows)]
+
+
+def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
+              ) -> Optional[float]:
+    """sum_x f(x) f(x + y) f(x + 2y) at the gap y = node, or None if no x can count.
+
+    The overlap window is summed in blocks of about _BLOCK_CELLS cells, in
+    the float64 work buffers bufs, and the block sums are added by fsum.
+    """
+    buf1, buf2, tmp = bufs
+    b1, fr1 = _cell_offset(node, f.h)
+    b2, fr2 = _cell_offset(2.0 * node, f.h)
+    blocks = _overlap_blocks(f.n, b1, b2, _BLOCK_CELLS)
+    if blocks is None:
+        return None
     sums = []
-    for r0 in range(lo[0], hi[0], rows):
-        window = (slice(r0, min(r0 + rows, hi[0])),) + inner
+    for window in blocks:
         shape = tuple(sl.stop - sl.start for sl in window)
         size = math.prod(shape)
         t = tmp[:size].reshape(shape)
@@ -370,19 +405,59 @@ def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
     return math.fsum(sums)
 
 
+def _node_count(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
+                ) -> Optional[float]:
+    """The node sum of _node_sum for a 0/1 box, from integer counts.
+
+    rim is the bool view of f with a one-cell false rim.  Interpolation is
+    linear in f, so the node sum is sum_{c1, c2} w1(c1) w2(c2) S(c1, c2)
+    over the corners c1 of x + y and c2 of x + 2y with nonzero weight, where
+    S(c1, c2) counts the x on the overlap window at which f is 1 at x and
+    at both corners.  Each S is a logical and of bool blocks, in the work
+    buffers bufs, counted by np.count_nonzero; the counts are exact
+    integers whatever the blocks, and the weighted terms are added by fsum.
+    """
+    first, both = bufs
+    b1, fr1 = _cell_offset(node, f.h)
+    b2, fr2 = _cell_offset(2.0 * node, f.h)
+    blocks = _overlap_blocks(f.n, b1, b2, _COUNT_BLOCK_CELLS)
+    if blocks is None:
+        return None
+    c1, c2 = _corners(b1, fr1), _corners(b2, fr2)
+    S = np.zeros((len(c1), len(c2)), dtype=np.int64)
+    for window in blocks:
+        shape = tuple(sl.stop - sl.start for sl in window)
+        size = math.prod(shape)
+        g, t = first[:size].reshape(shape), both[:size].reshape(shape)
+        here = rim[_shifted(window, (1,) * f.d)]
+        for i, (_, off1) in enumerate(c1):
+            np.logical_and(here, rim[_shifted(window, off1)], out=g)
+            for j, (_, off2) in enumerate(c2):
+                np.logical_and(g, rim[_shifted(window, off2)], out=t)
+                S[i, j] += np.count_nonzero(t)
+    return math.fsum(w1 * w2 * int(S[i, j]) for i, (w1, _) in enumerate(c1)
+                     for j, (w2, _) in enumerate(c2))
+
+
 def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     """Sharp-gap counting form: x on the grid, gaps on sphere-quadrature nodes.
 
     A strictly positive value certifies, up to interpolation tolerance, a
     3-progression in supp f whose gap length is lam in the lp metric.
 
+    A box whose values are all exactly 0.0 or 1.0 is counted (_node_count):
+    each node sum is a weighted sum of integer counts of bool ands.  Any
+    other box takes the float loop (_node_sum), which interpolates float64
+    copies of f.  The two agree up to the rounding of the weighted terms.
+
     The node sums run on a thread pool with one thread per usable CPU (at
     most one per node); numpy releases the interpreter lock on the window
-    rows.  Each worker has its own three work buffers of
-    max(_BLOCK_CELLS, n^(d-1)) cells.  Every node sum is computed by the
-    same operations in the same order whichever thread runs it, and the
-    results are combined in node order by one fsum, so the value does not
-    depend on the core count, bit for bit.
+    blocks.  Each worker has its own work buffers: three float64 ones of
+    max(_BLOCK_CELLS, n^(d-1)) cells on the float loop, two bool ones of
+    max(_COUNT_BLOCK_CELLS, n^(d-1)) cells on the counted path.  Every node
+    sum is computed by the same operations in the same order whichever
+    thread runs it, and the results are combined in node order by one fsum,
+    so the value does not depend on the core count, bit for bit.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -393,18 +468,23 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     d = f.d
-    rim = np.pad(f.values, 1)
-    cells = max(_BLOCK_CELLS, f.n ** (d - 1))
+    if _is_indicator(f.values):
+        rim, node_sum = np.pad(f.values != 0.0, 1), _node_count
+        block, n_bufs = _COUNT_BLOCK_CELLS, 2
+    else:
+        rim, node_sum = np.pad(f.values, 1), _node_sum
+        block, n_bufs = _BLOCK_CELLS, 3
+    cells = max(block, f.n ** (d - 1))
     local = threading.local()
 
-    def node_sum(node: np.ndarray) -> Optional[float]:
+    def run(node: np.ndarray) -> Optional[float]:
         if not hasattr(local, "bufs"):
-            local.bufs = tuple(np.empty(cells) for _ in range(3))
-        return _node_sum(f, rim, node, local.bufs)
+            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(n_bufs))
+        return node_sum(f, rim, node, local.bufs)
 
     workers = max(1, min(_usable_cpus(), len(quad.nodes)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        sums = list(ex.map(node_sum, quad.nodes))
+        sums = list(ex.map(run, quad.nodes))
     val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)

@@ -242,21 +242,22 @@ def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
 
 
 def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
-                       d: int = 1, lam: float = 1.0) -> float:
+                       lam: float = 1.0) -> float:
     """Continuum-normalized U^3 distance between two shell mollifications, as a float.
 
+    The kernels are the d = 1 shells, embedded on a cyclic grid of M cells.
     Symmetric in (eta, eps); identical widths give 0 exactly.  As eta
-    shrinks at fixed eps the values grow monotonically; in the low
-    dimensions reachable on a grid the growth follows eta^(-1/2) (the
-    narrow shell alone carries U^3 mass ~ eta^(-4) before the eighth
-    root), staying below the envelope shape C eta^(d/(8r) - 1).  A finite
-    limit would require dimensions beyond desk scale, so the probe
-    reports a divergence rate rather than a Cauchy tail.
+    shrinks at fixed eps the values grow monotonically, following
+    eta^(-1/2) (the narrow shell alone carries U^3 mass ~ eta^(-4) before
+    the eighth root) and staying below the d = 1 envelope shape
+    C eta^(1/(8r) - 1).  A finite limit would require dimensions beyond
+    desk scale, so the probe reports a divergence rate rather than a
+    Cauchy tail.
     """
     pv = valid_exponent(p)
     if eta == eps:
         return 0.0
-    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, d, M, m, lam=lam))
+    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, 1, M, m, lam=lam))
 
 
 # ---------------------------------------------------------------------------

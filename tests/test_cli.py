@@ -372,7 +372,8 @@ class TestRunSuite:
             "timing": {"timestamp": "x", "runtimes_s": {}},
             "records": [{"name": "a", "anchor": " ", "values": {}, "bound": None,
                          "passed": True}],
-            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None},
+            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None,
+                        "worst_record": None},
         }
         with pytest.raises(ValueError):
             lint_report(report)
@@ -383,10 +384,28 @@ class TestRunSuite:
             "timing": {"timestamp": "x", "runtimes_s": {}},
             "records": [{"name": "a", "anchor": "a", "values": {}, "bound": "0.1",
                          "passed": True}],
-            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None},
+            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None,
+                        "worst_record": None},
         }
         with pytest.raises(ValueError):
             lint_report(report)
+
+    def test_lint_and_schema_require_worst_record(self):
+        report = {
+            "format": 1, "config": {},
+            "timing": {"timestamp": "x", "runtimes_s": {}},
+            "records": [{"name": "a", "anchor": "a", "values": {}, "bound": None,
+                         "passed": True}],
+            "summary": {"n_records": 1, "n_pass": 1, "n_fail": 0, "worst_margin": None,
+                        "worst_record": None},
+        }
+        lint_report(report)
+        jsonschema.validate(report, cli.REPORT_SCHEMA)
+        del report["summary"]["worst_record"]
+        with pytest.raises(ValueError, match="worst_record"):
+            lint_report(report)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, cli.REPORT_SCHEMA)
 
     def test_malformed_record_exits_3(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",

@@ -492,3 +492,120 @@ class TestSharpPool:
         f = _signed_box(4.0, 32, 2, seed=2)
         with pytest.raises(FloatingPointError, match="node sum failed"):
             n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)
+
+
+def _indicator_box(N, n, d, seed, structured=False):
+    return random_indicator(N, N / n, d, 0.4, seed=seed, structured=structured)
+
+
+class TestCountedSharpForm:
+    """0/1 boxes take the counted node sums; they match the float loop within REL."""
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("d,n,N,p,nodes", [
+        (1, 256, 16.0, 1.5, 16),
+        (2, 48, 6.0, 2.0, 16),
+        (2, 96, 8.0, 3.0, 8),
+        (3, 20, 5.0, 1.5, 8),
+    ])
+    def test_indicator_matches_float_loop(self, counts, d, n, N, p, nodes, structured):
+        f = _indicator_box(N, n, d, seed=n + d, structured=structured)
+        rule = lpgeom.sphere_quadrature(p, d, 1.0, n=nodes)
+        counts.clear()
+        got = n_lambda(f, rule, 1.0).value
+        assert counts and set(counts) == {np.dtype(bool)}
+        ref = _serial_n(f, rule)
+        assert ref > 0.0
+        assert got == pytest.approx(ref, rel=REL)
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constant_box_matches_float_loop(self, counts, d, fill):
+        f = BoxFunction(values=np.full((16,) * d, fill), N=4.0, h=0.25)
+        rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
+        got = n_lambda(f, rule, 1.0).value
+        assert counts and set(counts) == {np.dtype(bool)}
+        if fill == 0.0:
+            assert got == 0.0 == _serial_n(f, rule)
+        else:
+            assert got == pytest.approx(_serial_n(f, rule), rel=REL)
+            assert got == pytest.approx(_padded_n(f, rule), rel=REL)
+
+    @pytest.mark.parametrize("d,n,N", [(1, 4000, 16.0), (2, 96, 8.0), (3, 24, 6.0)])
+    def test_blocks_split_the_window_bit_for_bit(self, monkeypatch, d, n, N):
+        # the counts are exact integers, so the block size cannot move a bit
+        f = _indicator_box(N, n, d, seed=d)
+        rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
+        whole = n_lambda(f, rule, 1.0).value
+        monkeypatch.setattr(forms, "_COUNT_BLOCK_CELLS", 7)
+        assert n_lambda(f, rule, 1.0).value == whole
+        assert whole == pytest.approx(_serial_n(f, rule), rel=REL)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_windows_among_live_nodes(self, d):
+        # the first and third gaps take 2y out of the box on the first axis
+        f = _indicator_box(4.0, 16, d, seed=d)
+        nodes = np.array([[2.1, 0.3, 0.2], [0.37, -0.81, 0.05], [-2.6, -1.0, 0.4],
+                          [-0.4, 0.2, -0.6]])[:, :d]
+        rule = _rule(nodes)
+        got = n_lambda(f, rule, 1.0).value
+        assert got > 0.0
+        assert got == pytest.approx(_serial_n(f, rule), rel=REL)
+        assert n_lambda(f, _rule(nodes[[0, 2]]), 1.0).value == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=3),
+           n=st.integers(min_value=2, max_value=20),
+           N=st.floats(min_value=0.5, max_value=8.0),
+           density=st.floats(min_value=0.05, max_value=1.0),
+           frac_nodes=st.lists(st.lists(st.floats(min_value=-1.2, max_value=1.2),
+                                        min_size=3, max_size=3),
+                               min_size=1, max_size=4),
+           seed=st.integers(min_value=0, max_value=10**6))
+    def test_property_indicators_match_float_loop(self, d, n, N, density, frac_nodes, seed):
+        f = random_indicator(N, N / n, d, density, seed=seed, structured=seed % 2 == 1)
+        rule = _rule(N * np.array(frac_nodes)[:, :d])
+        got = n_lambda(f, rule, 1.0).value
+        ref = _serial_n(f, rule)
+        if ref == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(ref, rel=REL)
+
+    @pytest.mark.parametrize("build", [_halves_box, _signed_box, _near_indicator])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_other_boxes_take_the_float_loop(self, counts, build, d):
+        f = build(4.0, 16, d, seed=d)
+        rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
+        counts.clear()
+        assert n_lambda(f, rule, 1.0).value == _serial_n(f, rule)
+        assert counts == []
+
+    def test_any_worker_count_is_bit_identical(self, pool_workers):
+        f = _indicator_box(8.0, 96, 2, seed=3)
+        rule = lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8)
+        values = []
+        for workers in (1, 2, 3, 11):
+            sizes = pool_workers(workers)
+            values.append(n_lambda(f, rule, 1.0).value)
+        assert len(sizes) == 4
+        assert values[0] > 0.0 and values == [values[0]] * 4
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_node_count_error_reaches_caller(self, monkeypatch, pool_workers, workers):
+        count = np.count_nonzero
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise FloatingPointError("node count failed")
+            return count(*args, **kwargs)
+        monkeypatch.setattr(np, "count_nonzero", failing)
+        pool_workers(workers)
+        f = _indicator_box(4.0, 32, 2, seed=2)
+        with pytest.raises(FloatingPointError, match="node count failed"):
+            n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)
+        assert len(calls) >= 7
