@@ -337,6 +337,7 @@ def _corners(base: np.ndarray, frac: np.ndarray) -> list:
 
 
 def _shifted(window: tuple, off) -> tuple:
+    """The window of slices moved by off cells along each axis."""
     return tuple(slice(sl.start + o, sl.stop + o) for sl, o in zip(window, off))
 
 
