@@ -1,12 +1,13 @@
 """Seeded experiment driver with JSON reports and CSV curve sidecars.
 
-Every report record names the claim it checks through a stable anchor
-slug; ``lint_report`` rejects a malformed or anchorless record (exit 3,
-nothing written), and the tests check every suite's whole report against
-``REPORT_SCHEMA``, which ``lproth schema`` prints.  Each claim that the
-acceptance gate (``tests/test_acceptance.py``) also checks is one ``lproth.claims``
-function, run here at the CLI's sizes and seeds; the others are inline.  All numerics
-are fully determined by (config, seed); wall-clock data is isolated in a single
+This module holds the config, the runner and the I/O.  Every record and
+curve comes from a suite function in ``lproth.claims``, a pure function of
+the config, which ``run_suite`` calls in ``_SUITE_FNS`` order.  Every report
+record names the claim it checks through a stable anchor slug;
+``lint_report`` rejects a malformed or anchorless record (exit 3, nothing
+written), and the tests check every suite's whole report against
+``REPORT_SCHEMA``, which ``lproth schema`` prints.  All numerics are fully
+determined by (config, seed); wall-clock data is isolated in a single
 ``timing`` subtree so reports can be byte-compared with it masked.
 
 Exit codes: 0 all checks passed, 1 usage/validation error, 2 at least one
@@ -30,9 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets
-from .claims import Check, check
-from .util import spawn_rng
+from . import claims, forms, gowers, lpgeom
 
 SUITES = ("kernels", "gowers", "forms", "oscillatory", "counterexamples", "search", "verify-all")
 
@@ -76,14 +75,7 @@ REPORT_SCHEMA = {
 }
 
 
-# shell widths of the gowers suite's U^3 distance probe; the cyclic grid
-# has _U3_OVERSAMPLE * grid_m cells per axis
-_U3_ETAS = (0.05, 0.025)
-_U3_EPS = 0.1
-_U3_OVERSAMPLE = 8
-# box, gap scale and shell width of the forms suite's grid, which needs
-# ceil(512 p) cells; the limit of 2**18 cells admits p <= 512
-_FORM_N, _FORM_LAM, _FORM_EPS = 32.0, 2.0, 0.25
+# the forms suite's grid needs ceil(512 p) cells; this limit admits p <= 512
 _FORM_MAX_CELLS = 1 << 18
 
 
@@ -125,17 +117,18 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
         if self.suite in ("gowers", "verify-all"):
             try:
-                M_min = gowers.min_shell_grid(min(_U3_ETAS), _U3_EPS, self.p)
+                M_min = gowers.min_shell_grid(min(claims._U3_ETAS), claims._U3_EPS, self.p)
             except ValueError as exc:
                 raise ConfigError(f"p={self.p} is out of range for suite {self.suite!r}: {exc}")
-            need = math.ceil(M_min / _U3_OVERSAMPLE)
+            need = math.ceil(M_min / claims._U3_OVERSAMPLE)
             if self.grid_m < need:
                 raise ConfigError(
-                    f"grid_m={self.grid_m} under-resolves the eta={min(_U3_ETAS)} shell "
+                    f"grid_m={self.grid_m} under-resolves the eta={min(claims._U3_ETAS)} shell "
                     f"at p={self.p}: the minimum is grid_m={need}")
         if self.suite in ("forms", "verify-all"):
             try:
-                cells = forms.resolved_grid(_FORM_N, _FORM_LAM, _FORM_EPS, self.p)[0]
+                cells = forms.resolved_grid(claims._FORM_N, claims._FORM_LAM, claims._FORM_EPS,
+                                            self.p)[0]
             except ValueError:  # N / h overflows
                 cells = math.inf
             if cells > _FORM_MAX_CELLS:
@@ -206,241 +199,14 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
     return "run", cfg
 
 
-# ---------------------------------------------------------------------------
-# checks
-# ---------------------------------------------------------------------------
-
-
-class SuiteContext:
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.m = mollifier.build_mollifier()
-        self.curves: list[tuple[str, list[str], list[list]]] = []
-
-    def curve(self, filename, header, rows):
-        self.curves.append((filename, header, rows))
-
-
-def _kernels_checks(ctx: SuiteContext) -> list[Check]:
-    cfg, m = ctx.cfg, ctx.m
-    p, d, eps = cfg.p, cfg.d, cfg.epsilon
-    psi0 = float(m.psi(np.array([0.0]))[0])
-    out = [check("window value at zero", "window-normalization",
-                 {"psi0": psi0}, abs(psi0 - 1.0), "<", 1e-12)]
-    edge = float(m.psi_hat(np.array([2.5]))[0])
-    out.append(check("transform support edge", "window-band-support",
-                     {"psi_hat_2p5": edge}, edge, "==", 0.0))
-    direct = mollifier.omega_eps_direct_oscillatory(np.zeros(1) + 1.0, mollifier.KernelParams(p, 1, 1.0, 1.0), m)
-    closed = mollifier.omega_eps_eval(np.array([1.0]), mollifier.KernelParams(p, 1, 1.0, 1.0), m)
-    out.append(check("closed form vs oscillatory form", "kernel-closed-vs-oscillatory",
-                     {"direct": direct, "closed": closed}, abs(direct - closed), "<", 1e-4))
-    out.append(claims.kernel_mass_band(p, d, m))
-    out.append(claims.mass_ratio_unit(p, d, m))
-    c1e = mollifier.c1_eps(eps, p, d, m)
-    out.append(check("mass ratio band", "mass-ratio-band", {"c1": c1e}, c1e, "in", [0.1, 10.0]))
-    out.append(claims.cancellation_integral(mollifier.KernelParams(p, d, 1.0, eps), m))
-    out.append(claims.transform_zero_at_origin(mollifier.KernelParams(p, 1, 1.0, eps), m))
-    lam_j = 2.0
-    etas = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
-    kv = [abs(mollifier.kernel_fourier(np.array([e]), mollifier.KernelParams(p, 1, lam_j, eps), m))
-          for e in etas]
-    cslope = max(v / (lam_j * e) for v, e in zip(kv, etas))
-    out.append(Check("small frequency slope", "transform-small-frequency-slope",
-                     {"C_fit": cslope, "samples": kv}, None, np.isfinite(cslope)))
-    rng = spawn_rng(cfg.seed, 23)
-    pts = rng.uniform(-1.3, 1.3, size=(32, d))
-    v1 = mollifier.omega_eps_eval(pts, mollifier.KernelParams(p, d, 1.0, eps), m)
-    flip = pts.copy(); flip[:, 0] *= -1.0
-    v2 = mollifier.omega_eps_eval(flip, mollifier.KernelParams(p, d, 1.0, eps), m)
-    refl = float(np.max(np.abs(v1 - v2)))
-    out.append(check("reflection invariance", "kernel-reflection-invariance",
-                     {"max_dev": refl}, refl, "==", 0.0))
-    # weak limit vs sphere rule carries the explicit 2 pi of the line-integral normalization
-    rule = lpgeom.sphere_quadrature(p, d, 1.0, n=cfg.quad_nodes)
-    target = 2.0 * math.pi * rule.total_mass
-    mass_small = mollifier.kernel_total_mass(mollifier.KernelParams(p, d, 1.0, 0.005), m)
-    out.append(check("weak limit of shell kernels", "kernel-weak-limit",
-                     {"kernel_mass": mass_small, "sphere_mass_2pi": target},
-                     abs(mass_small - target) / target, "<", 0.01))
-    out.append(claims.sphere_mass_invariance(p, d, cfg.quad_nodes))
-    ctx.curve("window_profile.csv", ["u", "psi_hat"],
-              mollifier.window_profile_rows(m).tolist())
-    ctx.curve("kernel_profile.csv", ["r", "omega_eps"],
-              mollifier.kernel_profile_rows(mollifier.KernelParams(p, d, 1.0, eps), m).tolist())
-    return out
-
-
-def _gowers_checks(ctx: SuiteContext) -> list[Check]:
-    cfg, m = ctx.cfg, ctx.m
-    rng = spawn_rng(cfg.seed, 29)
-    out = [claims.u3_oracle_equivalence(rng, [(16, 1, 10)])]
-    out.append(claims.u2_spectral_identity(rng, 10))
-    F = gowers.CyclicGridFunction(rng.normal(size=16) + 1j * rng.normal(size=16))
-    base = gowers.u3_norm(F)
-    xi = 3
-    mod = gowers.CyclicGridFunction(F.values * np.exp(2j * np.pi * xi * np.arange(16) / 16))
-    dev = abs(gowers.u3_norm(mod) - base) / base
-    out.append(check("modulation invariance", "u3-modulation-invariance",
-                     {"rel_dev": dev}, dev, "<", 1e-10))
-    tr = gowers.CyclicGridFunction(np.roll(F.values, 5))
-    devt = abs(gowers.u3_norm(tr) - base) / base
-    out.append(check("translation invariance", "u3-translation-invariance",
-                     {"rel_dev": devt}, devt, "<", 1e-10))
-    out.extend(claims.u3_tensor_product(pp, tt) for pp, tt in ((cfg.p, 2.0), (3.0, 5.0)))
-    dists = [gowers.u3_kernel_distance(eta, _U3_EPS, cfg.p, cfg.grid_m * _U3_OVERSAMPLE, m)
-             for eta in _U3_ETAS]
-    out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
-                     {"distances": dists}, None, bool(dists[1] >= dists[0] > 0)))
-    ctx.curve("u3_cauchy.csv", ["eta", "u3_distance"],
-              [[e, v] for e, v in zip(_U3_ETAS, dists)])
-    ctx.curve("delta_u2_profile.csv", ["h", "u2_of_delta_h"],
-              gowers.delta_u2_profile(F))
-    return out
-
-
-def _forms_checks(ctx: SuiteContext) -> list[Check]:
-    cfg, m = ctx.cfg, ctx.m
-    p, N, lam, eps = cfg.p, _FORM_N, _FORM_LAM, _FORM_EPS
-    _, h = forms.resolved_grid(N, lam, eps, p)
-    f = forms.full_box(N, h, 1)
-    identity, (m_eps_form, base, e_form, _) = claims.form_decomposition_identity(f, lam, eps, m, p)
-    out = [identity]
-    b = base.value
-    # the base form's own error bar against the continuum value on the full box
-    oracle = forms.full_box_mollified_oracle(lam, 1.0, m, p, 1, N)
-    out.append(check("unit width consistency", "form-kernel-consistency",
-                     {"m_base": b, "oracle": oracle, "error": base.quadrature_error},
-                     abs(b - oracle), "<", base.quadrature_error))
-    cw = mollifier.kernel_total_mass(mollifier.KernelParams(p, 1, 1.0, 1.0), m)
-    dev = abs(b - cw * N) / (cw * N)
-    out.append(check("full box main term", "full-box-main-term",
-                     {"value": b, "target": cw * N, "rel_dev": dev}, dev, "<", 3 * lam / N))
-    rule = lpgeom.sphere_quadrature(p, 1, lam, n=64)
-    nv = forms.n_lambda(f, rule, lam).value
-    target = forms.full_box_sharp_oracle(rule, N)
-    out.append(check("sharp form sphere mass", "sharp-form-sphere-mass",
-                     {"value": nv, "target": target}, abs(nv - target) / target, "<", 0.05))
-    out.append(claims.pigeonhole_half_density(
-        2, 0.25, range(cfg.seed * 31, cfg.seed * 31 + cfg.trials)))
-    lams = [N / 16.0, N / 8.0, N / 4.0]
-    en = forms.energy_sum(f, lams, eps, m, p)
-    out.append(check("energy certificate ratio", "energy-ratio-bound",
-                     {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
-    mt = forms.roth_main_term_experiment(0.5, 1, N, lam, cfg.trials, m, p, seed=cfg.seed)
-    out.append(check("density main term positive", "main-term-positive",
-                     {"min_normalized": mt}, mt, ">", 1e-3 * cw))
-    # a box of about 8 on whole cells of the step h
-    f2 = forms.random_indicator(round(8.0 / h) * h, h, 1, 0.5, seed=cfg.seed)
-    v0 = forms.m_lambda(forms.translate_box(f2, 0), lam, m, p).value
-    v1 = forms.m_lambda(forms.translate_box(f2, 3), lam, m, p).value
-    tdev = abs(v0 - v1) / max(abs(v0), 1e-15)
-    out.append(check("translation invariance of forms", "form-translation-invariance",
-                     {"rel_dev": tdev}, tdev, "<", 1e-10))
-    rows = [[fv.kind, fv.lam, fv.eps, fv.value, fv.quadrature_error]
-            for fv in (m_eps_form, base, e_form)]
-    ctx.curve("form_values.csv", ["kind", "lambda", "epsilon", "value", "error"], rows)
-    return out
-
-
-def _oscillatory_checks(ctx: SuiteContext) -> list[Check]:
-    cfg = ctx.cfg
-    out = [claims.phase_quadratic_degeneracy(spawn_rng(cfg.seed, 47), 50)]
-    out.append(claims.phase_remainder_agreement())
-    envelope, fit = claims.decay_envelope(cfg.p, cfg.kl_nodes)
-    out.append(envelope)
-    ctx.curve(f"decay_p{cfg.p}.csv", ["t", "abs_I", "envelope"], fit.envelope_rows())
-    out.extend(claims.no_decay_degenerate(pdeg, 12) for pdeg in lpgeom.DEGENERATE_P)
-    v1 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.3, 0.1), 50.0)
-    v2 = oscillatory.inner_integral(oscillatory.PhaseFamily(cfg.p, 0.1, 0.3), 50.0)
-    sym = abs(v1 - v2)
-    out.append(check("shift symmetry", "aggregate-symmetry",
-                     {"dev": sym}, sym, "<", 1e-12))
-    sb = oscillatory.stationary_lower_bound_check(cfg.p, 0.1)
-    # at a degenerate p the derivative vanishes identically (a floor of 0.0)
-    out.append(check("stationary derivative floor", "stationary-lower-bound",
-                     {"min_abs_dpsi": sb.min_abs_dpsi}, sb.min_abs_dpsi,
-                     ">=" if sb.degenerate else ">", 0.0))
-    out.append(claims.lacunary_sum_cap(spawn_rng(cfg.seed, 37), trials=20, terms=12,
-                                       first_hi=0.5, step_hi=1.5, k=2))
-    table = oscillatory.build_transform_table(cfg.p, cfg.epsilon, ctx.m)
-    out.append(claims.multiplier_scale_uniformity(spawn_rng(cfg.seed, 53), table, 100))
-    prods = []
-    audit_rows = []
-    base = np.array([-2.0, -1.0, 1.0]) / np.linalg.norm([-2.0, -1.0, 1.0])
-    off = np.array([1.0, 0.0, 0.0])  # moves both defining functionals off zero
-    for dist in (0.1, 0.01):
-        x = 1.3 * base + dist * off
-        aud = oscillatory.multiplier_check(*x, claims.MULTIPLIER_SCALES, table)
-        prods.append(aud.grad_magnitude * aud.dist)
-        audit_rows.append([aud.dist, aud.abs_m, aud.grad_magnitude])
-    gratio = max(prods) / max(min(prods), 1e-300)
-    out.append(check("gradient-distance product stability", "multiplier-gradient-distance",
-                     {"products": prods}, gratio, "<", 4.0))
-    ctx.curve("multiplier_audit.csv", ["dist", "abs_m", "grad_magnitude"], audit_rows)
-    return out
-
-
-def _counterexample_checks(ctx: SuiteContext) -> list[Check]:
-    cfg = ctx.cfg
-    dens = sets.bourgain_set(2).estimate_density(10.0, n=10**5, seed=cfg.seed)
-    out = [check("square-shell density", "square-shell-density",
-                 {"density": dens}, dens, "in", [0.15, 0.35])]
-    rng = spawn_rng(cfg.seed, 41)
-    gap2 = max(abs(sets.parallelogram_check(rng.normal(size=2), rng.normal(size=2), 2.0)[2])
-               for _ in range(50))
-    out.append(check("quadratic parallelogram identity", "parallelogram-identity",
-                     {"max_gap": gap2}, gap2, "<", 1e-10))
-    _, _, gp = sets.parallelogram_check(np.array([1.0, 1.0]), np.array([1.0, 0.0]), cfg.p)
-    out.append(check("non-quadratic parallelogram failure", "parallelogram-failure",
-                     {"gap": gp}, abs(gp), ">", 1e-3))
-    out.append(claims.half_integer_gap_restriction(cfg.spectrum_hits, 10**7, cfg.seed))
-    escape, specp = claims.gap_escape_nonquadratic(cfg.p, cfg.spectrum_hits, 10**7, cfg.seed + 1)
-    out.append(escape)
-    ctx.curve("gap_spectrum.csv", ["gap", "count"], specp.histogram_rows(bins=32))
-    lat = sets.lattice_cube_set(2, 0.1)
-    rngl = spawn_rng(cfg.seed, 43)
-    base = rngl.integers(-5, 5, size=(2000, 2)) + rngl.uniform(-0.1, 0.1, size=(2000, 2))
-    other = rngl.integers(-5, 5, size=(2000, 2)) + rngl.uniform(-0.1, 0.1, size=(2000, 2))
-    members_ok = bool(np.all(lat.contains_batch(base)) and np.all(lat.contains_batch(other)))
-    gap_inf = np.max(np.abs(other - base), axis=1)
-    dev_inf = float(np.max(np.abs(gap_inf - np.round(gap_inf))))
-    out.append(check("lattice gap restriction", "lattice-gap-restriction",
-                     {"max_dev_inf": dev_inf}, dev_inf, "<=", 0.2, requires=members_ok))
-    return out
-
-
-def _search_checks(ctx: SuiteContext) -> list[Check]:
-    cfg = ctx.cfg
-    Afull = sets.full_box_set(2, 16.0)
-    res = sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**5,
-                                  box_hi=16.0, seed=cfg.seed)
-    out = [Check("full box witness", "full-box-witness",
-                 {"found": res.witness is not None,
-                  "proposals": res.proposals_used}, None, res.witness is not None)]
-    sound = res.witness is not None and res.witness.verify(Afull, 2.0, 1e-6)
-    out.append(Check("witness soundness", "witness-soundness", {}, None, bool(sound)))
-    out.append(claims.forbidden_gap_exhaustion(min(cfg.search_budget, 10**6), cfg.seed))
-    control, rep = claims.positive_control(cfg.p, range(cfg.seed, cfg.seed + 5), cfg.search_budget)
-    out.append(control)
-    r1, r2 = (sets.progression_search(Afull, cfg.p, 2.0, tol=1e-6, budget=10**4,
-                                      box_hi=16.0, seed=123) for _ in range(2))
-    same = (r1.witness is not None and r2.witness is not None
-            and np.array_equal(r1.witness.x, r2.witness.x)
-            and np.array_equal(r1.witness.y, r2.witness.y))
-    out.append(Check("seeded determinism", "search-determinism", {}, None, bool(same)))
-    if rep.witnesses:
-        rows = [[float(s), float(j), *w.x, *w.y, w.gap] for s, j, w in rep.witnesses[:64]]
-        ctx.curve("witnesses.csv", ["seed", "scale_index", "x1", "x2", "y1", "y2", "gap"], rows)
-    return out
-
-
+# each suite is a pure function of the config: (records, curves), run in this order
 _SUITE_FNS = {
-    "kernels": _kernels_checks,
-    "gowers": _gowers_checks,
-    "forms": _forms_checks,
-    "oscillatory": _oscillatory_checks,
-    "counterexamples": _counterexample_checks,
-    "search": _search_checks,
+    "kernels": claims.kernels_suite,
+    "gowers": claims.gowers_suite,
+    "forms": claims.forms_suite,
+    "oscillatory": claims.oscillatory_suite,
+    "counterexamples": claims.counterexamples_suite,
+    "search": claims.search_suite,
 }
 
 
@@ -473,12 +239,13 @@ def _json_default(o):
 def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
     """Execute the configured suite; returns (report, curves, exit_code)."""
     names = list(_SUITE_FNS) if cfg.suite == "verify-all" else [cfg.suite]
-    ctx = SuiteContext(cfg)
-    records = []
+    records, curves = [], []
     runtimes = {}
     for suite in names:
         t0 = time.perf_counter()
-        records.extend(_SUITE_FNS[suite](ctx))
+        suite_records, suite_curves = _SUITE_FNS[suite](cfg)
+        records += suite_records
+        curves += suite_curves
         runtimes[suite] = round(time.perf_counter() - t0, 3)
     n_fail = sum(1 for c in records if not c.passed)
     worst = min((c for c in records if not math.isnan(c.margin)), key=lambda c: c.margin,
@@ -501,7 +268,7 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
         },
     }
     lint_report(report)
-    return report, ctx.curves, (0 if n_fail == 0 else 2)
+    return report, curves, (0 if n_fail == 0 else 2)
 
 
 def write_report_atomic(report: dict, out_dir: str, fmt: str = "json") -> str:

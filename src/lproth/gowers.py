@@ -265,34 +265,24 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
 # ---------------------------------------------------------------------------
 
 
-def _oscillation_resolved(p: float, t: float, cell: float) -> bool:
-    """Whether the grid resolves the phase oscillation of e^{it |y|^p} on the cutoff support."""
-    return abs(t) * p * 3.0 ** (p - 1.0) * cell <= 0.5
-
-
 @dataclass
 class TensorCheck:
     lhs: float
     rhs: float
     relative_gap: float
-    resolved: bool
 
 
-def u3_tensor_check(p, t: float, M: int = 64, require_resolved: bool = False) -> TensorCheck:
+def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
     """Product structure of the U^3 norm of phase-modulated tensor cutoffs.
 
     Compares the d = 2 grid norm of phi(y1) phi(y2) 1_{y>0} e^{it(|y1|^p + |y2|^p)}
     against the square of the matched one-dimensional norm.  The factorization is
-    an identity of the sums themselves, so agreement holds at any resolution;
-    ``resolved`` reports whether the grid also samples the continuum oscillation.
+    an identity of the sums themselves, so agreement holds at any resolution.
     """
     pv = valid_exponent(p)
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
     cell = period / M
-    resolved = _oscillation_resolved(pv, t, cell)
-    if require_resolved and not resolved:
-        raise ValueError("grid under-samples the requested oscillation")
     ax = (np.arange(M) - M // 2) * cell
     f1 = even_bump(ax, C, 2.0 * C) * (ax > 0.0) * np.exp(1j * t * np.abs(ax) ** pv)
     F1 = CyclicGridFunction(f1, cell=cell)
@@ -304,7 +294,7 @@ def u3_tensor_check(p, t: float, M: int = 64, require_resolved: bool = False) ->
     lhs = u3_norm_continuum(F2)
     rhs = u3_norm_continuum(F1) ** 2
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return TensorCheck(lhs=lhs, rhs=rhs, relative_gap=gap, resolved=resolved)
+    return TensorCheck(lhs=lhs, rhs=rhs, relative_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -227,12 +227,11 @@ def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledK
     return CancelledKernel(params=params, c1=c1_eps(params.eps, params.p, params.d, m), m=m)
 
 
-def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
+def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> float:
     """Fourier transform of the cancelled kernel, convention fhat(eta) = int f(y) e^{-i y.eta} dy.
 
     Direct quadrature over the compact support, d <= 2 only (radial rule, quadrant rule).
-    The kernel is real and even, so the transform is real; a zero imaginary part is
-    returned for interface uniformity.
+    The kernel is real and even, so the transform is real.
     """
     if params.d > 2:
         raise ValueError("direct transform quadrature supports d <= 2")
@@ -242,13 +241,13 @@ def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> complex:
     if params.d == 1:
         w = float(np.atleast_1d(eta)[0])
         r, wq = _radial_rule(_shell_edges(params.p, params.eps, params.lam, cancelled=True), w)
-        return complex(2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r))), 0.0)
+        return 2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r)))
     eta = np.asarray(eta, dtype=float)
     R = replace(params, eps=1.0).support_radius  # the union support of the two kernels
     width = 2.0 * params.eps * params.lam / params.p
     n_min = max(24.0 * R / max(width, 1e-3), 4.0 * R * float(np.max(np.abs(eta))) / np.pi)
     osc = lambda Y1, Y2: np.cos(Y1 * eta[0]) * np.cos(Y2 * eta[1])
-    return complex(_quadrant_integral(kern, osc, R, n_min), 0.0)
+    return _quadrant_integral(kern, osc, R, n_min)
 
 
 def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair) -> float:

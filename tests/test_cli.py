@@ -318,14 +318,14 @@ class TestRunSuite:
     def test_config_echo_is_exactly_the_fields(self, monkeypatch, tmp_path):
         # the echo states the knobs that ran, and nothing that limits nothing
         monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
-                            lambda ctx: [Check("ok", "synthetic-pass", {}, None, True)])
+                            lambda cfg: ([Check("ok", "synthetic-pass", {}, None, True)], []))
         report, _, _ = run_suite(tiny_config(out_dir=str(tmp_path / "out")))
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(report["config"]) == sorted(fields)
 
     def test_failing_check_gives_exit_2(self, monkeypatch, tmp_path):
-        def bad_suite(ctx):
-            return [Check("always fails", "synthetic-failure", {}, None, False)]
+        def bad_suite(cfg):
+            return [Check("always fails", "synthetic-failure", {}, None, False)], []
 
         monkeypatch.setitem(cli._SUITE_FNS, "counterexamples", bad_suite)
         cfg = tiny_config(out_dir=str(tmp_path / "out"))
@@ -409,7 +409,7 @@ class TestRunSuite:
 
     def test_malformed_record_exits_3(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
-                            lambda ctx: [Check("x", "a", {}, "0.1", True)])
+                            lambda cfg: ([Check("x", "a", {}, "0.1", True)], []))
         out = tmp_path / "out"
         assert cli.main(["run", "--suite", "counterexamples", "--out", str(out)]) == 3
         assert "internal failure" in capsys.readouterr().err
@@ -418,7 +418,7 @@ class TestRunSuite:
     def test_numpy_values_written_as_plain_json(self, monkeypatch, tmp_path):
         values = {"ok": np.bool_(True), "n": np.int64(3), "v": np.arange(2.0)}
         monkeypatch.setitem(cli._SUITE_FNS, "counterexamples",
-                            lambda ctx: [Check("x", "a", values, np.float32(0.5), True)])
+                            lambda cfg: ([Check("x", "a", values, np.float32(0.5), True)], []))
         out = tmp_path / "out"
         assert cli.main(["run", "--suite", "counterexamples", "--out", str(out)]) == 0
         rec = json.loads((out / "report.json").read_text())["records"][0]
@@ -470,8 +470,32 @@ def _round_trip(report):
 
 
 @pytest.fixture(scope="module")
-def verify_all_report():
-    return run_suite(tiny_config("verify-all"))[0]
+def verify_all_run():
+    return run_suite(tiny_config("verify-all"))
+
+
+@pytest.fixture(scope="module")
+def verify_all_report(verify_all_run):
+    return verify_all_run[0]
+
+
+def test_each_suite_is_its_slice_of_verify_all(verify_all_run):
+    # suites share no state, so each one alone gives its records and curves in verify-all
+    def canon(x):
+        return json.dumps(x, sort_keys=True, default=cli._json_default)
+
+    report, curves, _ = verify_all_run
+    n_rec = n_curve = 0
+    for suite in cli._SUITE_FNS:
+        alone, alone_curves, _ = run_suite(tiny_config(suite))
+        assert alone["records"], suite
+        part = report["records"][n_rec:n_rec + len(alone["records"])]
+        assert canon(part) == canon(alone["records"]), suite
+        part = curves[n_curve:n_curve + len(alone_curves)]
+        assert canon(part) == canon(alone_curves), suite
+        n_rec += len(alone["records"])
+        n_curve += len(alone_curves)
+    assert (n_rec, n_curve) == (len(report["records"]), len(curves))
 
 
 _DROP = object()
@@ -539,12 +563,11 @@ def test_run_does_not_import_jsonschema(tmp_path):
 
 def test_every_public_claim_is_reported():
     # a claim that only the acceptance gate measures would split the CLI and the gate again
-    def parse(module):
-        return ast.parse(Path(module.__file__).read_text())
-
-    public = {node.name for node in parse(claims).body
+    tree = ast.parse(Path(claims.__file__).read_text())
+    public = {node.name: node for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    reported = {node.func.attr for node in ast.walk(parse(cli))
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "claims"}
-    assert public - {"check"} - reported == set()
+    suites = {fn.__name__ for fn in cli._SUITE_FNS.values()}
+    assert suites <= set(public)
+    reported = {node.func.id for name in suites for node in ast.walk(public[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert set(public) - {"check"} - suites - reported == set()

@@ -270,13 +270,6 @@ class TestTensorization:
             tc = u3_tensor_check(p, t, M=64)
             assert tc.relative_gap < 1e-2
 
-    def test_resolution_flag_and_opt_in_error(self):
-        tc = u3_tensor_check(3.0, 5.0, M=64)
-        assert not tc.resolved
-        with pytest.raises(ValueError):
-            u3_tensor_check(3.0, 5.0, M=64, require_resolved=True)
-        assert u3_tensor_check(1.5, 0.01, M=64).resolved
-
 
 class TestFormControl:
     def test_zero_kernel(self):
