@@ -3,7 +3,10 @@
 Each claim function draws its inputs, measures one claim and returns the
 ``Check`` record with that claim's one bound.  ``tests/test_acceptance.py``
 calls the shared ones at its own sizes and seeds.  A claim that samples draws
-from the caller's generator in a fixed order, rejected ones included.
+from the caller's generator in a fixed order, rejected ones included.  A
+claim takes each quantity from the one module that computes it, private
+helpers included: ``u3_form_control`` sums the trilinear form over the
+triple sums of ``forms._gap_sums`` and takes the U^3 norm from ``gowers``.
 
 Each ``*_suite(cfg)`` is one suite of the report at the sizes of an
 ``ExperimentConfig``: a pure function that builds its own window pair, draws
@@ -91,6 +94,31 @@ def u3_tensor_product(p, t: float) -> Check:
     tc = gowers.u3_tensor_check(p, t, M=64)
     return check(f"tensor factorization p={p} t={t}", "u3-tensor-product",
                  {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap}, tc.relative_gap, "<", 1e-2)
+
+
+def u3_form_control(f: forms.BoxFunction, g, lam: float) -> Check:
+    """The trilinear form T against its U^3 majorant N lam^(1/2) ||g||_{U^3}, one dimension.
+
+    T = h^2 sum over j of g(j) S(j), with S(j) = sum_x f(x) f(x+j) f(x+2j) on
+    f's step-h grid over [0, N] (zero extension) and g sampled on the same
+    step over [0, lam].  The norm is the continuum U^3 norm of g on a cyclic
+    grid of the smallest power of two of at least five support lengths.
+    """
+    g = np.asarray(g, dtype=float)
+    if f.d != 1 or g.ndim != 1:
+        raise ValueError("one-dimensional check only")
+    if f.n > 4096 or g.size > 4096:
+        raise ValueError("grid sizes exceed the audit budget")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    T = f.h * f.h * math.fsum(g * forms._gap_sums(f, np.arange(g.size)[:, None]))
+    padded = np.zeros(1 << (5 * g.size - 1).bit_length())
+    padded[:g.size] = g
+    bound = f.N * math.sqrt(lam) * gowers.u3_norm_continuum(
+        gowers.CyclicGridFunction(padded, cell=f.h))
+    ratio = abs(T) / bound if bound > 0 else (0.0 if T == 0.0 else math.inf)
+    return check("trilinear form U^3 control", "u3-form-control",
+                 {"T": T, "bound": bound, "ratio": ratio}, ratio, "<=", 4.0)
 
 
 # slope floor of |I(t)| at the degenerate exponents, which do not decay
@@ -339,6 +367,11 @@ def gowers_suite(cfg):
              for eta in _U3_ETAS]
     out.append(Check("shell-difference distance growth", "u3-cauchy-monotone",
                      {"distances": dists}, None, bool(dists[1] >= dists[0] > 0)))
+    lam, h = 3.0 ** (1.0 / cfg.p), 0.05
+    ys = (np.arange(int(lam / h)) + 0.5)[:, None] * h
+    g = (mollifier.omega_eps_eval(ys, KernelParams(cfg.p, 1, 1.0, 1.0), m)
+         - mollifier.omega_eps_eval(ys, KernelParams(cfg.p, 1, 1.0, 0.1), m))
+    out.append(u3_form_control(forms.random_indicator(16.0, h, 1, 0.5, seed=cfg.seed), g, lam))
     curves = [("u3_cauchy.csv", ["eta", "u3_distance"], [[e, v] for e, v in zip(_U3_ETAS, dists)]),
               ("delta_u2_profile.csv", ["h", "u2_of_delta_h"], gowers.delta_u2_profile(F))]
     return out, curves

@@ -25,6 +25,9 @@ Continuum embeddings discretize a compactly supported kernel on a cyclic
 grid whose period exceeds four support diameters (wraparound then never
 joins distinct support components) and attach cell^(d/2) per norm so the
 discrete value approximates the continuum integral.
+
+The U^3 control of the trilinear counting form is ``claims.u3_form_control``,
+which sums the form over the triple sums of ``forms`` and takes only the norm from here.
 """
 
 from __future__ import annotations
@@ -280,6 +283,8 @@ def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
     an identity of the sums themselves, so agreement holds at any resolution.
     """
     pv = valid_exponent(p)
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
     cell = period / M
@@ -295,51 +300,3 @@ def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
     rhs = u3_norm_continuum(F1) ** 2
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return TensorCheck(lhs=lhs, rhs=rhs, relative_gap=gap)
-
-
-# ---------------------------------------------------------------------------
-# trilinear form control
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FormControl:
-    T: float
-    bound: float
-    ratio: float
-
-
-def u3_form_control_check(f_values: np.ndarray, g_values: np.ndarray, h: float,
-                          N: float, lam: float) -> FormControl:
-    """Trilinear form against its U^3 majorant, one dimension.
-
-    T = sum over x, y of f(x) f(x+y) f(x+2y) g(y) h^2 with f sampled on a
-    step-h grid over [0, N] (zero extension) and g on the same step over
-    [0, lam].  The majorant is N lam^(1/2) times the continuum U^3 norm of
-    g embedded on a padded cyclic grid.
-    """
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if f.ndim != 1 or g.ndim != 1:
-        raise ValueError("one-dimensional check only")
-    if f.size > 4096 or g.size > 4096:
-        raise ValueError("grid sizes exceed the audit budget")
-    nf, ng = f.size, g.size
-    fpad = np.zeros(nf + 2 * ng)
-    fpad[:nf] = f
-    T = 0.0
-    for j in range(ng):
-        if g[j] == 0.0:
-            continue
-        T += g[j] * float(np.dot(f, fpad[j:j + nf] * fpad[2 * j:2 * j + nf]))
-    T *= h * h
-    # embed g on a cyclic grid padded to five support lengths
-    Mg = 1
-    while Mg < 5 * ng:
-        Mg *= 2
-    gg = np.zeros(Mg, dtype=complex)
-    gg[:ng] = g
-    G = CyclicGridFunction(gg, cell=h)
-    bound = N * np.sqrt(lam) * u3_norm_continuum(G)
-    ratio = abs(T) / bound if bound > 0 else (0.0 if T == 0.0 else np.inf)
-    return FormControl(T=T, bound=bound, ratio=ratio)

@@ -492,6 +492,9 @@ def multiplier_check(xi1: float, xi2: float, xi3: float, lambdas: Sequence[float
     The step is dist/100 so the difference quotient tracks the blowup
     scale; points within 1e-6 of the plane are rejected.
     """
+    for name, value in (("xi1", xi1), ("xi2", xi2), ("xi3", xi3)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     lams = [float(v) for v in lambdas]
     if len(lams) > 12:
         raise ValueError("audit supports at most 12 scales")

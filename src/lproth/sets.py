@@ -262,6 +262,8 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     pv = valid_exponent(p)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not budget >= 1:  # NaN too
+        raise ValueError(f"budget must be at least 1, got {budget}")
     _check_probe_box(box_hi)
     rng = spawn_rng(seed, 17)
     rule = sphere_quadrature(pv, A.dim, lam, n=2048,
@@ -330,6 +332,8 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
     if not seeds:
         raise ValueError("seeds must not be empty")
     lams = list(sequence)
+    if not lams:
+        raise ValueError("sequence must not be empty")
     if max(lams) > N / 4.0:
         raise ValueError("largest scale must satisfy lam <= N/4")
     realized = []

@@ -571,3 +571,28 @@ def test_every_public_claim_is_reported():
     reported = {node.func.id for name in suites for node in ast.walk(public[name])
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert set(public) - {"check"} - suites - reported == set()
+
+
+# reference implementations that only the tests evaluate, against the paths the program runs
+_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "sigma_total_mass"}
+
+
+def test_every_public_function_is_used_by_the_program():
+    # a helper that only its own tests call is code nothing needs
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "lproth").glob("*.py"))
+    program = [*package, *(root / "scripts").glob("*.py"),
+               *(p for p in (root / "bench").glob("*.py") if not p.name.startswith("test_"))]
+    # a call, or a reference such as the suites held by cli._SUITE_FNS
+    used = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {f"{path.stem}.{node.name}" for path in package
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    unused = {name for name in public if name.split(".")[1] not in used | _TEST_ORACLES}
+    assert unused == set()

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lproth import claims, forms
 from lproth.gowers import (
     CyclicGridFunction,
     _overlap_shifts,
@@ -15,7 +17,6 @@ from lproth.gowers import (
     u2_norm,
     u3_eighth_brute,
     u3_eighth_recursive,
-    u3_form_control_check,
     u3_kernel_distance,
     u3_norm,
     u3_tensor_check,
@@ -270,25 +271,44 @@ class TestTensorization:
             tc = u3_tensor_check(p, t, M=64)
             assert tc.relative_gap < 1e-2
 
+    def test_empty_grid_rejected(self):
+        for M in (0, -4):
+            with pytest.raises(ValueError, match="M must be at least 1"):
+                u3_tensor_check(1.5, 1.0, M=M)
+
+
+def reference_form(f, g, h):
+    """h^2 sum over j of g(j) sum_x f(x) f(x+j) f(x+2j), by a loop over f padded with zeros."""
+    nf, ng = f.size, g.size
+    fpad = np.zeros(nf + 2 * ng)
+    fpad[:nf] = f
+    T = 0.0
+    for j in range(ng):
+        T += g[j] * float(np.dot(f, fpad[j:j + nf] * fpad[2 * j:2 * j + nf]))
+    return T * h * h
+
 
 class TestFormControl:
     def test_zero_kernel(self):
-        out = u3_form_control_check(np.ones(64), np.zeros(32), 0.1, 6.4, 3.2)
-        assert out.T == 0.0 and out.bound == 0.0 and out.ratio == 0.0
+        out = claims.u3_form_control(forms.full_box(6.4, 0.1, 1), np.zeros(32), 3.2)
+        assert out.values == {"T": 0.0, "bound": 0.0, "ratio": 0.0}
+        assert out.passed
 
     def test_shell_difference_ratio(self, moll):
         p = 1.5
         lam = 3.0 ** (1.0 / p)
         N, h = 16.0, 0.05
-        nf = int(N / h)
         ng = int(lam / h)
         ys = (np.arange(ng) + 0.5) * h
         pts = ys[:, None]
         g = (omega_eps_eval(pts, KernelParams(p, 1, 1.0, 1.0), moll)
              - omega_eps_eval(pts, KernelParams(p, 1, 1.0, 0.1), moll))
-        out = u3_form_control_check(np.ones(nf), g, h, N, lam)
-        assert out.bound > 0.0
-        assert out.ratio <= 4.0
+        f = forms.full_box(N, h, 1)
+        out = claims.u3_form_control(f, g, lam)
+        T = reference_form(f.values, g, h)
+        assert abs(out.values["T"] - T) <= 1e-12 * abs(T)
+        assert out.values["bound"] > 0.0
+        assert out.values["ratio"] <= 4.0 and out.passed
 
     def test_random_audit(self, rng):
         worst = 0.0
@@ -297,10 +317,22 @@ class TestFormControl:
             h = 0.1
             f = rng.uniform(-1.0, 1.0, size=nf)
             g = rng.uniform(-1.0, 1.0, size=ng)
-            out = u3_form_control_check(f, g, h, nf * h, ng * h)
-            worst = max(worst, out.ratio)
+            out = claims.u3_form_control(forms.BoxFunction(f, nf * h, h), g, ng * h)
+            T = reference_form(f, g, h)
+            assert abs(out.values["T"] - T) <= 1e-12 * abs(T)
+            worst = max(worst, out.values["ratio"])
         assert worst < 10.0
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            u3_form_control_check(np.ones(8192), np.ones(8), 0.1, 10.0, 1.0)
+        for f, g in ((forms.full_box(819.2, 0.1, 1), np.ones(8)),
+                     (forms.full_box(10.0, 0.1, 1), np.ones(8192))):
+            with pytest.raises(ValueError, match="audit budget"):
+                claims.u3_form_control(f, g, 1.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            claims.u3_form_control(forms.full_box(10.0, 0.1, 2), np.ones(8), 1.0)
+
+    def test_scale_guard(self):
+        # a NaN scale would give a NaN bound and a record that fails without saying why
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^lam must be finite"):
+                claims.u3_form_control(forms.full_box(10.0, 0.1, 1), np.ones(8), lam)

@@ -489,6 +489,15 @@ class TestMultiplier:
         with pytest.raises(ValueError):
             multiplier_check(-2.0, -1.0, 1.0, lams, table)
 
+    def test_non_finite_frequency_named(self, table):
+        # a NaN distance would slip past the degenerate-plane guard
+        lams = [1.5 * 2.0**j for j in range(4)]
+        for i, bad in ((0, math.nan), (1, math.inf), (2, -math.inf)):
+            xi = [0.7, -0.4, 0.9]
+            xi[i] = bad
+            with pytest.raises(ValueError, match=f"^xi{i + 1} must be finite"):
+                multiplier_check(*xi, lams, table)
+
     def test_distance_formula(self):
         # the plane is spanned by (-2, -1, 1); points on it have distance 0
         assert dist_to_degenerate_subspace(np.array([-2.0, -1.0, 1.0])) < 1e-12

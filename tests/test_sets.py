@@ -224,6 +224,13 @@ class TestProgressionSearch:
                 progression_search(full_box_set(1, 8.0), 1.5, 1.0, tol=tol, budget=10,
                                    box_hi=8.0)
 
+    def test_budget_guard(self):
+        # with no proposals the search would report a vacuous exhaustion
+        for budget in (0, -1, math.nan):
+            with pytest.raises(ValueError, match="budget"):
+                progression_search(full_box_set(1, 8.0), 1.5, 1.0, tol=0.1, budget=budget,
+                                   box_hi=8.0)
+
     def test_determinism(self):
         A = full_box_set(2, 16.0)
         a = progression_search(A, 1.5, 2.0, tol=1e-6, budget=10**4, box_hi=16.0, seed=7)
@@ -439,6 +446,10 @@ class TestTheoremExperiment:
         # with no seeds, all_seeds_realized would hold vacuously
         with pytest.raises(ValueError, match="seeds"):
             theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="sequence"):
+            theorem_experiment(0.4, 1.5, 2, 64.0, [], seeds=[1])
 
     def test_nan_density_named(self):
         with pytest.raises(ValueError, match="^density must be finite"):
