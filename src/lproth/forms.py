@@ -30,14 +30,14 @@ the rounding of the reordered products.  The three forms of
 M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 
 The forms are evaluated at f = 1_A, so their boxes are 0/1 indicators.
-A box whose values are all exactly 0.0 or 1.0 (_is_indicator) is counted
-on its bool view.  In the lattice forms each product is a logical and and
-S(j) is the number of cells it keeps, the same integer, bit for bit, that
-float products give.  In the sharp form interpolation is linear in f, so
-each node sum is a sum of integer counts, one per pair of interpolation
-corners, times the corner weights; it differs from the float loop only by
-the rounding of those terms.  A box with any other value (BoxFunction
-admits reals in [-1, 1]) takes float64 products in both.
+One helper, _product_view, picks how every form multiplies and sums a box:
+a box whose values are all exactly 0.0 or 1.0 is counted on its bool view,
+where each product is a logical and and each sum the number of cells it
+keeps, the same integer, bit for bit, that float products give; a box with
+any other value (BoxFunction admits reals in [-1, 1]) takes float64
+products.  The sharp form has one node loop for both: interpolation is
+linear in f, so each node sum is a sum over pairs of interpolation corners
+of the corner weights times a triple sum of f on the grid.
 """
 
 from __future__ import annotations
@@ -186,9 +186,15 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     return J[half], np.where(lead[half] > 0, 2.0, 1.0)
 
 
-def _is_indicator(v: np.ndarray) -> bool:
-    """Whether every value is exactly 0.0 or 1.0, so that the forms can count on a bool view."""
-    return bool(np.all((v == 0.0) | (v == 1.0)))
+def _product_view(v: np.ndarray):
+    """(view, total) for the products of the box values v: the bool view and
+    np.count_nonzero if every value is exactly 0.0 or 1.0, else v and np.sum.
+
+    On bools np.multiply is a logical and; a value such as 1 + 1e-13 is not 1.
+    """
+    if np.all((v == 0.0) | (v == 1.0)):
+        return v != 0.0, np.count_nonzero
+    return v, np.sum
 
 
 def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
@@ -203,19 +209,12 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     product and every partial sum is an exact integer, so the two agree bit
     for bit; for real values they differ by rounding in that order.
 
-    A box whose values are all exactly 0.0 or 1.0 is counted: the loop runs
-    on its bool view, np.multiply of two bools is their logical and, and S(j)
-    is the number of true cells.  Float products would give the same S(j) bit
-    for bit, since each is 0 or 1 and each partial sum is an integer of at
-    most n^d < 2^53.  Any other box, with real values in [-1, 1] or a value
-    such as 1 + 1e-13, takes float64 products summed by np.sum.
+    The products run on the view of f from _product_view.  A 0/1 box gives
+    the S(j) of float products bit for bit: each partial sum is an integer
+    of at most n^d < 2^53.
     """
     n = f.n
-    v = f.values
-    if _is_indicator(v):
-        v, total = v != 0.0, np.count_nonzero
-    else:
-        total = np.sum
+    v, total = _product_view(f.values)
     lo = np.maximum(0, -2 * J)
     hi = np.minimum(n, n - 2 * J)
     S = np.zeros(len(J))
@@ -295,19 +294,13 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
     return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
-# Cells per block of the sharp form's window on the float loop: a worker's
-# four float64 block-sized operands (f, the two interpolated copies and a
-# work buffer, 512 KiB each) then stay in a 2 MiB cache instead of
-# streaming the whole grid per corner.  The blocks and their buffers are
-# per worker thread.
-_BLOCK_CELLS = 1 << 16
-# Cells per block of the counted path, whose two bool buffers take one byte
-# a cell.  Its cost per block is a fixed count of numpy calls, which
-# dominates at _BLOCK_CELLS; on a 2048^2 shell (2 cores, 64 nodes) the
-# node sums took 1.6 s in blocks of 2^16 cells, 0.7-0.8 s at 2^20 and
-# 0.55 s at 2^22, the whole window.  2^22 cells cap a worker's buffers at
-# 8 MiB.
-_COUNT_BLOCK_CELLS = 1 << 22
+# Bytes per block of the sharp form's window in each work buffer: 2^22
+# cells on a bool view, 2^19 on float64 values, so a worker's two buffers
+# take 8 MiB.  A block costs a fixed count of numpy calls per corner pair,
+# which dominates small blocks; on a 2048^2 shell (2 cores, 64 nodes) the
+# counted node sums took 1.6 s in blocks of 2^16 cells, 0.7-0.8 s at 2^20
+# and 0.55 s at 2^22, the whole window.
+_BLOCK_BYTES = 1 << 22
 
 
 def _cell_offset(y: np.ndarray, h: float):
@@ -341,21 +334,6 @@ def _shifted(window: tuple, off) -> tuple:
     return tuple(slice(sl.start + o, sl.stop + o) for sl, o in zip(window, off))
 
 
-def _interp_shifted(rim: np.ndarray, base: np.ndarray, frac: np.ndarray, window: tuple,
-                    out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """f(x + y) on the window of cell centers x, multilinear, zero outside the box.
-
-    rim is f with a one-cell zero rim on every side.  The result is
-    accumulated in out, using tmp.
-    """
-    corners = _corners(base, frac)
-    np.multiply(rim[_shifted(window, corners[0][1])], corners[0][0], out=out)
-    for w, off in corners[1:]:
-        np.multiply(rim[_shifted(window, off)], w, out=tmp)
-        out += tmp
-    return out
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS reports one)."""
     try:
@@ -380,63 +358,38 @@ def _overlap_blocks(n: int, b1: np.ndarray, b2: np.ndarray, block_cells: int):
     return [(slice(r0, min(r0 + rows, hi[0])),) + inner for r0 in range(lo[0], hi[0], rows)]
 
 
-def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
-              ) -> Optional[float]:
+def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple,
+              total: Callable[[np.ndarray], float]) -> Optional[float]:
     """sum_x f(x) f(x + y) f(x + 2y) at the gap y = node, or None if no x can count.
 
-    The overlap window is summed in blocks of about _BLOCK_CELLS cells, in
-    the float64 work buffers bufs, and the block sums are added by fsum.
-    """
-    buf1, buf2, tmp = bufs
-    b1, fr1 = _cell_offset(node, f.h)
-    b2, fr2 = _cell_offset(2.0 * node, f.h)
-    blocks = _overlap_blocks(f.n, b1, b2, _BLOCK_CELLS)
-    if blocks is None:
-        return None
-    sums = []
-    for window in blocks:
-        shape = tuple(sl.stop - sl.start for sl in window)
-        size = math.prod(shape)
-        t = tmp[:size].reshape(shape)
-        prod = _interp_shifted(rim, b1, fr1, window, buf1[:size].reshape(shape), t)
-        f2 = _interp_shifted(rim, b2, fr2, window, buf2[:size].reshape(shape), t)
-        np.multiply(f.values[window], prod, out=prod)
-        prod *= f2
-        sums.append(float(np.sum(prod)))
-    return math.fsum(sums)
-
-
-def _node_count(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple
-                ) -> Optional[float]:
-    """The node sum of _node_sum for a 0/1 box, from integer counts.
-
-    rim is the bool view of f with a one-cell false rim.  Interpolation is
-    linear in f, so the node sum is sum_{c1, c2} w1(c1) w2(c2) S(c1, c2)
-    over the corners c1 of x + y and c2 of x + 2y with nonzero weight, where
-    S(c1, c2) counts the x on the overlap window at which f is 1 at x and
-    at both corners.  Each S is a logical and of bool blocks, in the work
-    buffers bufs, counted by np.count_nonzero; the counts are exact
-    integers whatever the blocks, and the weighted terms are added by fsum.
+    rim is the view of f from _product_view with a one-cell zero rim, and
+    total its sum.  Interpolation is linear in f, so the node sum is
+    sum_{c1, c2} w1(c1) w2(c2) S(c1, c2) over the corners c1 of x + y and c2
+    of x + 2y with nonzero weight, where S(c1, c2) sums f(x) f(c1) f(c2) over
+    the overlap window.  S accumulates total of the products block by block,
+    in the work buffers bufs, with each c1 product reused across c2.  On a
+    bool view each S is an exact integer count whatever the blocks (held
+    exactly in float64, being below 2^53).  The weighted terms are added by
+    fsum.
     """
     first, both = bufs
     b1, fr1 = _cell_offset(node, f.h)
     b2, fr2 = _cell_offset(2.0 * node, f.h)
-    blocks = _overlap_blocks(f.n, b1, b2, _COUNT_BLOCK_CELLS)
+    blocks = _overlap_blocks(f.n, b1, b2, _BLOCK_BYTES // rim.itemsize)
     if blocks is None:
         return None
     c1, c2 = _corners(b1, fr1), _corners(b2, fr2)
-    S = np.zeros((len(c1), len(c2)), dtype=np.int64)
+    S = np.zeros((len(c1), len(c2)))
     for window in blocks:
         shape = tuple(sl.stop - sl.start for sl in window)
         size = math.prod(shape)
         g, t = first[:size].reshape(shape), both[:size].reshape(shape)
         here = rim[_shifted(window, (1,) * f.d)]
         for i, (_, off1) in enumerate(c1):
-            np.logical_and(here, rim[_shifted(window, off1)], out=g)
+            np.multiply(here, rim[_shifted(window, off1)], out=g)
             for j, (_, off2) in enumerate(c2):
-                np.logical_and(g, rim[_shifted(window, off2)], out=t)
-                S[i, j] += np.count_nonzero(t)
-    return math.fsum(w1 * w2 * int(S[i, j]) for i, (w1, _) in enumerate(c1)
+                S[i, j] += total(np.multiply(g, rim[_shifted(window, off2)], out=t))
+    return math.fsum(w1 * w2 * S[i, j] for i, (w1, _) in enumerate(c1)
                      for j, (w2, _) in enumerate(c2))
 
 
@@ -446,19 +399,17 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     A strictly positive value certifies, up to interpolation tolerance, a
     3-progression in supp f whose gap length is lam in the lp metric.
 
-    A box whose values are all exactly 0.0 or 1.0 is counted (_node_count):
-    each node sum is a weighted sum of integer counts of bool ands.  Any
-    other box takes the float loop (_node_sum), which interpolates float64
-    copies of f.  The two agree up to the rounding of the weighted terms.
+    Each node sum is a weighted sum of corner-pair triple sums (_node_sum)
+    on the view of f that _product_view picks, as _gap_sums does: counts of
+    bool ands for a 0/1 box, float64 products for any other.
 
     The node sums run on a thread pool with one thread per usable CPU (at
     most one per node); numpy releases the interpreter lock on the window
-    blocks.  Each worker has its own work buffers: three float64 ones of
-    max(_BLOCK_CELLS, n^(d-1)) cells on the float loop, two bool ones of
-    max(_COUNT_BLOCK_CELLS, n^(d-1)) cells on the counted path.  Every node
-    sum is computed by the same operations in the same order whichever
-    thread runs it, and the results are combined in node order by one fsum,
-    so the value does not depend on the core count, bit for bit.
+    blocks.  Each worker has two work buffers of the view's dtype, of
+    max(_BLOCK_BYTES / itemsize, n^(d-1)) cells.  Every node sum is computed
+    by the same operations in the same order whichever thread runs it, and
+    the results are combined in node order by one fsum, so the value does
+    not depend on the core count, bit for bit.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
@@ -469,19 +420,15 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     d = f.d
-    if _is_indicator(f.values):
-        rim, node_sum = np.pad(f.values != 0.0, 1), _node_count
-        block, n_bufs = _COUNT_BLOCK_CELLS, 2
-    else:
-        rim, node_sum = np.pad(f.values, 1), _node_sum
-        block, n_bufs = _BLOCK_CELLS, 3
-    cells = max(block, f.n ** (d - 1))
+    rim, total = _product_view(f.values)
+    rim = np.pad(rim, 1)  # drops a 0/1 box's unpadded bool copy
+    cells = max(_BLOCK_BYTES // rim.itemsize, f.n ** (d - 1))
     local = threading.local()
 
     def run(node: np.ndarray) -> Optional[float]:
         if not hasattr(local, "bufs"):
-            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(n_bufs))
-        return node_sum(f, rim, node, local.bufs)
+            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(2))
+        return _node_sum(f, rim, node, local.bufs, total)
 
     workers = max(1, min(_usable_cpus(), len(quad.nodes)))
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -283,6 +283,8 @@ def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
     an identity of the sums themselves, so agreement holds at any resolution.
     """
     pv = valid_exponent(p)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
     C = 3.0 ** (1.0 / pv)

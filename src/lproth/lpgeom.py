@@ -230,6 +230,8 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
     pv = valid_exponent(p)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"radius must be positive and finite, got {lam}")
+    if not n >= 1:  # NaN too
+        raise ValueError(f"n must be at least 1, got {n}")
     if mode == MODE_GRAPH:
         if d not in (1, 2, 3):
             raise ValueError(f"deterministic-graph mode supports d in {{1,2,3}}, got d={d}")

@@ -262,6 +262,8 @@ def i_of_t(p, t: float, n_kl: int = 48) -> float:
     """
     _check_t(t)
     pv = valid_exponent(p)
+    if not n_kl >= 1:  # NaN too
+        raise ValueError(f"n_kl must be at least 1, got {n_kl}")
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x
     wk = KL_HALF * w
@@ -496,6 +498,8 @@ def multiplier_check(xi1: float, xi2: float, xi3: float, lambdas: Sequence[float
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     lams = [float(v) for v in lambdas]
+    if not all(math.isfinite(lam) and lam > 0.0 for lam in lams):
+        raise ValueError(f"lambdas must be finite and positive, got {lams}")
     if len(lams) > 12:
         raise ValueError("audit supports at most 12 scales")
     for a, b in zip(lams, lams[1:]):

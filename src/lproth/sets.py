@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -88,7 +89,7 @@ class PointSet:
     def estimate_density(self, box_hi: float, n: int = 10**5, seed: int = 0) -> float:
         """Fraction of n uniform draws from [0, box_hi]^dim that are members."""
         _check_probe_box(box_hi)
-        if n < 1:
+        if not n >= 1:  # NaN too
             raise ValueError(f"n must be at least 1, got {n}")
         rng = spawn_rng(seed, 11)
         pts = rng.uniform(0.0, box_hi, size=(n, self.dim))
@@ -301,8 +302,8 @@ def lacunary_generate(lambda1: float, ratio: float, J: int) -> list[float]:
         raise ValueError("ratio must be at least 2 (sequence must at least double)")
     if lambda1 <= 1.0:
         raise ValueError("first scale must exceed 1")
-    if J < 1:
-        raise ValueError("need at least one scale")
+    if not (isinstance(J, numbers.Integral) and J >= 1):
+        raise ValueError(f"J must be an integer of at least 1, got {J}")
     return [lambda1 * ratio**j for j in range(J)]
 
 
@@ -328,12 +329,16 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
         raise ValueError("degenerate exponents are rejected by the progression experiment")
     if d > 3:
         raise ValueError("experiment supports d <= 3")
+    if not budget_per_scale >= 1:  # NaN too
+        raise ValueError(f"budget_per_scale must be at least 1, got {budget_per_scale}")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("seeds must not be empty")
     lams = list(sequence)
     if not lams:
         raise ValueError("sequence must not be empty")
+    if not all(math.isfinite(lam) and lam > 0.0 for lam in lams):
+        raise ValueError(f"sequence must hold finite positive scales, got {lams}")
     if max(lams) > N / 4.0:
         raise ValueError("largest scale must satisfy lam <= N/4")
     realized = []

@@ -276,6 +276,11 @@ class TestTensorization:
             with pytest.raises(ValueError, match="M must be at least 1"):
                 u3_tensor_check(1.5, 1.0, M=M)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_modulation_named(self, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            u3_tensor_check(1.5, t)
+
 
 def reference_form(f, g, h):
     """h^2 sum over j of g(j) sum_x f(x) f(x+j) f(x+2j), by a loop over f padded with zeros."""

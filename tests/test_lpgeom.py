@@ -166,6 +166,13 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             sphere_quadrature(1.5, 2, bad)
 
+    @pytest.mark.parametrize("mode", [lpgeom.MODE_GRAPH, lpgeom.MODE_SHELL_MC])
+    @pytest.mark.parametrize("n", [0, -5, math.nan])
+    def test_empty_node_budget_rejected(self, n, mode):
+        # the graph rule would round any budget below 8 up to 8 nodes
+        with pytest.raises(ValueError, match="^n must be at least 1"):
+            sphere_quadrature(1.5, 2, 1.0, n=n, mode=mode)
+
     def test_determinism_given_seed(self):
         a = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
         b = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)

@@ -132,6 +132,11 @@ class TestAggregate:
         with pytest.raises(ValueError, match="^t must be finite"):
             i_of_t(1.5, bad, n_kl=4)
 
+    @pytest.mark.parametrize("n_kl", [0, -3, math.nan])
+    def test_empty_node_grid_named(self, n_kl):
+        with pytest.raises(ValueError, match="^n_kl must be at least 1"):
+            i_of_t(1.5, 10.0, n_kl=n_kl)
+
     def test_nonnegative_and_even(self):
         for p in (1.5, 3.0):
             v = i_of_t(p, 100.0, n_kl=16)
@@ -344,6 +349,8 @@ class TestDecayFit:
             decay_fit(1.5, [10.0, 20.0, 40.0, 80.0, 100.0, 200.0])
         with pytest.raises(ValueError):
             decay_fit(1.5, [10.0, 100.0, 1000.0])
+        with pytest.raises(ValueError, match="^n_kl must be at least 1"):
+            decay_fit(1.5, n_kl=0)
 
 
 def stationary_pair_loop(p, eta):
@@ -497,6 +504,12 @@ class TestMultiplier:
             xi[i] = bad
             with pytest.raises(ValueError, match=f"^xi{i + 1} must be finite"):
                 multiplier_check(*xi, lams, table)
+
+    @pytest.mark.parametrize("lams", [[math.nan], [16.0, math.inf], [-16.0], [1.5, 0.0]])
+    def test_bad_scales_named(self, table, lams):
+        # NaN passes the doubling check and khat masks it to 0: a zero audit
+        with pytest.raises(ValueError, match="^lambdas must be finite and positive"):
+            multiplier_check(0.7, -0.4, 0.9, lams, table)
 
     def test_distance_formula(self):
         # the plane is spanned by (-2, -1, 1); points on it have distance 0

@@ -395,9 +395,10 @@ class TestProbeBox:
         with pytest.raises(ValueError, match="box_hi"):
             progression_search(A, 1.5, 1.0, tol=0.1, budget=10, box_hi=box_hi)
 
-    def test_empty_density_sample_rejected(self):
-        with pytest.raises(ValueError, match="n must be"):
-            bourgain_set(2).estimate_density(1.0, n=0)
+    @pytest.mark.parametrize("n", [0, math.nan])
+    def test_empty_density_sample_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            bourgain_set(2).estimate_density(1.0, n=n)
 
 
 class TestLacunaryGenerate:
@@ -428,6 +429,11 @@ class TestLacunaryGenerate:
             with pytest.raises(ValueError, match="lambda1 must be finite"):
                 lacunary_generate(lambda1, 2.0, 3)
 
+    def test_scale_count_must_be_a_whole_count(self):
+        for J in (0, -1, 2.5, math.nan):
+            with pytest.raises(ValueError, match="^J must be an integer"):
+                lacunary_generate(4.0, 2.0, J)
+
 
 class TestTheoremExperiment:
     def test_full_density_realizes_everything(self):
@@ -450,6 +456,23 @@ class TestTheoremExperiment:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="sequence"):
             theorem_experiment(0.4, 1.5, 2, 64.0, [], seeds=[1])
+
+    @pytest.mark.parametrize("budget", [0, math.nan])
+    def test_bad_budget_named_before_any_draw(self, monkeypatch, budget):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("indicator drawn before the budget was checked")
+        monkeypatch.setattr(sets, "random_indicator", no_draw)
+        with pytest.raises(ValueError, match="^budget_per_scale must be at least 1"):
+            theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[1],
+                               budget_per_scale=budget)
+
+    @pytest.mark.parametrize("bad", [math.nan, -4.0, 0.0])
+    def test_bad_scale_named_before_any_draw(self, monkeypatch, bad):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("indicator drawn before the scales were checked")
+        monkeypatch.setattr(sets, "random_indicator", no_draw)
+        with pytest.raises(ValueError, match="^sequence must hold finite positive scales"):
+            theorem_experiment(0.4, 1.5, 2, 64.0, [4.0, bad], seeds=[1])
 
     def test_nan_density_named(self):
         with pytest.raises(ValueError, match="^density must be finite"):
