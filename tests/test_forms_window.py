@@ -644,3 +644,22 @@ class TestCountedSharpForm:
             values.append(n_lambda(f, rule, 1.0).value)
         assert len(sizes) == 4
         assert values[0] > 0.0 and values == [values[0]] * 4
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_node_count_error_reaches_caller(self, monkeypatch, pool_workers, workers):
+        count = np.count_nonzero
+        calls = []
+        lock = threading.Lock()
+
+        def failing(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise FloatingPointError("node count failed")
+            return count(*args, **kwargs)
+        monkeypatch.setattr(np, "count_nonzero", failing)
+        pool_workers(workers)
+        f = _indicator_box(4.0, 32, 2, seed=2)
+        with pytest.raises(FloatingPointError, match="node count failed"):
+            n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)
+        assert len(calls) >= 7
