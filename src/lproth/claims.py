@@ -23,7 +23,7 @@ import numpy as np
 
 from . import forms, gowers, lpgeom, mollifier, oscillatory, sets
 from .mollifier import KernelParams, MollifierPair
-from .util import spawn_rng
+from .util import spawn_rng, valid_scale
 
 
 @dataclass
@@ -109,8 +109,7 @@ def u3_form_control(f: forms.BoxFunction, g, lam: float) -> Check:
         raise ValueError("one-dimensional check only")
     if f.n > 4096 or g.size > 4096:
         raise ValueError("grid sizes exceed the audit budget")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    lam = valid_scale("lam", lam)
     T = f.h * f.h * math.fsum(g * forms._gap_sums(f, np.arange(g.size)[:, None]))
     padded = np.zeros(1 << (5 * g.size - 1).bit_length())
     padded[:g.size] = g

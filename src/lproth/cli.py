@@ -33,7 +33,16 @@ import numpy as np
 
 from . import claims, forms, gowers, lpgeom
 
-SUITES = ("kernels", "gowers", "forms", "oscillatory", "counterexamples", "search", "verify-all")
+# each suite is a pure function of the config: (records, curves), run in this order
+_SUITE_FNS = {
+    "kernels": claims.kernels_suite,
+    "gowers": claims.gowers_suite,
+    "forms": claims.forms_suite,
+    "oscillatory": claims.oscillatory_suite,
+    "counterexamples": claims.counterexamples_suite,
+    "search": claims.search_suite,
+}
+SUITES = (*_SUITE_FNS, "verify-all")
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -197,17 +206,6 @@ def parse_config(argv) -> tuple[str, ExperimentConfig | None]:
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return "run", cfg
-
-
-# each suite is a pure function of the config: (records, curves), run in this order
-_SUITE_FNS = {
-    "kernels": claims.kernels_suite,
-    "gowers": claims.gowers_suite,
-    "forms": claims.forms_suite,
-    "oscillatory": claims.oscillatory_suite,
-    "counterexamples": claims.counterexamples_suite,
-    "search": claims.search_suite,
-}
 
 
 def lint_report(report: dict) -> None:

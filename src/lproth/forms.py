@@ -54,7 +54,7 @@ import numpy as np
 from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
-from .util import spawn_rng
+from .util import spawn_rng, valid_count, valid_finite, valid_lacunary, valid_scale
 
 
 @dataclass
@@ -91,9 +91,7 @@ class BoxFunction:
 
 def _cell_count(N: float, h: float, whole=round) -> int:
     """The number whole(N / h) of step-h cells across [0, N], for finite positive N and h."""
-    for name, value in (("N", N), ("h", h)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    N, h = valid_scale("N", N), valid_scale("h", h)
     if not math.isfinite(N / h):
         raise ValueError(f"N / h overflows: N = {N}, h = {h}")
     return int(whole(N / h))
@@ -101,7 +99,7 @@ def _cell_count(N: float, h: float, whole=round) -> int:
 
 def full_box(N: float, h: float, d: int) -> BoxFunction:
     n = _cell_count(N, h)
-    return BoxFunction(values=np.ones((n,) * d), N=N, h=h)
+    return BoxFunction(values=np.ones((n,) * valid_count("d", d)), N=N, h=h)
 
 
 def random_indicator(N: float, h: float, d: int, density: float, seed: int,
@@ -112,6 +110,7 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
     lay axis stripes of the requested density (an adversarial ensemble).
     """
     n = _cell_count(N, h)
+    d = valid_count("d", d)
     if not (math.isfinite(density) and 0.0 < density <= 1.0):
         raise ValueError(f"density must be finite and in (0, 1], got {density}")
     if structured and 1.0 / density >= 2.0**63:  # the stripe period must fit in int64
@@ -411,8 +410,7 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     the results are combined in node order by one fsum, so the value does
     not depend on the core count, bit for bit.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
+    lam = valid_finite("lam", lam)
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
         raise ValueError("quadrature radius does not match the requested gap scale")
     if f.d != quad.d:
@@ -505,12 +503,7 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     The certificate ratio divides the total by N^d ||f||_4^4; stability of
     that ratio as the sequence grows is the J-independence being probed.
     """
-    lams = [float(v) for v in lambdas]
-    if not lams:
-        raise ValueError("lambdas must not be empty")
-    for a, b in zip(lams, lams[1:]):
-        if b < 2.0 * a:
-            raise ValueError("scale sequence must at least double at each step")
+    lams = valid_lacunary("lambdas", lambdas)
     pv = valid_exponent(p)
     c1 = c1_eps(eps, pv, f.d, m)
     energies = [abs(e_lambda(f, lam, eps, m, pv, c1=c1).value) ** 2 for lam in lams]
@@ -536,9 +529,7 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
     """
     if f.values.min() < 0.0:
         raise ValueError("pigeonhole requires nonnegative values")
-    if not (math.isfinite(ell) and ell > 0):
-        raise ValueError(f"ell must be finite and positive, got {ell}")
-    mcells = ell / f.h
+    mcells = valid_scale("ell", ell) / f.h
     if abs(mcells - round(mcells)) > 1e-9:
         raise ValueError("box side must be a whole number of cells")
     mcells = int(round(mcells))
@@ -572,8 +563,7 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
     observed minimum is the empirical density constant.
     """
     pv = valid_exponent(p)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = valid_count("trials", trials)
     if lam > N / 8.0:
         raise ValueError("scale must satisfy lam <= N/8 for the boundary-sensitive run")
     _, h = resolved_grid(N, lam, 1.0, pv)

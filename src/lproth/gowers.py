@@ -41,6 +41,7 @@ import numpy as np
 from .bumps import even_bump
 from .lpgeom import valid_exponent
 from .mollifier import KernelParams, MollifierPair, omega_eps_eval
+from .util import valid_count, valid_finite
 
 BRUTE_FORCE_TUPLE_BUDGET = 10**8
 
@@ -226,6 +227,7 @@ def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
     """
     if d not in (1, 2):
         raise ValueError("kernel embedding supports d in {1, 2}")
+    M = valid_count("M", M)
     M_min = min_shell_grid(eta, eps, p, lam)
     if M < M_min:
         raise ValueError(
@@ -283,10 +285,8 @@ def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
     an identity of the sums themselves, so agreement holds at any resolution.
     """
     pv = valid_exponent(p)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if M < 1:
-        raise ValueError(f"M must be at least 1, got {M}")
+    t = valid_finite("t", t)
+    M = valid_count("M", M)
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
     cell = period / M

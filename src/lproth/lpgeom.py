@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .util import spawn_rng
+from .util import spawn_rng, valid_count
 
 MODE_GRAPH = "deterministic-graph"
 MODE_SHELL_MC = "shell-monte-carlo"
@@ -230,8 +230,7 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
     pv = valid_exponent(p)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"radius must be positive and finite, got {lam}")
-    if not n >= 1:  # NaN too
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = valid_count("n", n)
     if mode == MODE_GRAPH:
         if d not in (1, 2, 3):
             raise ValueError(f"deterministic-graph mode supports d in {{1,2,3}}, got d={d}")
@@ -258,6 +257,8 @@ class MassInvarianceReport:
 def sigma_mass_invariance(p, d: int, lambdas, n: int = 4096, mode: str = MODE_GRAPH,
                           seed: int = 0) -> MassInvarianceReport:
     """Total quadrature masses across radii and their worst pairwise relative spread."""
+    if len(lambdas) == 0:
+        raise ValueError("lambdas must not be empty")
     masses = []
     for i, lam in enumerate(lambdas):
         rule = sphere_quadrature(p, d, float(lam), n=n, mode=mode, seed=seed + i)

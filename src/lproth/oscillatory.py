@@ -40,6 +40,7 @@ from scipy.interpolate import CubicSpline
 from .bumps import FALL_HI, RISE_LO, phi_plus
 from .lpgeom import DEGENERATE_P, valid_exponent
 from .mollifier import KernelParams, MollifierPair, build_cancelled_kernel
+from .util import valid_count, valid_finite, valid_lacunary
 
 KL_HALF = 0.5  # shifts are truncated to |k|, |l| <= 1/2
 _NODES_PER_PERIOD = 16  # Simpson points per period of the running phase
@@ -161,11 +162,6 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def _check_t(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-
-
 def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PER_PERIOD) -> complex:
     """I_{k,l}(t) by composite Simpson sized to the oscillation, with doubling.
 
@@ -173,7 +169,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PE
     running phase; the grid is doubled until the value is stable or the
     refinement budget is exhausted.
     """
-    _check_t(t)
+    t = valid_finite("t", t)
     if abs(t) > 1e6:
         raise ValueError("modulation beyond the supported range |t| <= 1e6")
     p, k, l = fam.p, fam.k, fam.l
@@ -260,10 +256,9 @@ def i_of_t(p, t: float, n_kl: int = 48) -> float:
     stands for its orbit: 4 cells in general, 2 on the diagonal or the
     anti-diagonal, 1 at the centre when n_kl is odd.
     """
-    _check_t(t)
+    t = valid_finite("t", t)
     pv = valid_exponent(p)
-    if not n_kl >= 1:  # NaN too
-        raise ValueError(f"n_kl must be at least 1, got {n_kl}")
+    n_kl = valid_count("n_kl", n_kl)
     x, w = np.polynomial.legendre.leggauss(n_kl)
     ks = KL_HALF * x
     wk = KL_HALF * w
@@ -287,6 +282,8 @@ def i_of_t_lattice(p, t: float, n_kl: int = 64, n_y: int = 4096) -> float:
     no Gauss nodes and no adaptive panels are shared with the primary path.
     """
     pv = valid_exponent(p)
+    n_kl = valid_count("n_kl", n_kl)
+    n_y = valid_count("n_y", n_y)
     h_kl = 2.0 * KL_HALF / n_kl
     span_lo = RISE_LO - 2.0 * KL_HALF
     span_hi = FALL_HI
@@ -406,16 +403,8 @@ def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, f
     at-least-doubling positive sequence, hence bounded by 4 uniformly in
     the sequence length.
     """
-    mu = [float(v) for v in mu]
-    if not all(map(math.isfinite, mu)):
-        raise ValueError(f"mu must be finite, got {mu}")
-    if any(v <= 0.0 for v in mu):
-        raise ValueError("sequence must be positive")
-    if k < 1:
-        raise ValueError("weight order must be >= 1")
-    for a, b in zip(mu, mu[1:]):
-        if b < 2.0 * a:
-            raise ValueError("sequence must at least double at each step")
+    mu = valid_lacunary("mu", mu)
+    k = valid_count("k", k)
     s1 = math.fsum(min(v, 1.0 / v) for v in mu)
     s2 = math.fsum(v**k * (1.0 + v) ** (-(k + 1)) for v in mu)
     return s1, s2, 4.0
@@ -494,18 +483,10 @@ def multiplier_check(xi1: float, xi2: float, xi3: float, lambdas: Sequence[float
     The step is dist/100 so the difference quotient tracks the blowup
     scale; points within 1e-6 of the plane are rejected.
     """
-    for name, value in (("xi1", xi1), ("xi2", xi2), ("xi3", xi3)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    lams = [float(v) for v in lambdas]
-    if not all(math.isfinite(lam) and lam > 0.0 for lam in lams):
-        raise ValueError(f"lambdas must be finite and positive, got {lams}")
+    xi = np.array([valid_finite(f"xi{i}", v) for i, v in enumerate((xi1, xi2, xi3), 1)])
+    lams = valid_lacunary("lambdas", lambdas)
     if len(lams) > 12:
         raise ValueError("audit supports at most 12 scales")
-    for a, b in zip(lams, lams[1:]):
-        if b < 2.0 * a:
-            raise ValueError("scales must be lacunary (at least doubling)")
-    xi = np.array([xi1, xi2, xi3], dtype=float)
     dist = dist_to_degenerate_subspace(xi)
     if dist < 1e-6:
         raise ValueError("frequency too close to the degenerate plane for a gradient step")

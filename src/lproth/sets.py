@@ -28,7 +28,7 @@ import numpy as np
 
 from .forms import BoxFunction, random_indicator
 from .lpgeom import DEGENERATE_P, lp_norm, lp_norm_batch, sphere_quadrature, valid_exponent
-from .util import spawn_rng
+from .util import spawn_rng, valid_count, valid_finite, valid_scale
 
 BOURGAIN_SHELL = 0.1
 HALF_INTEGER_CAP = 0.4
@@ -88,17 +88,11 @@ class PointSet:
 
     def estimate_density(self, box_hi: float, n: int = 10**5, seed: int = 0) -> float:
         """Fraction of n uniform draws from [0, box_hi]^dim that are members."""
-        _check_probe_box(box_hi)
-        if not n >= 1:  # NaN too
-            raise ValueError(f"n must be at least 1, got {n}")
+        box_hi = valid_scale("box_hi", box_hi)
+        n = valid_count("n", n)
         rng = spawn_rng(seed, 11)
         pts = rng.uniform(0.0, box_hi, size=(n, self.dim))
         return float(np.mean(self.contains_batch(pts)))
-
-
-def _check_probe_box(box_hi: float) -> None:
-    if not (math.isfinite(box_hi) and box_hi > 0.0):
-        raise ValueError(f"box_hi must be finite and positive, got {box_hi}")
 
 
 def bourgain_set(dim: int) -> PointSet:
@@ -215,7 +209,9 @@ def gap_spectrum_sample(A: PointSet, p, box_hi: float, n_hits: int,
     forbidden-gap probes).
     """
     pv = valid_exponent(p)
-    _check_probe_box(box_hi)
+    box_hi = valid_scale("box_hi", box_hi)
+    n_hits = valid_count("n_hits", n_hits)
+    max_proposals = valid_count("max_proposals", max_proposals)
     rng = spawn_rng(seed, 13)
     gaps = []
     hits = 0
@@ -261,11 +257,9 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     batch order.
     """
     pv = valid_exponent(p)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not budget >= 1:  # NaN too
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    _check_probe_box(box_hi)
+    tol = valid_scale("tol", tol)
+    budget = valid_count("budget", budget)
+    box_hi = valid_scale("box_hi", box_hi)
     rng = spawn_rng(seed, 17)
     rule = sphere_quadrature(pv, A.dim, lam, n=2048,
                              mode="deterministic-graph" if A.dim <= 3 else "shell-monte-carlo",
@@ -295,11 +289,9 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
 
 def lacunary_generate(lambda1: float, ratio: float, J: int) -> list[float]:
     """The J scales lambda1 * ratio^j, which at least double when ratio >= 2."""
-    for name, value in (("lambda1", lambda1), ("ratio", ratio)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    lambda1, ratio = valid_finite("lambda1", lambda1), valid_finite("ratio", ratio)
     if ratio < 2.0:
-        raise ValueError("ratio must be at least 2 (sequence must at least double)")
+        raise ValueError("ratio must be at least 2, so that the scales at least double")
     if lambda1 <= 1.0:
         raise ValueError("first scale must exceed 1")
     if not (isinstance(J, numbers.Integral) and J >= 1):
@@ -329,8 +321,7 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
         raise ValueError("degenerate exponents are rejected by the progression experiment")
     if d > 3:
         raise ValueError("experiment supports d <= 3")
-    if not budget_per_scale >= 1:  # NaN too
-        raise ValueError(f"budget_per_scale must be at least 1, got {budget_per_scale}")
+    budget_per_scale = valid_count("budget_per_scale", budget_per_scale)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("seeds must not be empty")

@@ -268,6 +268,12 @@ class TestListAndSchema:
         out = capsys.readouterr().out.split()
         assert "verify-all" in out and "kernels" in out
 
+    def test_list_order(self, capsys):
+        # the suites in run order, then verify-all, which runs them all
+        assert cli.main(["list"]) == 0
+        assert capsys.readouterr().out.split() == [
+            "kernels", "gowers", "forms", "oscillatory", "counterexamples", "search", "verify-all"]
+
     def test_schema_is_json(self, capsys):
         assert cli.main(["schema"]) == 0
         schema = json.loads(capsys.readouterr().out)

@@ -219,6 +219,14 @@ class TestMassInvariance:
         rep = sigma_mass_invariance(3.0, 2, [1.0, 2.0], n=2048)
         assert rep.max_relative_deviation < 1e-4
 
+    def test_empty_radius_list_rejected(self, monkeypatch):
+        # with no masses the spread was min() of an empty list
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rule was built")
+        monkeypatch.setattr(lpgeom, "sphere_quadrature", refuse)
+        with pytest.raises(ValueError, match="^lambdas must not be empty"):
+            sigma_mass_invariance(1.5, 2, [])
+
     def test_shell_mc_d3(self):
         rep = sigma_mass_invariance(1.5, 3, [1.0, 2.0], n=2 * 10**4,
                                     mode="shell-monte-carlo", seed=4)
