@@ -68,6 +68,8 @@ class BoxFunction:
     def __post_init__(self):
         n = _cell_count(self.N, self.h)
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim == 0:
+            raise ValueError("values must have at least one axis, got a scalar")
         if abs(n * self.h - self.N) > 1e-9 * self.N:
             raise ValueError("box size must be an integer number of cells")
         if self.values.shape != (n,) * self.values.ndim:

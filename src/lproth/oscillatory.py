@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.interpolate import CubicSpline
 
 from .bumps import FALL_HI, RISE_LO, phi_plus
 from .lpgeom import DEGENERATE_P, valid_exponent
@@ -50,7 +48,12 @@ _CELL_N_MAX = 1 << 21  # panel budget of one i_of_t shift cell
 _CHUNK_POINTS = 1 << 15  # nodes per array pass of i_of_t and of the psi' floor; bounds memory
 _STATIONARY_GRID = 40  # shift magnitudes per sign in stationary_lower_bound_check
 _TABLE_U_MAX = 4000.0  # largest tabulated transform argument
-_TABLE_R_STEP = 2.5e-4  # largest radial step of the cosine-transform grid
+# radial steps of the cosine-transform grid: the least 2^a 3^b 5^c (a fast DCT-I length)
+# whose step, (pi / 0.02) / count, is at most 2.5e-4
+_TABLE_INTERVALS = 2**5 * 3**9
+_SPLINE_POLE = math.sqrt(3.0) - 2.0  # pole of the cubic B-spline prefilter
+_SPLINE_TAPS = 40  # prefilter taps per side; |pole|^40 is below 1e-22
+_SPLINE_FILTER = math.sqrt(3.0) * _SPLINE_POLE ** np.abs(np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
@@ -282,6 +285,7 @@ def i_of_t_lattice(p, t: float, n_kl: int = 64, n_y: int = 4096) -> float:
     no Gauss nodes and no adaptive panels are shared with the primary path.
     """
     pv = valid_exponent(p)
+    t = valid_finite("t", t)
     n_kl = valid_count("n_kl", n_kl)
     n_y = valid_count("n_y", n_y)
     h_kl = 2.0 * KL_HALF / n_kl
@@ -419,34 +423,53 @@ def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, f
 class TransformTable:
     """Cubic-spline table of the unit cancelled kernel's cosine transform (d = 1).
 
-    Large-argument values beyond the tabulated range are treated as zero;
-    the transform decays at least like |u|^-(p+1) there.
+    The spline is the uniform cubic B-spline interpolant through the knots
+    u_k = k step, with mirror boundaries: the transform is even, so the
+    mirror at u = 0 is exact.  Large-argument values beyond the tabulated
+    range are treated as zero; the transform decays at least like
+    |u|^-(p+1) there.
     """
 
     u_max: float
-    _spline: CubicSpline
+    _step: float
+    _coef: np.ndarray  # B-spline coefficients of knots -1 .. K+1, mirrored at both ends
 
     def khat(self, u: np.ndarray) -> np.ndarray:
         """Transform of the unit cancelled kernel at argument u (real, even)."""
         u = np.abs(np.asarray(u, dtype=float))
         out = np.zeros_like(u)
         ok = u <= self.u_max
-        out[ok] = self._spline(u[ok])
+        x = u[ok] / self._step
+        i = np.minimum(x.astype(int), self._coef.size - 4)  # the last interval takes u_max
+        t = x - i
+        s = 1.0 - t
+        c = self._coef
+        out[ok] = (s**3 * c[i] + (4.0 - 6.0 * t * t + 3.0 * t**3) * c[i + 1]
+                   + (4.0 - 6.0 * s * s + 3.0 * s**3) * c[i + 2] + t**3 * c[i + 3]) / 6.0
         return out
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I, x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n-1)), as the real
+    FFT of the even extension of x."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
 
 
 def build_transform_table(p, eps: float, m: MollifierPair) -> TransformTable:
     pv = valid_exponent(p)
     L = math.pi / 0.02  # frequency spacing of the cosine table
-    # a smooth interval count keeps the DCT-I fast; scale by the real step, not _TABLE_R_STEP
-    n_r = sfft.next_fast_len(math.ceil(L / _TABLE_R_STEP), real=True) + 1
+    n_r = _TABLE_INTERVALS + 1
     r = np.linspace(0.0, L, n_r)
     prof = build_cancelled_kernel(KernelParams(pv, 1, 1.0, eps), m)(r[:, None])  # 0 past 3^(1/p)
     # cosine transform on the padded grid: spectrum at u_k = pi k / L
-    spec = (r[1] - r[0]) * sfft.dct(prof, type=1)
+    spec = (r[1] - r[0]) * _dct1(prof)
     us = math.pi / L * np.arange(n_r)
     keep = us <= min(_TABLE_U_MAX, us[-1])
-    return TransformTable(u_max=float(us[keep][-1]), _spline=CubicSpline(us[keep], spec[keep]))
+    # interpolating B-spline coefficients: the inverse of the filter (1, 4, 1)/6, truncated
+    coef = np.convolve(np.pad(spec[keep], _SPLINE_TAPS, mode="reflect"), _SPLINE_FILTER,
+                       mode="valid")
+    return TransformTable(u_max=float(us[keep][-1]), _step=float(us[1]),
+                          _coef=np.pad(coef, 1, mode="reflect"))
 
 
 _GAMMA_ROWS = np.array([[1.0, -1.0, 1.0],  # xi1 - xi2 + xi3

@@ -52,6 +52,9 @@ class PointSet:
     box: Optional[BoxFunction] = None
     N: float = 0.0
 
+    def __post_init__(self):
+        self.dim = valid_count("dim", self.dim)
+
     def contains(self, x) -> bool:
         return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :])[0])
 

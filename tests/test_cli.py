@@ -556,15 +556,42 @@ class TestReportContract:
             lint_report(mutated)
 
 
-def test_run_does_not_import_jsonschema(tmp_path):
+def _packages_after_kernels_run(tmp_path):
+    """Top-level packages in sys.modules after a fresh interpreter runs the kernels suite."""
     code = ("import sys; from lproth import cli; "
             f"code = cli.main(['run', '--suite', 'kernels', '--out', {str(tmp_path / 'out')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+            "print(code, sorted({m.split('.')[0] for m in sys.modules}))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 []"
+    code, packages = run.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    return ast.literal_eval(packages)
+
+
+def test_run_does_not_import_jsonschema(tmp_path):
+    assert "jsonschema" not in _packages_after_kernels_run(tmp_path)
+
+
+def test_run_does_not_import_scipy(tmp_path):
+    assert "scipy" not in _packages_after_kernels_run(tmp_path)
+
+
+def test_package_source_imports_no_scipy():
+    # scipy is a test dependency only; a lazy import inside a function would also count
+    hits = []
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}" for name in names
+                     if name.split(".")[0] == "scipy"]
+    assert not hits
 
 
 def test_every_public_claim_is_reported():

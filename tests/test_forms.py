@@ -63,6 +63,10 @@ class TestBoxFunction:
         with pytest.raises(ValueError, match=f"^{name} "):
             build()
 
+    def test_scalar_values_rejected(self):
+        with pytest.raises(ValueError, match="^values must have at least one axis"):
+            BoxFunction(values=1.0, N=1.0, h=1.0)
+
     def test_cell_count_enforced(self):
         with pytest.raises(ValueError):
             BoxFunction(values=np.ones(7), N=8.0, h=1.1)

@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from lproth import lpgeom, oscillatory, sets
 from lproth.lpgeom import (
@@ -189,9 +191,9 @@ class TestSphereQuadrature:
 
     def test_jacobi_axes_cached_read_only(self, monkeypatch):
         calls = []
-        roots = lpgeom.special.roots_jacobi
-        monkeypatch.setattr(lpgeom.special, "roots_jacobi",
-                            lambda *a: calls.append(a) or roots(*a))
+        recurrence = lpgeom._jacobi_recurrence
+        monkeypatch.setattr(lpgeom, "_jacobi_recurrence",
+                            lambda *a: calls.append(a) or recurrence(*a))
         lpgeom._jacobi_axis.cache_clear()
         for _ in range(3):
             sphere_quadrature(1.5, 3, 1.0, n=512)
@@ -248,3 +250,68 @@ class TestShellVolumeIdentity:
         est = (2 * half) ** d * q
         stderr = (2 * half) ** d * math.sqrt(q * (1 - q) / n)
         assert abs(est - target) < 4.0 * stderr
+
+
+def _graph_rule_pairs(p):
+    """The (alpha, beta) of every Gauss-Jacobi axis _graph_rule builds at exponent p, d <= 3."""
+    return sorted({((d - j) / p - 1.0, 1.0 / p - 1.0) for d in (2, 3) for j in range(1, d)})
+
+
+def _reference_rule(n, alpha, beta, x0):
+    """Gauss-Jacobi nodes and weights in 40-digit arithmetic, weights divided by their sum.
+
+    Newton on the orthonormal recurrence from the nodes x0, then the
+    derivative formula 1 / (q_{n-1} q_n'): at this precision it loses nothing.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = Decimal(alpha), Decimal(beta)
+        diag = [(b - a) / (a + b + 2)] + [(b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2))
+                                          for k in range(1, n)]
+        off = [Decimal(0)]
+        for k in range(1, n + 1):
+            s = 2 * k + a + b
+            c = (k + a) * (k + b) / (s + 1) * (1 if k == 1 else k * (k + a + b) / (s - 1))
+            off.append(2 / s * c.sqrt())
+        xs, ws = [], []
+        for v in x0:
+            x = Decimal(float(v))
+            for _ in range(3):
+                q_prev, q, dq_prev, dq = Decimal(0), Decimal(1), Decimal(0), Decimal(0)
+                for k in range(n):
+                    q_next = ((x - diag[k]) * q - off[k] * q_prev) / off[k + 1]
+                    dq_next = ((x - diag[k]) * dq + q - off[k] * dq_prev) / off[k + 1]
+                    q_prev, q, dq_prev, dq = q, q_next, dq, dq_next
+                x -= q / dq
+            xs.append(x)
+            ws.append(1 / (q_prev * dq))
+        total = sum(ws)
+        return np.array([float(x) for x in xs]), np.array([float(w / total) for w in ws])
+
+
+class TestJacobiAxis:
+    # the numpy Golub-Welsch axis against scipy.special.roots_jacobi and a 40-digit reference
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 512, 1024])
+    def test_matches_scipy(self, p, n):
+        for alpha, beta in _graph_rule_pairs(p):
+            x, w = lpgeom._jacobi_axis(n, alpha, beta)
+            xs, ws = special.roots_jacobi(n, alpha, beta)
+            assert np.max(np.abs(x - xs)) <= 1e-14
+            # scipy's weights come from the derivative formula, which loses about 1e-13 n^2
+            # at the nodes next to a singular endpoint (1.5e-7 at n = 1024 against a 50-digit
+            # rule) and about 4e-15 n^2 at the median node; test_matches_40_digit_rule holds
+            # this rule to 1e-12
+            assert np.max(np.abs(w / ws - 1.0)) <= max(1e-12, 2e-13 * n * n)
+            assert np.median(np.abs(w / ws - 1.0)) <= max(1e-12, 4e-15 * n * n)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_40_digit_rule(self, p, n):
+        for alpha, beta in _graph_rule_pairs(p):
+            x, w = lpgeom._jacobi_axis(n, alpha, beta)
+            xr, wr = _reference_rule(n, alpha, beta, x)
+            mu0 = 2.0 ** (alpha + beta + 1.0) * special.beta(alpha + 1.0, beta + 1.0)
+            assert np.max(np.abs(x - xr)) <= 1e-15
+            assert np.max(np.abs(w / (mu0 * wr) - 1.0)) <= 1e-12

@@ -84,6 +84,21 @@ class TestKernelEval:
                 closed = omega_eps_eval(y, params, moll)
                 assert abs(direct - closed) < 1e-4
 
+    def test_direct_oracle_matches_quad(self, moll, rng):
+        # the Gauss-Legendre oracle against adaptive quad on panels of width 10 at tight
+        # tolerances, at the points of test_closed_vs_oscillatory and of the
+        # kernel-closed-vs-oscillatory record (y = 1, eps = 1: zero frequency)
+        psi_s = lambda s: float(moll.psi(np.array([s]))[0])
+        edges = np.linspace(0.0, 200.0, 21)
+        cases = [(np.ones(1), KernelParams(p, 1, 1.0, 1.0)) for p in (1.2, 1.5, 3.0)]
+        for d in (1, 2):
+            params = KernelParams(1.5, d, 1.0, 0.3)
+            cases += [(rng.uniform(0.3, 1.2, size=d), params) for _ in range(8)]
+        for y, params in cases:
+            v = (np.sum(np.abs(y) ** params.p) - 1.0) / params.eps
+            ref = 2.0 / params.eps * _panel_quad(psi_s, edges, v)
+            assert abs(omega_eps_direct_oscillatory(y, params, moll) - ref) < 1e-12
+
     def test_reflection_invariance(self, moll, rng):
         params = KernelParams(3.0, 2, 1.0, 0.2)
         pts = rng.uniform(-1.4, 1.4, size=(64, 2))

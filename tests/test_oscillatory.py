@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
+from scipy.interpolate import CubicSpline
 
 from lproth import oscillatory
 from lproth.bumps import FALL_HI, RISE_LO, phi_plus
@@ -13,6 +15,7 @@ from lproth.oscillatory import (
     KL_HALF,
     PhaseFamily,
     _admissible_interval,
+    _dct1,
     _dpsi_values,
     _panel_count,
     _phase_values,
@@ -534,9 +537,41 @@ class TestMultiplier:
 
         table = build_transform_table(p, eps, moll)
         params = KernelParams(p, 1, 1.0, eps)
-        for u in (0.3, 0.7, 2.0, 10.0, 50.0, 200.0):
+        for u in (0.01, 0.3, 0.7, 2.0, 10.0, 50.0, 200.0):
             direct = kernel_fourier(np.array([u]), params, moll).real
             assert abs(float(table.khat(np.array([u]))[0]) - direct) < 1e-8
+
+    def test_dct_matches_scipy(self, rng):
+        for n in (2, 3, 17, 1001, 628_001):
+            x = rng.normal(size=n)
+            ref = sfft.dct(x, type=1)
+            assert np.max(np.abs(_dct1(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_table_matches_cubic_spline(self, moll, p):
+        # the table as scipy built it: DCT-I, then a not-a-knot CubicSpline on the same knots
+        from lproth.mollifier import KernelParams, build_cancelled_kernel
+
+        eps = 0.1
+        L = math.pi / 0.02
+        n_r = sfft.next_fast_len(math.ceil(L / 2.5e-4), real=True) + 1
+        assert n_r == oscillatory._TABLE_INTERVALS + 1
+        r = np.linspace(0.0, L, n_r)
+        prof = build_cancelled_kernel(KernelParams(p, 1, 1.0, eps), moll)(r[:, None])
+        spec = (r[1] - r[0]) * sfft.dct(prof, type=1)
+        us = math.pi / L * np.arange(n_r)
+        keep = us <= min(oscillatory._TABLE_U_MAX, us[-1])
+        spline = CubicSpline(us[keep], spec[keep])
+        table = build_transform_table(p, eps, moll)
+        assert table.u_max == us[keep][-1]
+        u = np.random.default_rng(3).uniform(0.0, table.u_max, 4000)
+        diff = np.abs(table.khat(u) - spline(u))
+        # the splines differ only in their boundary condition at u = 0: the mirror (exact,
+        # the transform is even) against not-a-knot, an effect that shrinks by
+        # |sqrt(3) - 2| per knot (test_table_scale_against_direct_transform checks u = 0.01)
+        far = u >= 0.1
+        assert np.max(diff[far]) <= 1e-12 * np.max(np.abs(spec))
+        assert np.max(diff[~far], initial=0.0) <= 1e-7
 
     def test_window_support_convention(self):
         assert phi_plus(np.array([0.2]))[0] == 0.0

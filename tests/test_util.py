@@ -44,6 +44,7 @@ COUNTS = {
     ("full_box", "d"): lambda v: forms.full_box(4.0, 1.0, v),
     ("random_indicator", "d"): lambda v: forms.random_indicator(4.0, 1.0, v, 0.5, seed=0),
     ("estimate_density", "n"): lambda v: SHELL.estimate_density(10.0, n=v),
+    ("bourgain_set", "dim"): lambda v: sets.bourgain_set(v),
     ("gap_spectrum_sample", "n_hits"): lambda v: sets.gap_spectrum_sample(SHELL, 1.5, 10.0, v),
     ("gap_spectrum_sample", "max_proposals"): lambda v: sets.gap_spectrum_sample(
         SHELL, 1.5, 10.0, 1, max_proposals=v),
@@ -72,6 +73,7 @@ FINITE = {
     ("inner_integral", "t"): lambda v: oscillatory.inner_integral(
         oscillatory.PhaseFamily(1.5, 0.1, 0.2), v),
     ("i_of_t", "t"): lambda v: oscillatory.i_of_t(1.5, v, n_kl=4),
+    ("i_of_t_lattice", "t"): lambda v: oscillatory.i_of_t_lattice(1.5, v, n_kl=4, n_y=64),
     ("u3_tensor_check", "t"): lambda v: gowers.u3_tensor_check(1.5, v),
     ("n_lambda", "lam"): lambda v: forms.n_lambda(BOX, QUAD, v),
     ("multiplier_check", "xi1"): lambda v: oscillatory.multiplier_check(v, -0.4, 0.9, [1.5], None),
