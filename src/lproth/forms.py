@@ -87,9 +87,6 @@ class BoxFunction:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
 
 def _cell_count(N: float, h: float, whole=round) -> int:
     """The number whole(N / h) of step-h cells across [0, N], for finite positive N and h."""
@@ -462,7 +459,8 @@ def full_box_mollified_oracle(lam: float, eps: float, m: MollifierPair, p, d: in
     spans = lambda y: np.clip(N - 2.0 * y, 0.0, None)
     kern = lambda y: omega_eps_eval(y, params, m)
     if d == 1:
-        r, w = _radial_rule(np.union1d(_shell_edges(pv, eps, lam), np.clip(0.5 * N, 0.0, R)))
+        edges = np.array(sorted({*_shell_edges(pv, eps, lam), float(np.clip(0.5 * N, 0.0, R))}))
+        r, w = _radial_rule(edges)
         return float(np.sum(w * kern(r[:, None]) * 2.0 * spans(r)))
     if d != 2:
         raise ValueError("closed oracle supports d in {1, 2}")
@@ -495,7 +493,6 @@ def decomposition_residual(f: BoxFunction, lam: float, eps: float, m: MollifierP
 @dataclass
 class EnergyReport:
     energies: list
-    total: float
     ratio: float
 
 
@@ -512,18 +509,11 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     total = math.fsum(energies)
     f4 = f.h**f.d * float(np.sum(f.values**4))
     denom = f.N**f.d * f4
-    return EnergyReport(energies=energies, total=total, ratio=total / denom if denom > 0 else np.inf)
+    return EnergyReport(energies=energies, ratio=total / denom if denom > 0 else np.inf)
 
 
-@dataclass
-class PigeonholeReport:
-    qualifying: int
-    L: int
-    threshold_ok: bool
-
-
-def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
-    """Partition into side-ell boxes; count those holding at least half the mean density.
+def box_partition_pigeonhole(f: BoxFunction, ell: float) -> bool:
+    """Whether at least delta L / 2 of the L side-ell boxes hold half the mean density or more.
 
     For indicator grids the comparison 2 L S_i >= S_total runs in exact
     integers, so the claimed lower bound I >= delta L / 2 is checked with
@@ -552,9 +542,7 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> PigeonholeReport:
     total = sums.sum()
     qualifying = int(np.count_nonzero(2 * L * sums >= total))
     # claimed bound: qualifying >= delta L / 2 with delta the grid mean
-    md = mcells**f.d
-    ok = bool(2 * qualifying * md >= total)
-    return PigeonholeReport(qualifying=qualifying, L=int(L), threshold_ok=ok)
+    return bool(2 * qualifying * mcells**f.d >= total)
 
 
 def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials: int,

@@ -41,7 +41,7 @@ import numpy as np
 from .bumps import even_bump
 from .lpgeom import valid_exponent
 from .mollifier import KernelParams, MollifierPair, omega_eps_eval
-from .util import valid_count, valid_finite
+from .util import valid_count, valid_finite, valid_scale
 
 BRUTE_FORCE_TUPLE_BUDGET = 10**8
 
@@ -204,8 +204,7 @@ def min_shell_grid(eta: float, eps: float, p: float, lam: float = 1.0) -> int:
     The period is five support diameters and the narrower shell, of width
     2 min(eta, eps) lam / p, must span at least 8 cells.
     """
-    if not (min(eta, eps) > 0.0 and math.isfinite(max(eta, eps))):
-        raise ValueError("shell widths must be positive and finite")
+    eta, eps = valid_scale("eta", eta), valid_scale("eps", eps)
     period = _embedding_period(eta, eps, p, lam)
     max_cell = 2.0 * min(eta, eps) * lam / p / 8.0
     q = period / max_cell if max_cell > 0.0 else math.inf

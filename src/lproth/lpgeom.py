@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import spawn_rng, valid_count
+from .util import spawn_rng, valid_count, valid_scale
 
 MODE_GRAPH = "deterministic-graph"
 MODE_SHELL_MC = "shell-monte-carlo"
 
-NODE_TOL_GRAPH = 1e-10
 SHELL_HALF_WIDTH = 1e-3  # half-width h of the MC shell in u = ||y||_p^p
 
 
@@ -48,52 +47,45 @@ def valid_exponent(p) -> float:
     return pv
 
 
-def lp_norm(y, p) -> float:
-    """(sum |y_i|^p)^(1/p) of a flat vector of finite coordinates."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("expected a flat coordinate vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("coordinates must be finite")
-    pv = valid_exponent(p)
-    if pv == 1.0:
-        return float(np.sum(np.abs(y)))
-    if pv == 2.0:
-        return float(np.linalg.norm(y))
-    return float(np.sum(np.abs(y) ** pv) ** (1.0 / pv))
-
-
 def lp_norm_batch(ys: np.ndarray, p) -> np.ndarray:
-    """Row-wise lp norm of an (n, d) array."""
+    """Row-wise lp norm (sum |y_i|^p)^(1/p) of an (n, d) array."""
     pv = valid_exponent(p)
     ys = np.asarray(ys, dtype=float)
     return np.sum(np.abs(ys) ** pv, axis=-1) ** (1.0 / pv)
 
 
-def unit_ball_volume(p, d: int, mode: str = "closed-form", n_samples: int = 10**6,
-                     seed: int = 0) -> float:
-    """Volume nu_p of the unit lp ball in dimension d.
+def lp_norm(y, p) -> float:
+    """The lp norm of a flat vector of finite coordinates: the one-row case of lp_norm_batch."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError("expected a flat coordinate vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("coordinates must be finite")
+    return float(lp_norm_batch(y[None], p)[0])
 
-    ``closed-form`` evaluates 2^d Gamma(1+1/p)^d / Gamma(1+d/p); ``mc``
-    is a hit-or-miss estimate from the bounding cube (d <= 6).
-    """
+
+def unit_ball_volume(p, d: int) -> float:
+    """Volume nu_p = 2^d Gamma(1+1/p)^d / Gamma(1+d/p) of the unit lp ball in dimension d."""
     pv = valid_exponent(p)
-    if mode == "closed-form":
-        return float(2.0**d * math.gamma(1.0 + 1.0 / pv) ** d / math.gamma(1.0 + d / pv))
-    if mode == "mc":
-        if d > 6:
-            raise ValueError("monte-carlo ball volume limited to d <= 6 at the stated tolerance")
-        rng = spawn_rng(seed, 0)
-        hits = 0
-        total = 0
-        batch = min(n_samples, 2 * 10**6)
-        while total < n_samples:
-            m = min(batch, n_samples - total)
-            pts = rng.uniform(-1.0, 1.0, size=(m, d))
-            hits += int(np.count_nonzero(np.sum(np.abs(pts) ** pv, axis=1) <= 1.0))
-            total += m
-        return 2.0**d * hits / total
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(2.0**d * math.gamma(1.0 + 1.0 / pv) ** d / math.gamma(1.0 + d / pv))
+
+
+def unit_ball_volume_mc(p, d: int, n: int, seed: int) -> float:
+    """Hit-or-miss estimate of nu_p from n uniform draws in the bounding cube (d <= 6)."""
+    pv = valid_exponent(p)
+    n = valid_count("n", n)
+    if d > 6:
+        raise ValueError("monte-carlo ball volume limited to d <= 6 at the stated tolerance")
+    rng = spawn_rng(seed, 0)
+    hits = 0
+    total = 0
+    batch = min(n, 2 * 10**6)
+    while total < n:
+        m = min(batch, n - total)
+        pts = rng.uniform(-1.0, 1.0, size=(m, d))
+        hits += int(np.count_nonzero(np.sum(np.abs(pts) ** pv, axis=1) <= 1.0))
+        total += m
+    return 2.0**d * hits / total
 
 
 def sigma_total_mass(p, d: int) -> float:
@@ -109,30 +101,11 @@ class SphereQuadrature:
     nodes: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
     lam: float
-    p: float
     d: int
-    mode: str
 
     @property
     def total_mass(self) -> float:
         return math.fsum(self.weights)
-
-    def node_tolerance(self) -> float:
-        if self.mode == MODE_GRAPH:
-            return NODE_TOL_GRAPH * max(1.0, self.lam)
-        h = SHELL_HALF_WIDTH
-        return self.lam * ((1.0 + h) ** (1.0 / self.p) - (1.0 - h) ** (1.0 / self.p))
-
-    def max_radius_deviation(self) -> float:
-        return float(np.max(np.abs(lp_norm_batch(self.nodes, self.p) - self.lam)))
-
-    def orthant_masses(self) -> np.ndarray:
-        """Weight totals per orthant; ties at a zero coordinate go to the positive side."""
-        signs = (self.nodes < 0.0).astype(int)
-        codes = signs @ (1 << np.arange(self.d))
-        out = np.zeros(1 << self.d)
-        np.add.at(out, codes, self.weights)
-        return out
 
 
 def _orthant_signs(d: int) -> np.ndarray:
@@ -285,8 +258,7 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
     given (inputs, seed).
     """
     pv = valid_exponent(p)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"radius must be positive and finite, got {lam}")
+    lam = valid_scale("lam", lam)
     n = valid_count("n", n)
     if mode == MODE_GRAPH:
         if d not in (1, 2, 3):
@@ -296,12 +268,12 @@ def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRA
         signs = _orthant_signs(d)
         nodes = (signs[:, None, :] * ypos[None, :, :]).reshape(-1, d)
         weights = np.tile(wpos, 1 << d)
-        return SphereQuadrature(nodes, weights, lam, pv, d, mode)
+        return SphereQuadrature(nodes, weights, lam, d)
     if mode == MODE_SHELL_MC:
         if d > 8:
             raise ValueError(f"shell-monte-carlo mode supports d <= 8, got d={d}")
         nodes, weights = _shell_mc_rule(pv, d, lam, n, seed)
-        return SphereQuadrature(nodes, weights, lam, pv, d, mode)
+        return SphereQuadrature(nodes, weights, lam, d)
     raise ValueError(f"unsupported mode {mode!r}")
 
 
@@ -311,15 +283,11 @@ class MassInvarianceReport:
     max_relative_deviation: float
 
 
-def sigma_mass_invariance(p, d: int, lambdas, n: int = 4096, mode: str = MODE_GRAPH,
-                          seed: int = 0) -> MassInvarianceReport:
+def sigma_mass_invariance(p, d: int, lambdas, n: int = 4096) -> MassInvarianceReport:
     """Total quadrature masses across radii and their worst pairwise relative spread."""
     if len(lambdas) == 0:
         raise ValueError("lambdas must not be empty")
-    masses = []
-    for i, lam in enumerate(lambdas):
-        rule = sphere_quadrature(p, d, float(lam), n=n, mode=mode, seed=seed + i)
-        masses.append(rule.total_mass)
+    masses = [sphere_quadrature(p, d, float(lam), n=n).total_mass for lam in lambdas]
     lo, hi = min(masses), max(masses)
     dev = (hi - lo) / max(abs(lo), 1e-300)
     return MassInvarianceReport(masses, dev)

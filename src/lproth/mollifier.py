@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .lpgeom import unit_ball_volume, valid_exponent
-from .util import spawn_rng
+from .util import spawn_rng, valid_scale
 
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
 _DIRECT_T_CUT = 200.0  # upper limit of the t integral in omega_eps_direct_oscillatory
@@ -109,8 +109,7 @@ class KernelParams:
         object.__setattr__(self, "p", valid_exponent(self.p))
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"width must lie in (0, 1], got {self.eps}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.lam}")
+        object.__setattr__(self, "lam", valid_scale("lam", self.lam))
 
     @property
     def support_radius(self) -> float:
@@ -134,7 +133,7 @@ def omega_eps_eval(y, params: KernelParams, m: MollifierPair):
 def _shell_edges(p: float, eps: float, lam: float = 1.0, cancelled: bool = False) -> np.ndarray:
     """Radii lam u^(1/p) at the kinks u = 1-2eps (clipped at 0), 1, 1+2eps; cancelled adds 0, 3."""
     us = [max(0.0, 1.0 - 2.0 * eps), 1.0, 1.0 + 2.0 * eps] + ([0.0, 3.0] if cancelled else [])
-    return lam * np.unique(us) ** (1.0 / p)
+    return lam * np.array(sorted(set(us))) ** (1.0 / p)
 
 
 def _radial_rule(edges: np.ndarray, omega: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -365,7 +365,6 @@ def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> De
 @dataclass
 class StationaryBound:
     min_abs_dpsi: float
-    min_normalized: float  # |psi'| / |k l|
     degenerate: bool
 
 
@@ -380,7 +379,7 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
     if not (0.0 < eta < 0.5):
         raise ValueError("eta must lie in (0, 0.5)")
     if pv in DEGENERATE_P:
-        return StationaryBound(min_abs_dpsi=0.0, min_normalized=0.0, degenerate=True)
+        return StationaryBound(min_abs_dpsi=0.0, degenerate=True)
     mags = np.linspace(eta, KL_HALF, _STATIONARY_GRID)
     signs = np.array([-1.0, 1.0])
     kl_vals = (signs[:, None] * mags[None, :]).ravel()
@@ -395,9 +394,7 @@ def stationary_lower_bound_check(p, eta: float) -> StationaryBound:
         c = slice(s, s + block)
         y = _linspace_rows(lo[c], hi[c], nodes)
         mins[c] = np.min(np.abs(_dpsi_values(y, pv, k[c, None], l[c, None])), axis=1)
-    return StationaryBound(min_abs_dpsi=float(np.min(mins, initial=np.inf)),
-                           min_normalized=float(np.min(mins / np.abs(k * l), initial=np.inf)),
-                           degenerate=False)
+    return StationaryBound(min_abs_dpsi=float(np.min(mins, initial=np.inf)), degenerate=False)
 
 
 def lacunary_sum_bound(mu: Sequence[float], k: int = 1) -> tuple[float, float, float]:
@@ -483,10 +480,13 @@ def dist_to_degenerate_subspace(xi: np.ndarray) -> float:
     return float(np.linalg.norm(proj))
 
 
+def _multiplier_arguments(xi: np.ndarray) -> tuple[float, float]:
+    """The two functionals (eta, zeta) = (-xi1 + xi2 - xi3, xi1 + 2 xi3) that k-hat samples."""
+    return -xi[0] + xi[1] - xi[2], xi[0] + 2.0 * xi[2]
+
+
 def multiplier_value(xi: np.ndarray, lambdas: Sequence[float], table: TransformTable) -> float:
-    xi = np.asarray(xi, dtype=float)
-    eta = -xi[0] + xi[1] - xi[2]
-    zeta = xi[0] + 2.0 * xi[2]
+    eta, zeta = _multiplier_arguments(np.asarray(xi, dtype=float))
     lams = np.asarray(lambdas, dtype=float)
     return float(np.sum(table.khat(lams * eta) * table.khat(lams * zeta)))
 

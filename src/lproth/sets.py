@@ -19,8 +19,6 @@ as exhaustion, with the budget attached.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,9 +52,6 @@ class PointSet:
 
     def __post_init__(self):
         self.dim = valid_count("dim", self.dim)
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dim) array.
@@ -297,8 +292,7 @@ def lacunary_generate(lambda1: float, ratio: float, J: int) -> list[float]:
         raise ValueError("ratio must be at least 2, so that the scales at least double")
     if lambda1 <= 1.0:
         raise ValueError("first scale must exceed 1")
-    if not (isinstance(J, numbers.Integral) and J >= 1):
-        raise ValueError(f"J must be an integer of at least 1, got {J}")
+    J = valid_count("J", J)
     return [lambda1 * ratio**j for j in range(J)]
 
 
@@ -328,11 +322,9 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("seeds must not be empty")
-    lams = list(sequence)
+    lams = [valid_scale("sequence", lam) for lam in sequence]
     if not lams:
         raise ValueError("sequence must not be empty")
-    if not all(math.isfinite(lam) and lam > 0.0 for lam in lams):
-        raise ValueError(f"sequence must hold finite positive scales, got {lams}")
     if max(lams) > N / 4.0:
         raise ValueError("largest scale must satisfy lam <= N/4")
     realized = []

@@ -557,9 +557,13 @@ class TestReportContract:
 
 
 def _packages_after_kernels_run(tmp_path):
-    """Top-level packages in sys.modules after a fresh interpreter runs the kernels suite."""
+    """Top-level packages in sys.modules after a fresh interpreter runs the kernels suite.
+
+    numpy 2 loads numpy.ma on the first np.unique or np.union1d, about 18 ms of a cold run.
+    """
     code = ("import sys; from lproth import cli; "
             f"code = cli.main(['run', '--suite', 'kernels', '--out', {str(tmp_path / 'out')!r}]); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'; "
             "print(code, sorted({m.split('.')[0] for m in sys.modules}))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -607,25 +611,62 @@ def test_every_public_claim_is_reported():
 
 
 # reference implementations that only the tests evaluate, against the paths the program runs
-_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "sigma_total_mass"}
+_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "sigma_total_mass", "unit_ball_volume_mc"}
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = sorted((_ROOT / "src" / "lproth").glob("*.py"))
+# the package, the scripts and the benchmark harness, but no test
+_PROGRAM = [*_PACKAGE, *(_ROOT / "scripts").glob("*.py"),
+            *(p for p in (_ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))]
+
+
+def _program_nodes():
+    return [node for path in _PROGRAM for node in ast.walk(ast.parse(path.read_text()))]
+
+
+def _package_classes():
+    """(module.Class, class node) for every class at the top level of the package."""
+    return [(f"{path.stem}.{node.name}", node) for path in _PACKAGE
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
 
 
 def test_every_public_function_is_used_by_the_program():
     # a helper that only its own tests call is code nothing needs
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src" / "lproth").glob("*.py"))
-    program = [*package, *(root / "scripts").glob("*.py"),
-               *(p for p in (root / "bench").glob("*.py") if not p.name.startswith("test_"))]
     # a call, or a reference such as the suites held by cli._SUITE_FNS
     used = set()
-    for path in program:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    public = {f"{path.stem}.{node.name}" for path in package
+    for node in _program_nodes():
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    public = {f"{path.stem}.{node.name}" for path in _PACKAGE
               for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     unused = {name for name in public if name.split(".")[1] not in used | _TEST_ORACLES}
     assert unused == set()
+
+
+def test_every_public_method_is_used_by_the_program():
+    # by name, so a method shares its use with any attribute of the same name
+    used = {node.attr for node in _program_nodes() if isinstance(node, ast.Attribute)}
+    unused = {f"{name}.{node.name}" for name, cls in _package_classes() for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in used}
+    assert unused == set()
+
+
+def test_every_result_field_is_read_by_the_program():
+    # a field that nothing reads is a result nobody looks at; matched by name, as above
+    read = {node.attr for node in _program_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{name}.{node.target.id}" for name, cls in _package_classes() if _is_dataclass(cls)
+              for node in cls.body if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name) and not node.target.id.startswith("_")
+              and node.target.id not in read}
+    assert unread == set()

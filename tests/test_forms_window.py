@@ -188,8 +188,7 @@ def _signed_box(N, n, d, seed):
 def _rule(nodes, lam=1.0):
     nodes = np.asarray(nodes, dtype=float)
     weights = np.full(len(nodes), 1.0 / len(nodes))
-    return SphereQuadrature(nodes=nodes, weights=weights, lam=lam, p=2.0,
-                            d=nodes.shape[1], mode=lpgeom.MODE_GRAPH)
+    return SphereQuadrature(nodes=nodes, weights=weights, lam=lam, d=nodes.shape[1])
 
 
 class TestSharpWindow:

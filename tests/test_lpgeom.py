@@ -11,10 +11,12 @@ from lproth import lpgeom, oscillatory, sets
 from lproth.lpgeom import (
     DEGENERATE_P,
     lp_norm,
+    lp_norm_batch,
     sigma_mass_invariance,
     sigma_total_mass,
     sphere_quadrature,
     unit_ball_volume,
+    unit_ball_volume_mc,
     valid_exponent,
 )
 from lproth.mollifier import KernelParams
@@ -30,6 +32,7 @@ ENTRY_POINTS = {
     "lp_norm": lambda p: lp_norm([1.0, 2.0], p),
     "sphere_quadrature": lambda p: sphere_quadrature(p, 2, 1.0, n=64),
     "sigma_total_mass": lambda p: sigma_total_mass(p, 2),
+    "unit_ball_volume_mc": lambda p: unit_ball_volume_mc(p, 2, 10, 0),
     "i_of_t": lambda p: oscillatory.i_of_t(p, 10.0, n_kl=4),
     "stationary_lower_bound_check": lambda p: oscillatory.stationary_lower_bound_check(p, 0.1),
     "parallelogram_check": lambda p: sets.parallelogram_check([1.0, 1.0], [1.0, 0.0], p),
@@ -107,6 +110,13 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm([1.0, float("nan")], 2.0)
 
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_formula_for_a_vector_and_a_row(self, rng, d, p):
+        # one formula: a vector rounds exactly as the same row of a batch, at every p
+        for y in rng.normal(size=(2000, d)) * rng.choice([1e-3, 1.0, 1e3], size=(2000, 1)):
+            assert lp_norm(y, p) == lp_norm_batch(y[None], p)[0]
+
 
 class TestBallVolume:
     def test_unit_disk(self):
@@ -117,12 +127,12 @@ class TestBallVolume:
 
     def test_mc_cross_check(self):
         exact = unit_ball_volume(1.5, 2)
-        mc = unit_ball_volume(1.5, 2, mode="mc", n_samples=10**7, seed=3)
+        mc = unit_ball_volume_mc(1.5, 2, 10**7, 3)
         assert abs(mc - exact) / exact < 1.5e-3
 
     def test_mc_dimension_cap(self):
         with pytest.raises(ValueError):
-            unit_ball_volume(1.5, 7, mode="mc")
+            unit_ball_volume_mc(1.5, 7, 10**6, 0)
 
 
 class TestSphereQuadrature:
@@ -138,7 +148,8 @@ class TestSphereQuadrature:
     def test_nodes_on_sphere(self):
         for lam in (1.0, 2.5):
             rule = sphere_quadrature(1.5, 3, lam, n=2048)
-            assert rule.max_radius_deviation() <= rule.node_tolerance()
+            deviation = np.max(np.abs(lp_norm_batch(rule.nodes, 1.5) - lam))
+            assert deviation <= 1e-10 * max(1.0, lam)
 
     def test_graph_vs_shell_mc(self):
         det = sphere_quadrature(1.5, 2, 1.0, n=1024).total_mass
@@ -147,12 +158,15 @@ class TestSphereQuadrature:
         assert abs(det - mc_rule.total_mass) < 3.0 * stderr
 
     def test_mc_nodes_in_shell(self):
-        rule = sphere_quadrature(1.5, 2, 2.0, n=2000, mode="shell-monte-carlo", seed=1)
-        assert rule.max_radius_deviation() <= rule.node_tolerance()
+        p, lam, h = 1.5, 2.0, lpgeom.SHELL_HALF_WIDTH
+        rule = sphere_quadrature(p, 2, lam, n=2000, mode="shell-monte-carlo", seed=1)
+        deviation = np.max(np.abs(lp_norm_batch(rule.nodes, p) - lam))
+        assert deviation <= lam * ((1.0 + h) ** (1.0 / p) - (1.0 - h) ** (1.0 / p))
 
     def test_orthant_symmetry(self):
         rule = sphere_quadrature(3.0, 2, 1.0, n=1024)
-        om = rule.orthant_masses()
+        codes = (rule.nodes < 0.0) @ np.array([1, 2])  # a zero coordinate counts as positive
+        om = np.bincount(codes, weights=rule.weights, minlength=4)
         assert np.max(np.abs(om - rule.total_mass / 4.0)) < 1e-12
 
     def test_unsupported_pairs(self):
@@ -165,7 +179,7 @@ class TestSphereQuadrature:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_rejected(self, bad):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ValueError, match="^lam must be finite and positive"):
             sphere_quadrature(1.5, 2, bad)
 
     @pytest.mark.parametrize("mode", [lpgeom.MODE_GRAPH, lpgeom.MODE_SHELL_MC])
@@ -230,11 +244,11 @@ class TestMassInvariance:
             sigma_mass_invariance(1.5, 2, [])
 
     def test_shell_mc_d3(self):
-        rep = sigma_mass_invariance(1.5, 3, [1.0, 2.0], n=2 * 10**4,
-                                    mode="shell-monte-carlo", seed=4)
-        stderr = rep.masses[0] / math.sqrt(2 * 10**4)
-        assert abs(rep.masses[0] - rep.masses[1]) < 3.0 * stderr
-        assert rep.masses[0] == pytest.approx(sigma_total_mass(1.5, 3), rel=5e-2)
+        masses = [sphere_quadrature(1.5, 3, lam, n=2 * 10**4, mode="shell-monte-carlo",
+                                    seed=4 + i).total_mass for i, lam in enumerate([1.0, 2.0])]
+        stderr = masses[0] / math.sqrt(2 * 10**4)
+        assert abs(masses[0] - masses[1]) < 3.0 * stderr
+        assert masses[0] == pytest.approx(sigma_total_mass(1.5, 3), rel=5e-2)
 
 
 class TestShellVolumeIdentity:

@@ -321,7 +321,7 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_rejected(self, bad):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ValueError, match="^lam must be finite and positive"):
             KernelParams(1.5, 1, bad, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

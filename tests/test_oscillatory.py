@@ -360,7 +360,7 @@ def stationary_pair_loop(p, eta):
     """Reference psi' floor: one np.linspace grid per shift pair, minima taken pair by pair."""
     mags = np.linspace(eta, KL_HALF, 40)
     kl_vals = np.concatenate([-mags, mags])
-    best = best_norm = np.inf
+    best = np.inf
     for k in kl_vals:
         for l in kl_vals:
             lo, hi = interval_one_pair(k, l, rise=max(RISE_LO, eta))
@@ -368,8 +368,7 @@ def stationary_pair_loop(p, eta):
                 continue
             mn = float(np.min(np.abs(_dpsi_values(np.linspace(lo, hi, 640), p, k, l))))
             best = min(best, mn)
-            best_norm = min(best_norm, mn / abs(k * l))
-    return best, best_norm
+    return best
 
 
 class TestStationaryBound:
@@ -377,7 +376,7 @@ class TestStationaryBound:
     @pytest.mark.parametrize("eta", [0.05, 0.3])
     def test_equals_pair_loop(self, p, eta):
         out = stationary_lower_bound_check(p, eta)
-        assert (out.min_abs_dpsi, out.min_normalized) == stationary_pair_loop(p, eta)
+        assert out.min_abs_dpsi == stationary_pair_loop(p, eta)
 
     @pytest.mark.parametrize("chunk", [1, 640 * 3 + 1, 640 * 7, 1 << 15])
     def test_every_pair_on_its_linspace_grid(self, monkeypatch, chunk):
@@ -400,7 +399,7 @@ class TestStationaryBound:
         # at most one and seven shift pairs per array pass
         monkeypatch.setattr(oscillatory, "_CHUNK_POINTS", chunk)
         out = stationary_lower_bound_check(1.5, 0.1)
-        assert (out.min_abs_dpsi, out.min_normalized) == stationary_pair_loop(1.5, 0.1)
+        assert out.min_abs_dpsi == stationary_pair_loop(1.5, 0.1)
 
     def test_quadratic_degenerate(self):
         # psi' vanishes identically at p = 2 and at p = 1 (1 + 1 - 1 - 1)

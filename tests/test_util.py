@@ -13,7 +13,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from lproth import claims, forms, gowers, lpgeom, oscillatory, sets
+from lproth import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets
+from lproth.gowers import min_shell_grid  # held here: WORK patches the module's name
 from lproth.util import valid_count, valid_finite, valid_lacunary, valid_scale
 
 BAD_COUNTS = [0, -1, 2.5, math.inf, math.nan, "8", True]
@@ -31,6 +32,7 @@ COUNTS = {
     ("sphere_quadrature", "n"): lambda v: lpgeom.sphere_quadrature(1.5, 2, 1.0, n=v),
     ("sphere_quadrature_shell", "n"): lambda v: lpgeom.sphere_quadrature(
         1.5, 2, 1.0, n=v, mode=lpgeom.MODE_SHELL_MC),
+    ("unit_ball_volume_mc", "n"): lambda v: lpgeom.unit_ball_volume_mc(1.5, 2, v, 0),
     ("i_of_t", "n_kl"): lambda v: oscillatory.i_of_t(1.5, 10.0, n_kl=v),
     ("i_of_t_lattice", "n_kl"): lambda v: oscillatory.i_of_t_lattice(1.5, 10.0, n_kl=v, n_y=64),
     ("i_of_t_lattice", "n_y"): lambda v: oscillatory.i_of_t_lattice(1.5, 10.0, n_kl=4, n_y=v),
@@ -52,9 +54,16 @@ COUNTS = {
         CUBE, 1.5, 2.0, tol=1e-6, budget=v, box_hi=16.0),
     ("theorem_experiment", "budget_per_scale"): lambda v: sets.theorem_experiment(
         0.5, 1.5, 2, 64.0, [4.0], [1], budget_per_scale=v),
+    ("lacunary_generate", "J"): lambda v: sets.lacunary_generate(4.0, 2.0, v),
 }
 
 SCALES = {
+    ("sphere_quadrature", "lam"): lambda v: lpgeom.sphere_quadrature(1.5, 2, v, n=8),
+    ("KernelParams", "lam"): lambda v: mollifier.KernelParams(1.5, 1, v, 0.5),
+    ("min_shell_grid", "eta"): lambda v: min_shell_grid(v, 0.1, 1.5),
+    ("min_shell_grid", "eps"): lambda v: min_shell_grid(0.05, v, 1.5),
+    ("theorem_experiment", "sequence"): lambda v: sets.theorem_experiment(
+        0.5, 1.5, 2, 64.0, [4.0, v], [1]),
     ("BoxFunction", "N"): lambda v: forms.BoxFunction(values=np.ones(4), N=v, h=1.0),
     ("full_box", "N"): lambda v: forms.full_box(v, 1.0, 1),
     ("full_box", "h"): lambda v: forms.full_box(4.0, v, 1),
@@ -90,11 +99,11 @@ SEQUENCES = {
 }
 
 # the first piece of work of each entry point above
-WORK = [(lpgeom, "_graph_rule"), (lpgeom, "_shell_mc_rule"), (oscillatory, "_panel_count"),
-        (oscillatory, "_shift_cells"), (oscillatory, "phi_plus"), (gowers, "even_bump"),
-        (gowers, "min_shell_grid"), (forms, "spawn_rng"), (forms, "resolved_grid"),
-        (forms, "e_lambda"), (forms, "_gap_sums"), (forms, "_product_view"),
-        (sets, "spawn_rng"), (sets, "random_indicator")]
+WORK = [(lpgeom, "_graph_rule"), (lpgeom, "_shell_mc_rule"), (lpgeom, "spawn_rng"),
+        (oscillatory, "_panel_count"), (oscillatory, "_shift_cells"), (oscillatory, "phi_plus"),
+        (gowers, "even_bump"), (gowers, "min_shell_grid"), (forms, "spawn_rng"),
+        (forms, "resolved_grid"), (forms, "e_lambda"), (forms, "_gap_sums"),
+        (forms, "_product_view"), (sets, "spawn_rng"), (sets, "random_indicator")]
 
 
 @pytest.fixture()
@@ -173,7 +182,10 @@ class TestRules:
             valid_lacunary("mu", [1.0, 1.5])
 
 
-RULE_MESSAGES = ("must be at least 1", "must be finite and positive", "must at least double")
+RULE_MESSAGES = ("must be at least 1", "must be finite and positive", "must at least double",
+                 # the hand-written wordings these rules replaced
+                 "must be positive and finite", "must be an integer of at least 1",
+                 "must hold finite positive scales")
 RULE_HOMES = {"util.py", "cli.py"}  # cli.py words its config errors itself
 
 
