@@ -192,21 +192,21 @@ def delta_u2_profile(F: CyclicGridFunction):
 # ---------------------------------------------------------------------------
 
 
-def _embedding_period(eta: float, eps: float, p: float, lam: float) -> float:
+def _embedding_period(eta: float, eps: float, p: float) -> float:
     """Cyclic period of the kernel embedding: five support diameters of the wider shell."""
-    R = KernelParams(p, 1, lam, max(eta, eps)).support_radius  # the same in every dimension
+    R = KernelParams(p, 1, 1.0, max(eta, eps)).support_radius  # the same in every dimension
     return 5.0 * R  # orthant-restricted support has one-sided diameter R
 
 
-def min_shell_grid(eta: float, eps: float, p: float, lam: float = 1.0) -> int:
+def min_shell_grid(eta: float, eps: float, p: float) -> int:
     """Smallest cyclic grid size M at which ``embed_kernel_difference`` resolves the shell.
 
     The period is five support diameters and the narrower shell, of width
-    2 min(eta, eps) lam / p, must span at least 8 cells.
+    2 min(eta, eps) / p, must span at least 8 cells.
     """
     eta, eps = valid_scale("eta", eta), valid_scale("eps", eps)
-    period = _embedding_period(eta, eps, p, lam)
-    max_cell = 2.0 * min(eta, eps) * lam / p / 8.0
+    period = _embedding_period(eta, eps, p)
+    max_cell = 2.0 * min(eta, eps) / p / 8.0
     q = period / max_cell if max_cell > 0.0 else math.inf
     if not q < 2.0 ** 53:
         raise ValueError(f"the shell at p = {p:g} needs more than 2**53 cells per axis")
@@ -217,27 +217,27 @@ def min_shell_grid(eta: float, eps: float, p: float, lam: float = 1.0) -> int:
 
 
 def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
-                            m: MollifierPair, lam: float = 1.0) -> CyclicGridFunction:
-    """chi_+ (omega_eta_lam - omega_eps_lam) sampled on a cyclic grid.
+                            m: MollifierPair) -> CyclicGridFunction:
+    """chi_+ (omega_eta - omega_eps), the unit-radius shells, sampled on a cyclic grid.
 
     The grid covers a period of five support diameters so that no cyclic
     combination of shifted factors aliases across components; the shell
     must be resolved by >= 8 cells or the embedding is rejected.
     """
-    if d not in (1, 2):
+    if valid_count("d", d) not in (1, 2):
         raise ValueError("kernel embedding supports d in {1, 2}")
     M = valid_count("M", M)
-    M_min = min_shell_grid(eta, eps, p, lam)
+    M_min = min_shell_grid(eta, eps, p)
     if M < M_min:
         raise ValueError(
             f"grid under-resolves the shell: M = {M} < {M_min}, the minimum for "
             f"widths ({eta:g}, {eps:g}) at p = {p:g}")
-    cell = _embedding_period(eta, eps, p, lam) / M
+    cell = _embedding_period(eta, eps, p) / M
     ax = (np.arange(M) - M // 2) * cell
     grids = np.meshgrid(*([ax] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    k_eta = omega_eps_eval(pts, KernelParams(p, d, lam, eta), m)
-    k_eps = omega_eps_eval(pts, KernelParams(p, d, lam, eps), m)
+    k_eta = omega_eps_eval(pts, KernelParams(p, d, 1.0, eta), m)
+    k_eps = omega_eps_eval(pts, KernelParams(p, d, 1.0, eps), m)
     vals = (k_eta - k_eps).reshape((M,) * d)
     pos = np.ones_like(vals)
     for g in grids:
@@ -245,8 +245,7 @@ def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
     return CyclicGridFunction(vals * pos, cell=cell)
 
 
-def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
-                       lam: float = 1.0) -> float:
+def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair) -> float:
     """Continuum-normalized U^3 distance between two shell mollifications, as a float.
 
     The kernels are the d = 1 shells, embedded on a cyclic grid of M cells.
@@ -261,7 +260,7 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair,
     pv = valid_exponent(p)
     if eta == eps:
         return 0.0
-    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, 1, M, m, lam=lam))
+    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, 1, M, m))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,19 @@
 
 The sphere S_lam = {y : ||y||_p = lam} carries the measure with density
 1/|grad Q| relative to surface area, Q(y) = ||y||_p^p, rescaled by
-lam^(p-d) so that the total mass is independent of the radius.  Two rules
-approximate it:
+lam^(p-d) so that the total mass is independent of the radius.
 
-* ``deterministic-graph``: each orthant is parametrized as a graph over
-  the (d-1)-dimensional lp-ball slice.  In stick-breaking coordinates the
-  singular surface weight factorizes into one-dimensional Jacobi weights,
-  so tensorized Gauss-Jacobi nodes integrate the measure to machine
-  precision even where |grad Q| degenerates near coordinate hyperplanes.
+The program's rule, ``sphere_quadrature``, parametrizes each orthant as a
+graph over the (d-1)-dimensional lp-ball slice.  In stick-breaking
+coordinates the singular surface weight factorizes into one-dimensional
+Jacobi weights, so tensorized Gauss-Jacobi nodes integrate the measure to
+machine precision even where |grad Q| degenerates near coordinate
+hyperplanes, and every node lies on the sphere.
 
-* ``shell-monte-carlo``: uniform rejection sampling from the thin shell
-  {1-h <= ||y/lam||_p^p <= 1+h}, weight (box volume)/(n_draws * 2h).  An
-  unbiased co-area estimator, independent of the graph construction, and
-  usable up to d = 8.
+``shell_mc_quadrature`` is the tests' independent oracle for it: uniform
+rejection sampling from the thin shell {1-h <= ||y/lam||_p^p <= 1+h},
+weight (box volume)/(n_draws * 2h).  An unbiased co-area estimator, usable
+up to d = 8, whose nodes lie only near the sphere.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .util import spawn_rng, valid_count, valid_scale
-
-MODE_GRAPH = "deterministic-graph"
-MODE_SHELL_MC = "shell-monte-carlo"
 
 SHELL_HALF_WIDTH = 1e-3  # half-width h of the MC shell in u = ||y||_p^p
 
@@ -67,7 +64,11 @@ def lp_norm(y, p) -> float:
 def unit_ball_volume(p, d: int) -> float:
     """Volume nu_p = 2^d Gamma(1+1/p)^d / Gamma(1+d/p) of the unit lp ball in dimension d."""
     pv = valid_exponent(p)
-    return float(2.0**d * math.gamma(1.0 + 1.0 / pv) ** d / math.gamma(1.0 + d / pv))
+    d = valid_count("d", d)
+    try:
+        return float(2.0**d * math.gamma(1.0 + 1.0 / pv) ** d / math.gamma(1.0 + d / pv))
+    except OverflowError:
+        raise ValueError(f"d must be small enough for a finite ball volume, got {d}") from None
 
 
 def unit_ball_volume_mc(p, d: int, n: int, seed: int) -> float:
@@ -91,7 +92,8 @@ def unit_ball_volume_mc(p, d: int, n: int, seed: int) -> float:
 def sigma_total_mass(p, d: int) -> float:
     """Closed-form total mass of the normalized sphere measure: (d/p) nu_p."""
     pv = valid_exponent(p)
-    return d / pv * unit_ball_volume(pv, d)
+    vol = unit_ball_volume(pv, d)
+    return d / pv * vol
 
 
 @dataclass
@@ -222,21 +224,51 @@ def _graph_rule(p: float, d: int, lam: float, nodes_per_axis: int) -> tuple[np.n
     return y, weights
 
 
-def _shell_mc_rule(p: float, d: int, lam: float, n_target: int,
-                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sphere_quadrature(p, d: int, lam: float, n: int = 4096) -> SphereQuadrature:
+    """Gauss-Jacobi graph rule for the normalized measure on the lp sphere of radius lam.
+
+    ``n`` is the total node budget; d is 1, 2 or 3.  Every node lies on the
+    sphere.
+    """
+    pv = valid_exponent(p)
+    d = valid_count("d", d)
+    lam = valid_scale("lam", lam)
+    n = valid_count("n", n)
+    if d > 3:
+        raise ValueError(f"d must be 1, 2 or 3 for the graph rule, got d={d}")
+    per_axis = 1 if d == 1 else max(2, int(round((n / (1 << d)) ** (1.0 / (d - 1)))))
+    ypos, wpos = _graph_rule(pv, d, lam, per_axis)
+    signs = _orthant_signs(d)
+    nodes = (signs[:, None, :] * ypos[None, :, :]).reshape(-1, d)
+    weights = np.tile(wpos, 1 << d)
+    return SphereQuadrature(nodes, weights, lam, d)
+
+
+def shell_mc_quadrature(p, d: int, lam: float, n: int, seed: int) -> SphereQuadrature:
+    """Shell Monte Carlo rule for the same measure (d <= 8), the graph rule's oracle.
+
+    At least ``n`` nodes are accepted from uniform draws in the bounding
+    cube; the output is deterministic given (inputs, seed).
+    """
+    pv = valid_exponent(p)
+    d = valid_count("d", d)
+    lam = valid_scale("lam", lam)
+    n = valid_count("n", n)
+    if d > 8:
+        raise ValueError(f"d must be at most 8 for the shell rule, got d={d}")
     h = SHELL_HALF_WIDTH
     rng = spawn_rng(seed, 1)
-    half = lam * (1.0 + h) ** (1.0 / p)
+    half = lam * (1.0 + h) ** (1.0 / pv)
     box_vol = (2.0 * half) ** d
     nodes = []
     draws = 0
-    lo = lam**p * (1.0 - h)
-    hi = lam**p * (1.0 + h)
+    lo = lam**pv * (1.0 - h)
+    hi = lam**pv * (1.0 + h)
     # acceptance  ~ shell volume / box volume; draw in batches until target met
-    batch = max(10**4, 4 * n_target)
-    while sum(len(a) for a in nodes) < n_target and draws < 5 * 10**8:
+    batch = max(10**4, 4 * n)
+    while sum(len(a) for a in nodes) < n and draws < 5 * 10**8:
         pts = rng.uniform(-half, half, size=(batch, d))
-        u = np.sum(np.abs(pts) ** p, axis=1)
+        u = np.sum(np.abs(pts) ** pv, axis=1)
         keep = pts[(u >= lo) & (u <= hi)]
         nodes.append(keep)
         draws += batch
@@ -246,35 +278,7 @@ def _shell_mc_rule(p: float, d: int, lam: float, n_target: int,
     # co-area: shell integral ~ 2h lam^p * (surface integral of g/|grad Q|),
     # and the measure carries lam^(p-d); together the per-node weight is
     weights = np.full(pts.shape[0], box_vol / (draws * 2.0 * h) * lam ** (-d))
-    return pts, weights
-
-
-def sphere_quadrature(p, d: int, lam: float, n: int = 4096, mode: str = MODE_GRAPH,
-                      seed: int = 0) -> SphereQuadrature:
-    """Quadrature rule for the normalized measure on the lp sphere of radius lam.
-
-    ``n`` is the total node budget.  Deterministic mode supports d in
-    {1,2,3}; shell Monte Carlo supports d <= 8.  Output is deterministic
-    given (inputs, seed).
-    """
-    pv = valid_exponent(p)
-    lam = valid_scale("lam", lam)
-    n = valid_count("n", n)
-    if mode == MODE_GRAPH:
-        if d not in (1, 2, 3):
-            raise ValueError(f"deterministic-graph mode supports d in {{1,2,3}}, got d={d}")
-        per_axis = 1 if d == 1 else max(2, int(round((n / (1 << d)) ** (1.0 / (d - 1)))))
-        ypos, wpos = _graph_rule(pv, d, lam, per_axis)
-        signs = _orthant_signs(d)
-        nodes = (signs[:, None, :] * ypos[None, :, :]).reshape(-1, d)
-        weights = np.tile(wpos, 1 << d)
-        return SphereQuadrature(nodes, weights, lam, d)
-    if mode == MODE_SHELL_MC:
-        if d > 8:
-            raise ValueError(f"shell-monte-carlo mode supports d <= 8, got d={d}")
-        nodes, weights = _shell_mc_rule(pv, d, lam, n, seed)
-        return SphereQuadrature(nodes, weights, lam, d)
-    raise ValueError(f"unsupported mode {mode!r}")
+    return SphereQuadrature(pts, weights, lam, d)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .lpgeom import unit_ball_volume, valid_exponent
-from .util import spawn_rng, valid_scale
+from .util import spawn_rng, valid_count, valid_scale
 
 _G0 = 16.0 / 15.0  # g(0) = integral of (1-t^2)^2
 _DIRECT_T_CUT = 200.0  # upper limit of the t integral in omega_eps_direct_oscillatory
@@ -107,6 +107,7 @@ class KernelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", valid_exponent(self.p))
+        object.__setattr__(self, "d", valid_count("d", self.d))
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"width must lie in (0, 1], got {self.eps}")
         object.__setattr__(self, "lam", valid_scale("lam", self.lam))

@@ -55,6 +55,7 @@ _SPLINE_POLE = math.sqrt(3.0) - 2.0  # pole of the cubic B-spline prefilter
 _SPLINE_TAPS = 40  # prefilter taps per side; |pole|^40 is below 1e-22
 _SPLINE_FILTER = math.sqrt(3.0) * _SPLINE_POLE ** np.abs(np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
 _GL24 = np.polynomial.legendre.leggauss(24)
+_DECAY_T = tuple(float(t) for t in np.logspace(1.0, 4.0, 7))  # modulations of decay_fit: three decades
 
 
 def _admissible_interval(k, l, rise: float = RISE_LO):
@@ -138,8 +139,8 @@ def _dpsi_values(y, p: float, k: float, l: float) -> np.ndarray:
                 - (y + k) ** (p - 1.0) - (y + l) ** (p - 1.0))
 
 
-def _panel_count(p: float, t: float, k, l, lo, hi, nodes_per_period: int) -> np.ndarray:
-    """Even Simpson panel counts with ``nodes_per_period`` points per phase period.
+def _panel_count(p: float, t: float, k, l, lo, hi) -> np.ndarray:
+    """Even Simpson panel counts with _NODES_PER_PERIOD points per phase period.
 
     k, l, lo and hi may be arrays with one entry per shift cell; all cells
     are probed for max |psi'| in one array, 33 points per cell.  The
@@ -151,7 +152,7 @@ def _panel_count(p: float, t: float, k, l, lo, hi, nodes_per_period: int) -> np.
     else:
         probe = _linspace_rows(lo, hi, 33)
         dmax = np.max(np.abs(_dpsi_values(probe, p, k[..., None], l[..., None])), axis=-1)
-        x = nodes_per_period * (abs(t) * dmax * (hi - lo)) / (2.0 * math.pi)
+        x = _NODES_PER_PERIOD * (abs(t) * dmax * (hi - lo)) / (2.0 * math.pi)
         # x > 512 is False for NaN; counts past 2^62 exceed every budget anyway
         n = np.where(x > 512, np.minimum(x, 2.0**62), 512).astype(np.int64)
     return n + n % 2
@@ -165,10 +166,10 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PER_PERIOD) -> complex:
+def inner_integral(fam: PhaseFamily, t: float) -> complex:
     """I_{k,l}(t) by composite Simpson sized to the oscillation, with doubling.
 
-    Panels carry at least ``nodes_per_period`` points per period of the
+    Panels carry at least _NODES_PER_PERIOD points per period of the
     running phase; the grid is doubled until the value is stable or the
     refinement budget is exhausted.
     """
@@ -179,7 +180,7 @@ def inner_integral(fam: PhaseFamily, t: float, nodes_per_period: int = _NODES_PE
     lo, hi = fam.admissible_interval()
     if hi <= lo:
         return 0.0 + 0.0j
-    n = int(_panel_count(p, t, k, l, lo, hi, nodes_per_period))
+    n = int(_panel_count(p, t, k, l, lo, hi))
     prev = None
     while True:
         if n > _INNER_N_MAX:
@@ -215,7 +216,7 @@ def _shift_cells(p: float, t: float, ks: Sequence[float], ls: Sequence[float]) -
     lo, hi = _admissible_interval(ks, ls)
     cells = np.flatnonzero(hi > lo)  # positions of the admissible cells
     lo, hi = lo[cells], hi[cells]
-    panels = _panel_count(p, t, ks[cells], ls[cells], lo, hi, _NODES_PER_PERIOD)
+    panels = _panel_count(p, t, ks[cells], ls[cells], lo, hi)
     if np.any(panels > _CELL_N_MAX):
         raise RuntimeError("oscillatory budget exceeded at the requested modulation")
     sizes = (panels + 1).tolist()
@@ -337,21 +338,15 @@ class DecayFit:
                 for t, v in zip(self.t_samples, self.values)]
 
 
-def decay_fit(p, t_samples: Sequence[float] | None = None, n_kl: int = 48) -> DecayFit:
-    """Log-log decay slope of I(t) with the one-sided envelope constant.
+def decay_fit(p, n_kl: int = 48) -> DecayFit:
+    """Log-log decay slope of I(t) at _DECAY_T with the one-sided envelope constant.
 
     The envelope c t^(-1/r) is calibrated as the smallest constant covering
     every sample; measured decay may be strictly faster than 1/r, so only
     the one-sided comparison is meaningful.
     """
     pv = valid_exponent(p)
-    if t_samples is None:
-        t_samples = list(np.logspace(1.0, 4.0, 7))
-    ts = [float(t) for t in t_samples]
-    if len(ts) < 6:
-        raise ValueError("need at least 6 modulation samples")
-    if min(ts) < 10.0 or max(ts) > 1e5 or max(ts) / min(ts) < 99.0:
-        raise ValueError("samples must span >= 2 decades inside [10, 1e5]")
+    ts = list(_DECAY_T)
     vals = [i_of_t(pv, t, n_kl=n_kl) for t in ts]
     if max(vals) < 1e-12:
         raise RuntimeError("all values below the quadrature noise floor; fit degenerate")

@@ -240,13 +240,14 @@ class SearchOutcome:
 
 def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
                        box_hi: float, seed: int = 0) -> SearchOutcome:
-    """Randomized witness search at one gap scale.
+    """Randomized witness search at one gap scale, for sets of dimension d <= 3.
 
     Base points come from rejection sampling inside the probe box; gap
-    proposals are sphere-rule directions jittered radially inside the
-    tolerance window, so every proposal satisfies the gap constraint by
-    construction and only the three memberships are at stake.  Any
-    returned witness is re-verified independently before release.
+    proposals are nodes of the Gauss-Jacobi graph rule, which lie on the
+    sphere of radius lam, scaled radially inside the tolerance window.  So
+    every proposal's gap is in the window by construction and only the
+    three memberships are at stake.  Any returned witness is re-verified
+    independently before release.
 
     Proposals are drawn in whole batches of 100,000 (fewer for the last
     batch of the budget), and ``proposals_used`` counts the proposals drawn.
@@ -258,11 +259,8 @@ def progression_search(A: PointSet, p, lam: float, tol: float, budget: int,
     tol = valid_scale("tol", tol)
     budget = valid_count("budget", budget)
     box_hi = valid_scale("box_hi", box_hi)
+    nodes = sphere_quadrature(pv, A.dim, lam, n=2048).nodes  # rejects d > 3 before any draw
     rng = spawn_rng(seed, 17)
-    rule = sphere_quadrature(pv, A.dim, lam, n=2048,
-                             mode="deterministic-graph" if A.dim <= 3 else "shell-monte-carlo",
-                             seed=seed)
-    nodes = rule.nodes
     used = 0
     batch = 100_000
     while used < budget:

@@ -1,8 +1,9 @@
-"""The benchmark's counting-forms workload still runs and passes its gate.
+"""The benchmark's workloads still run and pass their gates.
 
-``bench/workloads.py`` calls ``forms`` functions with positional arguments;
-a changed signature breaks ``bench/run.py`` without failing any other test.
-The workloads module is imported from its file, unchanged.
+``bench/workloads.py`` calls ``forms`` functions with positional arguments
+and runs the CLI; a changed signature breaks ``bench/run.py`` without
+failing any other test.  The workloads module is imported from its file,
+unchanged.
 """
 
 import importlib.util
@@ -21,8 +22,16 @@ def workloads():
     return module
 
 
-def test_counting_forms_passes_its_gate(workloads, tmp_path):
-    work = workloads.WORKLOADS["counting-forms"]
-    inputs = work.setup(7, str(tmp_path))
+def _assert_gate_passes(workloads, name, scratch):
+    work = workloads.WORKLOADS[name]
+    inputs = work.setup(7, str(scratch))
     checks, _ = work.gate(inputs, work.run(inputs))
     assert checks and all(passed for _, passed in checks), checks
+
+
+def test_counting_forms_passes_its_gate(workloads, tmp_path):
+    _assert_gate_passes(workloads, "counting-forms", tmp_path)
+
+
+def test_verify_all_passes_its_gate(workloads, tmp_path):
+    _assert_gate_passes(workloads, "verify-all", tmp_path)

@@ -611,7 +611,8 @@ def test_every_public_claim_is_reported():
 
 
 # reference implementations that only the tests evaluate, against the paths the program runs
-_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "sigma_total_mass", "unit_ball_volume_mc"}
+_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "shell_mc_quadrature", "sigma_total_mass",
+                 "unit_ball_volume_mc"}
 
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = sorted((_ROOT / "src" / "lproth").glob("*.py"))
@@ -670,3 +671,37 @@ def test_every_result_field_is_read_by_the_program():
               and isinstance(node.target, ast.Name) and not node.target.id.startswith("_")
               and node.target.id not in read}
     assert unread == set()
+
+
+def _passed(call: ast.Call, fn: ast.FunctionDef, is_method: bool) -> set:
+    """The parameters of fn that a call passes, by keyword or by position."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if is_method else 0:]
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg is None for kw in call.keywords)):  # *args or **kwargs may pass any
+        return set(positional) | {a.arg for a in fn.args.kwonlyargs}
+    return set(positional[:len(call.args)]) | {kw.arg for kw in call.keywords}
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # a default that only the tests override selects a path nothing runs; matched by name
+    calls = {}
+    for node in _program_nodes():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    fns = [(f"{path.stem}.{node.name}", node, False) for path in _PACKAGE
+           for node in ast.parse(path.read_text()).body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+           and node.name not in _TEST_ORACLES]
+    fns += [(f"{name}.{node.name}", node, True) for name, cls in _package_classes()
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    unset = set()
+    for name, fn, is_method in fns:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        passed = set().union(*(_passed(c, fn, is_method) for c in calls.get(fn.name, [])))
+        unset |= {f"{name}({arg})" for arg in defaulted if arg not in passed}
+    assert unset == set()

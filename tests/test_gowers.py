@@ -250,11 +250,6 @@ class TestKernelDistance:
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 min_shell_grid(0.025, 0.1, p)
 
-    def test_scale_covariance(self, moll):
-        a = u3_kernel_distance(0.05, 0.1, 1.5, 2048, moll, lam=1.0)
-        b = u3_kernel_distance(0.05, 0.1, 1.5, 2048, moll, lam=2.0)
-        assert abs(b - a * 2.0 ** (-0.5)) / (a * 2.0 ** (-0.5)) < 0.05
-
     def test_embedding_masks_negative_axis(self, moll):
         F = embed_kernel_difference(0.05, 0.1, 1.5, 1, 2048, moll)
         ax = (np.arange(2048) - 1024) * F.cell

@@ -12,6 +12,7 @@ from lproth.lpgeom import (
     DEGENERATE_P,
     lp_norm,
     lp_norm_batch,
+    shell_mc_quadrature,
     sigma_mass_invariance,
     sigma_total_mass,
     sphere_quadrature,
@@ -31,6 +32,7 @@ BAD_EXPONENTS = [math.nan, math.inf, -math.inf, 0.5, -1.0]
 ENTRY_POINTS = {
     "lp_norm": lambda p: lp_norm([1.0, 2.0], p),
     "sphere_quadrature": lambda p: sphere_quadrature(p, 2, 1.0, n=64),
+    "shell_mc_quadrature": lambda p: shell_mc_quadrature(p, 2, 1.0, 64, 0),
     "sigma_total_mass": lambda p: sigma_total_mass(p, 2),
     "unit_ball_volume_mc": lambda p: unit_ball_volume_mc(p, 2, 10, 0),
     "i_of_t": lambda p: oscillatory.i_of_t(p, 10.0, n_kl=4),
@@ -153,13 +155,13 @@ class TestSphereQuadrature:
 
     def test_graph_vs_shell_mc(self):
         det = sphere_quadrature(1.5, 2, 1.0, n=1024).total_mass
-        mc_rule = sphere_quadrature(1.5, 2, 1.0, n=3 * 10**4, mode="shell-monte-carlo", seed=11)
+        mc_rule = shell_mc_quadrature(1.5, 2, 1.0, 3 * 10**4, 11)
         stderr = mc_rule.total_mass / math.sqrt(mc_rule.nodes.shape[0])
         assert abs(det - mc_rule.total_mass) < 3.0 * stderr
 
     def test_mc_nodes_in_shell(self):
         p, lam, h = 1.5, 2.0, lpgeom.SHELL_HALF_WIDTH
-        rule = sphere_quadrature(p, 2, lam, n=2000, mode="shell-monte-carlo", seed=1)
+        rule = shell_mc_quadrature(p, 2, lam, 2000, 1)
         deviation = np.max(np.abs(lp_norm_batch(rule.nodes, p) - lam))
         assert deviation <= lam * ((1.0 + h) ** (1.0 / p) - (1.0 - h) ** (1.0 / p))
 
@@ -171,9 +173,9 @@ class TestSphereQuadrature:
 
     def test_unsupported_pairs(self):
         with pytest.raises(ValueError):
-            sphere_quadrature(1.5, 4, 1.0, mode="deterministic-graph")
+            sphere_quadrature(1.5, 4, 1.0)
         with pytest.raises(ValueError):
-            sphere_quadrature(1.5, 9, 1.0, mode="shell-monte-carlo")
+            shell_mc_quadrature(1.5, 9, 1.0, 4096, 0)
         with pytest.raises(ValueError):
             sphere_quadrature(1.5, 2, -1.0)
 
@@ -182,16 +184,19 @@ class TestSphereQuadrature:
         with pytest.raises(ValueError, match="^lam must be finite and positive"):
             sphere_quadrature(1.5, 2, bad)
 
-    @pytest.mark.parametrize("mode", [lpgeom.MODE_GRAPH, lpgeom.MODE_SHELL_MC])
+    @pytest.mark.parametrize("rule", [
+        lambda n: sphere_quadrature(1.5, 2, 1.0, n=n),
+        lambda n: shell_mc_quadrature(1.5, 2, 1.0, n, 0)],
+        ids=["deterministic-graph", "shell-monte-carlo"])
     @pytest.mark.parametrize("n", [0, -5, math.nan])
-    def test_empty_node_budget_rejected(self, n, mode):
+    def test_empty_node_budget_rejected(self, n, rule):
         # the graph rule would round any budget below 8 up to 8 nodes
         with pytest.raises(ValueError, match="^n must be at least 1"):
-            sphere_quadrature(1.5, 2, 1.0, n=n, mode=mode)
+            rule(n)
 
     def test_determinism_given_seed(self):
-        a = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
-        b = sphere_quadrature(1.5, 2, 1.0, n=4000, mode="shell-monte-carlo", seed=9)
+        a = shell_mc_quadrature(1.5, 2, 1.0, 4000, 9)
+        b = shell_mc_quadrature(1.5, 2, 1.0, 4000, 9)
         assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -244,8 +249,8 @@ class TestMassInvariance:
             sigma_mass_invariance(1.5, 2, [])
 
     def test_shell_mc_d3(self):
-        masses = [sphere_quadrature(1.5, 3, lam, n=2 * 10**4, mode="shell-monte-carlo",
-                                    seed=4 + i).total_mass for i, lam in enumerate([1.0, 2.0])]
+        masses = [shell_mc_quadrature(1.5, 3, lam, 2 * 10**4, 4 + i).total_mass
+                  for i, lam in enumerate([1.0, 2.0])]
         stderr = masses[0] / math.sqrt(2 * 10**4)
         assert abs(masses[0] - masses[1]) < 3.0 * stderr
         assert masses[0] == pytest.approx(sigma_total_mass(1.5, 3), rel=5e-2)

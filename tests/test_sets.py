@@ -256,7 +256,7 @@ def full_batch_search(A, p, lam, tol, budget, box_hi, seed=0):
     """Reference search: every proposal of a batch tested, then the first hit kept."""
     pv = valid_exponent(p)
     rng = sets.spawn_rng(seed, 17)
-    nodes = sphere_quadrature(pv, A.dim, lam, n=2048, mode="deterministic-graph", seed=seed).nodes
+    nodes = sphere_quadrature(pv, A.dim, lam, n=2048).nodes
     used = 0
     while used < budget:
         n = min(100_000, budget - used)

@@ -30,8 +30,13 @@ CUBE = sets.full_box_set(2, 16.0)
 # (entry point, argument) -> a call with that argument set to the bad value
 COUNTS = {
     ("sphere_quadrature", "n"): lambda v: lpgeom.sphere_quadrature(1.5, 2, 1.0, n=v),
-    ("sphere_quadrature_shell", "n"): lambda v: lpgeom.sphere_quadrature(
-        1.5, 2, 1.0, n=v, mode=lpgeom.MODE_SHELL_MC),
+    ("shell_mc_quadrature", "n"): lambda v: lpgeom.shell_mc_quadrature(1.5, 2, 1.0, v, 0),
+    ("sphere_quadrature", "d"): lambda v: lpgeom.sphere_quadrature(1.5, v, 1.0, n=8),
+    ("shell_mc_quadrature", "d"): lambda v: lpgeom.shell_mc_quadrature(1.5, v, 1.0, 8, 0),
+    ("unit_ball_volume", "d"): lambda v: lpgeom.unit_ball_volume(1.5, v),
+    ("sigma_total_mass", "d"): lambda v: lpgeom.sigma_total_mass(1.5, v),
+    ("KernelParams", "d"): lambda v: mollifier.KernelParams(1.5, v, 1.0, 0.5),
+    ("c1_eps", "d"): lambda v: mollifier.c1_eps(0.5, 1.5, v, None),
     ("unit_ball_volume_mc", "n"): lambda v: lpgeom.unit_ball_volume_mc(1.5, 2, v, 0),
     ("i_of_t", "n_kl"): lambda v: oscillatory.i_of_t(1.5, 10.0, n_kl=v),
     ("i_of_t_lattice", "n_kl"): lambda v: oscillatory.i_of_t_lattice(1.5, 10.0, n_kl=v, n_y=64),
@@ -40,6 +45,8 @@ COUNTS = {
     ("u3_tensor_check", "M"): lambda v: gowers.u3_tensor_check(1.5, 1.0, M=v),
     ("embed_kernel_difference", "M"): lambda v: gowers.embed_kernel_difference(
         0.05, 0.1, 1.5, 1, v, None),
+    ("embed_kernel_difference", "d"): lambda v: gowers.embed_kernel_difference(
+        0.05, 0.1, 1.5, v, 2048, None),
     ("u3_kernel_distance", "M"): lambda v: gowers.u3_kernel_distance(0.05, 0.1, 1.5, v, None),
     ("roth_main_term_experiment", "trials"): lambda v: forms.roth_main_term_experiment(
         0.5, 1, 32.0, 2.0, v, None, 1.5),
@@ -98,8 +105,17 @@ SEQUENCES = {
     ("multiplier_check", "lambdas"): lambda v: oscillatory.multiplier_check(0.7, -0.4, 0.9, v, None),
 }
 
+# (entry point, argument) -> a call with that argument just past the range it supports
+LIMITS = {
+    ("sphere_quadrature", "d"): lambda: lpgeom.sphere_quadrature(1.5, 4, 1.0),
+    ("shell_mc_quadrature", "d"): lambda: lpgeom.shell_mc_quadrature(1.5, 9, 1.0, 8, 0),
+    ("unit_ball_volume", "d"): lambda: lpgeom.unit_ball_volume(1.5, 2000),
+    ("progression_search", "d"): lambda: sets.progression_search(
+        sets.bourgain_set(4), 1.5, 2.0, tol=1e-3, budget=1000, box_hi=4.0, seed=1),
+}
+
 # the first piece of work of each entry point above
-WORK = [(lpgeom, "_graph_rule"), (lpgeom, "_shell_mc_rule"), (lpgeom, "spawn_rng"),
+WORK = [(lpgeom, "_graph_rule"), (lpgeom, "spawn_rng"),
         (oscillatory, "_panel_count"), (oscillatory, "_shift_cells"), (oscillatory, "phi_plus"),
         (gowers, "even_bump"), (gowers, "min_shell_grid"), (forms, "spawn_rng"),
         (forms, "resolved_grid"), (forms, "e_lambda"), (forms, "_gap_sums"),
@@ -136,6 +152,11 @@ def test_scales_rejected_by_name(key, no_work):
 def test_finite_values_rejected_by_name(key, no_work):
     for value in BAD_FINITE:
         _rejects(FINITE[key], key[1], value)
+
+
+@pytest.mark.parametrize("key", list(LIMITS), ids="-".join)
+def test_limits_rejected_by_name(key, no_work):
+    _rejects(lambda _: LIMITS[key](), key[1], None)
 
 
 @pytest.mark.parametrize("key", list(SEQUENCES), ids="-".join)
