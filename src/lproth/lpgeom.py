@@ -28,6 +28,8 @@ import numpy as np
 from .util import spawn_rng, valid_count, valid_scale
 
 SHELL_HALF_WIDTH = 1e-3  # half-width h of the MC shell in u = ||y||_p^p
+_NEWTON_TOL = 1e-15  # Gauss-Jacobi Newton passes stop once no node moves by more than this
+_NEWTON_PASSES = 16  # before an axis fails; p in [1.0001, 512], n <= 1024 take at most 5
 
 
 # The exponents at which the progression theorem fails (the l1 and l2 metrics):
@@ -136,29 +138,40 @@ def _jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return diag, off
 
 
-def _golub_welsch(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
-    The nodes are the eigenvalues of the Jacobi matrix, polished by one
-    Newton step on the recurrence (Golub & Welsch 1969).  Each weight is the
-    Christoffel number mu0 / sum_{k<n} q_k(x)^2, with q_k the polynomials
-    orthonormal for the weight scaled to unit mass and mu0 its total mass;
-    the sum is carried to the polished node to first order.  That sum of
-    squares stays within 3e-12 relative of a 50-digit rule up to n = 1024,
-    where the derivative formula 1 / (q_{n-1} q_n') loses up to 1e-8 at the
-    nodes next to a singular endpoint, and eigenvector weights lose more.
+    The nodes are the roots of q_n, found by Newton's method on the
+    orthonormal recurrence for every node at once from the asymptotic
+    guesses x_k = cos(pi (k + alpha/2 - 1/4) / (n + (alpha+beta+1)/2)); the
+    passes stop once no node moves by more than _NEWTON_TOL, and a rule
+    that has not converged within _NEWTON_PASSES raises RuntimeError.  Each
+    weight is the Christoffel number mu0 / sum_{k<n} q_k(x)^2, with q_k the
+    polynomials orthonormal for the weight scaled to unit mass and mu0 its
+    total mass; the sum is carried through the last Newton step to first
+    order.  That sum of squares stays within 3e-12 relative of a 50-digit
+    rule up to n = 1024, where the derivative formula 1 / (q_{n-1} q_n')
+    loses up to 1e-8 at the nodes next to a singular endpoint.
     """
     diag, off = _jacobi_recurrence(n, alpha, beta)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:n], 1), UPLO="U")
-    q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
-    norm, slope = np.zeros(n), np.zeros(n)  # sum q_k^2 and sum q_k q_k' over k < n
-    for k in range(n):
-        norm += q * q
-        slope += q * dq
-        q_prev, q, dq_prev, dq = (q, ((x - diag[k]) * q - off[k] * q_prev) / off[k + 1],
-                                  dq, ((x - diag[k]) * dq + q - off[k] * dq_prev) / off[k + 1])
-    step = q / dq
-    x = x - step
+    k = np.arange(n, 0, -1, dtype=float)  # k = n .. 1: ascending nodes
+    x = np.cos(math.pi * (k + 0.5 * alpha - 0.25) / (n + 0.5 * (alpha + beta + 1.0)))
+    for _ in range(_NEWTON_PASSES):
+        q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+        norm, slope = np.zeros(n), np.zeros(n)  # sum q_k^2 and sum q_k q_k' over k < n
+        for j in range(n):
+            norm += q * q
+            slope += q * dq
+            shifted = x - diag[j]
+            q_prev, q, dq_prev, dq = (q, (shifted * q - off[j] * q_prev) / off[j + 1],
+                                      dq, (shifted * dq + q - off[j] * dq_prev) / off[j + 1])
+        step = q / dq
+        x = x - step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Jacobi nodes did not converge in {_NEWTON_PASSES} Newton passes "
+                           f"(n={n}, alpha={alpha}, beta={beta})")
     mu0 = (2.0 ** (alpha + beta + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
            / math.gamma(alpha + beta + 2.0))
     w = mu0 / (norm - 2.0 * slope * step)
@@ -174,14 +187,14 @@ def _jacobi_axis(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
 
     The Chebyshev weight alpha = beta = -1/2 (the p = 2 slice axis) has the
     closed form x = sin(pi k / 2n) for k = 1-n, 3-n, ..., n-1, w = pi / n,
-    exact to rounding; every other weight takes _golub_welsch.  The arrays are shared by every later
+    exact to rounding; every other weight takes _gauss_jacobi.  The arrays are shared by every later
     call, so they are read-only.
     """
     if alpha == beta == -0.5:
         x = np.array([math.sin(math.pi * (k / (2 * n))) for k in range(1 - n, n, 2)])
         w = np.full(n, math.pi / n)
     else:
-        x, w = _golub_welsch(n, alpha, beta)
+        x, w = _gauss_jacobi(n, alpha, beta)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -441,20 +441,28 @@ class TransformTable:
         return out
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """DCT-I, x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n-1)), as the real
-    FFT of the even extension of x."""
-    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
+def _dct1(x: np.ndarray, n: int) -> np.ndarray:
+    """DCT-I of x zero-padded to length n >= x.size, x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j
+    cos(pi j k / (n-1)), as the real FFT of the even extension of the padded x; the extension is
+    built from x alone, so no padded copy of length n exists."""
+    ext = np.zeros(2 * (n - 1))
+    ext[:x.size] = x
+    ext[ext.size + 1 - x.size:] = x[:0:-1]  # x_j at 2(n-1) - j; rewrites x_{n-1} if x.size = n
+    return np.fft.rfft(ext).real
 
 
 def build_transform_table(p, eps: float, m: MollifierPair) -> TransformTable:
     pv = valid_exponent(p)
     L = math.pi / 0.02  # frequency spacing of the cosine table
     n_r = _TABLE_INTERVALS + 1
-    r = np.linspace(0.0, L, n_r)
-    prof = build_cancelled_kernel(KernelParams(pv, 1, 1.0, eps), m)(r[:, None])  # 0 past 3^(1/p)
+    dr = L / _TABLE_INTERVALS  # the step of np.linspace(0, L, n_r), which r_j = j dr reproduces
+    # the kernel is exactly 0.0 past its union support radius, so only the radii up to the first
+    # knot at or beyond it are evaluated; the DCT-I pads the rest with zeros
+    n_support = math.ceil(KernelParams(pv, 1, 1.0, 1.0).support_radius / dr) + 1
+    r = dr * np.arange(n_support)
+    prof = build_cancelled_kernel(KernelParams(pv, 1, 1.0, eps), m)(r[:, None])
     # cosine transform on the padded grid: spectrum at u_k = pi k / L
-    spec = (r[1] - r[0]) * _dct1(prof)
+    spec = dr * _dct1(prof, n_r)
     us = math.pi / L * np.arange(n_r)
     keep = us <= min(_TABLE_U_MAX, us[-1])
     # interpolating B-spline coefficients: the inverse of the filter (1, 4, 1)/6, truncated

@@ -309,7 +309,7 @@ def _reference_rule(n, alpha, beta, x0):
 
 
 class TestJacobiAxis:
-    # the numpy Golub-Welsch axis against scipy.special.roots_jacobi and a 40-digit reference
+    # the Newton axis against scipy.special.roots_jacobi and a 40-digit reference
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 512, 1024])
@@ -334,3 +334,27 @@ class TestJacobiAxis:
             mu0 = 2.0 ** (alpha + beta + 1.0) * special.beta(alpha + 1.0, beta + 1.0)
             assert np.max(np.abs(x - xr)) <= 1e-15
             assert np.max(np.abs(w / (mu0 * wr) - 1.0)) <= 1e-12
+
+    def test_built_without_lapack(self, monkeypatch):
+        # the nodes come from Newton on the recurrence, so no BLAS thread pool is involved
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh was called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        lpgeom._jacobi_axis.cache_clear()
+        for p in (1.2, 1.5, 3.0):
+            for alpha, beta in _graph_rule_pairs(p):
+                for n in (2, 64, 512):
+                    x, w = lpgeom._jacobi_axis(n, alpha, beta)
+                    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+                    assert np.all(w > 0.0)
+        lpgeom._jacobi_axis.cache_clear()
+
+    def test_unconverged_nodes_raise(self, monkeypatch):
+        monkeypatch.setattr(lpgeom, "_NEWTON_PASSES", 1)
+        lpgeom._jacobi_axis.cache_clear()
+        named = r"did not converge .*\(n=64, alpha=-0\.25, beta=-0\.5\)"
+        with pytest.raises(RuntimeError, match=named):
+            lpgeom._jacobi_axis(64, -0.25, -0.5)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sphere_quadrature(1.5, 2, 1.0, n=512)
+        lpgeom._jacobi_axis.cache_clear()

@@ -542,10 +542,39 @@ class TestMultiplier:
             assert abs(float(table.khat(np.array([u]))[0]) - direct) < 1e-8
 
     def test_dct_matches_scipy(self, rng):
-        for n in (2, 3, 17, 1001, 628_001):
-            x = rng.normal(size=n)
-            ref = sfft.dct(x, type=1)
-            assert np.max(np.abs(_dct1(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # two input forms: a dense x of length n, and a prefix of k < n values zero-padded to n
+        dense = [(n, n) for n in (2, 3, 17, 1001, 628_001)]
+        for k, n in dense + [(1, 2), (2, 3), (5, 17), (999, 1001), (8_341, 628_001)]:
+            x = rng.normal(size=k)
+            ref = sfft.dct(np.pad(x, (0, n - k)), type=1)
+            assert np.max(np.abs(_dct1(x, n) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])  # p = 1 has the widest support, radius 3
+    @pytest.mark.parametrize("eps", [0.05, 0.999])
+    def test_table_from_the_support_equals_the_dense_build(self, monkeypatch, moll, p, eps):
+        from lproth import mollifier
+
+        # the dense build: the profile on every radius, then the DCT-I of its even extension
+        L = math.pi / 0.02
+        r = np.linspace(0.0, L, oscillatory._TABLE_INTERVALS + 1)
+        kernel = mollifier.build_cancelled_kernel(mollifier.KernelParams(p, 1, 1.0, eps), moll)
+        prof = kernel(r[:, None])
+        spec = (r[1] - r[0]) * np.fft.rfft(np.concatenate([prof, prof[-2:0:-1]])).real
+        keep = math.pi / L * np.arange(r.size) <= oscillatory._TABLE_U_MAX
+        coef = np.convolve(np.pad(spec[keep], oscillatory._SPLINE_TAPS, mode="reflect"),
+                           oscillatory._SPLINE_FILTER, mode="valid")
+        seen = []
+        call = mollifier.CancelledKernel.__call__
+        monkeypatch.setattr(mollifier.CancelledKernel, "__call__",
+                            lambda self, y: seen.append(len(y)) or call(self, y))
+        table = build_transform_table(p, eps, moll)
+        assert table._coef.tobytes() == np.pad(coef, 1, mode="reflect").tobytes()
+        assert sum(seen) <= math.ceil(3.0 ** (1.0 / p) / (r[1] - r[0])) + 1
+
+    def test_table_at_large_p_computes_no_overflowing_power(self, moll):
+        # a dense build raised r^p past the float range on radii far outside the support
+        table = build_transform_table(256.0, 0.05, moll)
+        assert np.all(np.isfinite(table._coef))
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
     def test_table_matches_cubic_spline(self, moll, p):
