@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import claims, forms
+from lproth import claims, forms, gowers
 from lproth.gowers import (
     CyclicGridFunction,
     _overlap_shifts,
@@ -165,28 +166,50 @@ def sparse_grid(rng, M, d, cells):
 
 
 class TestSkippedShifts:
-    """The recursive U^3 visits only the shifts where supp F and supp F - h meet."""
+    """The recursive U^3 visits one shift of each pair {h, -h} where supp F and supp F - h meet."""
 
-    def test_bit_identical_to_all_shifts_1d(self, rng):
+    def test_matches_all_shifts_1d(self, rng):
         grids = [
             sparse_grid(rng, 32, 1, [[3], [7], [20]]),
             sparse_grid(rng, 32, 1, [[0], [1], [30], [31]]),  # wraps around index 0
             sparse_grid(rng, 16, 1, [[5]]),
-            CyclicGridFunction(np.zeros(16)),
             random_grid(rng, 16, 1),
         ]
         for F in grids:
-            assert u3_eighth_recursive(F) == u3_all_shifts(F)
+            ref = u3_all_shifts(F)
+            assert abs(u3_eighth_recursive(F) - ref) <= 1e-13 * ref
+        for M in (16, 32):
+            assert u3_eighth_recursive(CyclicGridFunction(np.zeros(M))) == 0.0
 
-    def test_bit_identical_to_all_shifts_2d(self, rng):
+    def test_matches_all_shifts_2d(self, rng):
         grids = [
             sparse_grid(rng, 8, 2, [[1, 2], [3, 3], [5, 1]]),
             sparse_grid(rng, 8, 2, [[0, 0], [7, 0], [0, 7], [7, 7]]),  # wraps on both axes
-            CyclicGridFunction(np.zeros((8, 8))),
             random_grid(rng, 6, 2),
         ]
         for F in grids:
-            assert u3_eighth_recursive(F) == u3_all_shifts(F)
+            ref = u3_all_shifts(F)
+            assert abs(u3_eighth_recursive(F) - ref) <= 1e-13 * ref
+        for M in (8, 16):
+            assert u3_eighth_recursive(CyclicGridFunction(np.zeros((M, M)))) == 0.0
+
+    @pytest.mark.parametrize("M, d, cells, compact, brute", [
+        (32, 1, [[30], [31], [0], [1]], (8,), True),  # the arc wraps across index 0
+        (16, 2, [[0, 0], [15, 0], [0, 15], [15, 15]], (4, 4), False),  # corner cells
+        (8, 2, [[0, 0], [7, 0], [0, 7], [7, 7]], (4, 4), True),
+        (16, 2, [[1, 0], [4, 8], [2, 15]], (8, 16), False),  # only the first axis compacts
+        (8, 2, [[0, 0], [1, 4], [0, 7]], (4, 8), True),
+    ])
+    def test_compact_grid_matches_both_oracles(self, rng, M, d, cells, compact, brute):
+        # the brute force's tuple budget admits the 8^2 grids but not the 16^2 ones
+        F = sparse_grid(rng, M, d, cells)
+        assert gowers._compact(F.values).shape == compact
+        r = u3_eighth_recursive(F)
+        ref = u3_all_shifts(F)
+        assert abs(r - ref) <= 1e-13 * ref
+        if brute:
+            b = u3_eighth_brute(F)
+            assert abs(b.real - r) <= 1e-10 * r
 
     def test_sparse_matches_brute(self, rng):
         for F in (sparse_grid(rng, 16, 1, [[2], [3], [9], [15]]),
@@ -206,6 +229,54 @@ class TestSkippedShifts:
         F = embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll)
         assert np.count_nonzero(F.values) == 194
         assert len(_overlap_shifts(F.values)) == 387
+
+
+class TestReductions:
+    """The compact grid, the shift blocks and their memory, pinned on the suite's grids."""
+
+    def test_compact_grid_sizes(self, moll, monkeypatch):
+        F = embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll)
+        assert gowers._compact(F.values).shape == (512,)
+        shapes = []
+        compact = gowers._compact
+
+        def spy(vals):
+            out = compact(vals)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(gowers, "_compact", spy)
+        u3_tensor_check(1.5, 2.0, M=64)
+        assert shapes == [(32, 32), (32,)]
+
+    def test_one_row_blocks_give_the_same_value(self, moll, rng, monkeypatch):
+        grids = [embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll), random_grid(rng, 12, 2)]
+        ref = [u3_eighth_recursive(F) for F in grids]
+        monkeypatch.setattr(gowers, "_BLOCK_BYTES", 1)
+        for F, r in zip(grids, ref):
+            assert abs(u3_eighth_recursive(F) - r) <= 1e-13 * r
+
+    @pytest.mark.parametrize("wrong", [lambda first, L: (first, L - 1),
+                                       lambda first, L: (first + 1, L)])
+    def test_off_by_one_arc_fails_the_brute_force(self, rng, monkeypatch, wrong):
+        # L = 5 needs N = 16; a length of 4 gives N = 8 < 2L - 1, a late first cell drops cell 30
+        F = sparse_grid(rng, 32, 1, [[30], [31], [0], [1], [2]])
+        arc = gowers._support_arc
+        monkeypatch.setattr(gowers, "_support_arc", lambda on_axis: wrong(*arc(on_axis)))
+        r = u3_eighth_recursive(F)
+        assert abs(u3_eighth_brute(F).real - r) > 1e-10 * abs(r)
+
+    def test_peak_allocation_bounded(self, moll, rng):
+        # blocks of at most _BLOCK_BYTES, never every shift's grid at once
+        for F in (embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll),
+                  random_grid(rng, 4096, 1)):
+            tracemalloc.start()
+            try:
+                u3_eighth_recursive(F)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestKernelDistance:
