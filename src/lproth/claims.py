@@ -91,7 +91,7 @@ def u2_spectral_identity(rng: np.random.Generator, count: int) -> Check:
 
 
 def u3_tensor_product(p, t: float) -> Check:
-    tc = gowers.u3_tensor_check(p, t, M=64)
+    tc = gowers.u3_tensor_check(p, t)
     return check(f"tensor factorization p={p} t={t}", "u3-tensor-product",
                  {"lhs": tc.lhs, "rhs": tc.rhs, "gap": tc.relative_gap}, tc.relative_gap, "<", 1e-2)
 
@@ -403,7 +403,7 @@ def forms_suite(cfg):
     en = forms.energy_sum(f, lams, eps, m, p)
     out.append(check("energy certificate ratio", "energy-ratio-bound",
                      {"ratio": en.ratio, "energies": en.energies}, en.ratio, "<", 1.0))
-    mt = forms.roth_main_term_experiment(0.5, 1, N, lam, cfg.trials, m, p, seed=cfg.seed)
+    mt = forms.roth_main_term_experiment(0.5, N, lam, cfg.trials, m, p, seed=cfg.seed)
     out.append(check("density main term positive", "main-term-positive",
                      {"min_normalized": mt}, mt, ">", 1e-3 * cw))
     # a box of about 8 on whole cells of the step h

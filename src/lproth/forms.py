@@ -123,10 +123,7 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
         offset = int(rng.integers(period))
         axis = np.zeros(n)
         axis[(np.arange(n) + offset) % period == 0] = 1.0
-        grid = axis
-        for _ in range(d - 1):
-            grid = np.multiply.outer(np.ones(n), grid)
-        vals = grid.ravel()
+        vals = np.broadcast_to(axis, (n,) * d).flatten()  # stripes along the last axis
         short = want - int(vals.sum())
         if short > 0:
             empty = np.flatnonzero(vals == 0.0)
@@ -512,42 +509,38 @@ def energy_sum(f: BoxFunction, lambdas: Sequence[float], eps: float, m: Mollifie
     return EnergyReport(energies=energies, ratio=total / denom if denom > 0 else np.inf)
 
 
+def _box_counts(f: BoxFunction, mcells: int) -> np.ndarray:
+    """The int64 cell counts of the 0/1 box f in its boxes of mcells cells a side."""
+    per_side = f.n // mcells
+    boxes = f.values.astype(np.int64).reshape((per_side, mcells) * f.d)
+    return boxes.sum(axis=tuple(range(1, 2 * f.d, 2)))
+
+
 def box_partition_pigeonhole(f: BoxFunction, ell: float) -> bool:
     """Whether at least delta L / 2 of the L side-ell boxes hold half the mean density or more.
 
-    For indicator grids the comparison 2 L S_i >= S_total runs in exact
-    integers, so the claimed lower bound I >= delta L / 2 is checked with
-    no floating tolerance at all.
+    f must be a 0/1 indicator, so the comparison 2 L S_i >= S_total runs in
+    exact integers and the claimed lower bound I >= delta L / 2 is checked
+    with no floating tolerance at all.
     """
-    if f.values.min() < 0.0:
-        raise ValueError("pigeonhole requires nonnegative values")
+    if not np.all((f.values == 0.0) | (f.values == 1.0)):
+        raise ValueError("f must be a 0/1 indicator box")
     mcells = valid_scale("ell", ell) / f.h
     if abs(mcells - round(mcells)) > 1e-9:
         raise ValueError("box side must be a whole number of cells")
     mcells = int(round(mcells))
     if f.n % mcells != 0:
         raise ValueError("box side must divide the grid")
-    per_side = f.n // mcells
-    L = per_side**f.d
-    vals = f.values
-    integral_exact = np.array_equal(vals, vals.astype(np.int64).astype(float))
-    if integral_exact:
-        v = vals.astype(np.int64)
-    else:
-        v = vals
-    if f.d == 1:
-        sums = v.reshape(per_side, mcells).sum(axis=1)
-    else:
-        sums = v.reshape(per_side, mcells, per_side, mcells).sum(axis=(1, 3))
-    total = sums.sum()
+    sums = _box_counts(f, mcells)
+    L, total = sums.size, sums.sum()
     qualifying = int(np.count_nonzero(2 * L * sums >= total))
     # claimed bound: qualifying >= delta L / 2 with delta the grid mean
     return bool(2 * qualifying * mcells**f.d >= total)
 
 
-def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials: int,
+def roth_main_term_experiment(delta: float, N: float, lam: float, trials: int,
                               m: MollifierPair, p, seed: int = 0) -> float:
-    """The minimum of M_lam / N^d over random density-delta sets.
+    """The minimum of M_lam / N over random density-delta sets in [0, N].
 
     Ensembles alternate i.i.d. cell draws with structured stripes; the
     observed minimum is the empirical density constant.
@@ -559,9 +552,9 @@ def roth_main_term_experiment(delta: float, d: int, N: float, lam: float, trials
     _, h = resolved_grid(N, lam, 1.0, pv)
     outs = []
     for trial in range(trials):
-        f = random_indicator(N, h, d, delta, seed=seed * 1000 + trial,
+        f = random_indicator(N, h, 1, delta, seed=seed * 1000 + trial,
                              structured=(trial % 2 == 1))
-        outs.append(m_lambda(f, lam, m, pv).value / N**d)
+        outs.append(m_lambda(f, lam, m, pv).value / N)
     return min(outs)
 
 

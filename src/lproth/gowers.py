@@ -256,16 +256,14 @@ def min_shell_grid(eta: float, eps: float, p: float) -> int:
     return next(M for M in range(max(1, c - 1), c + 2) if period / M <= max_cell)
 
 
-def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
+def embed_kernel_difference(eta: float, eps: float, p: float, M: int,
                             m: MollifierPair) -> CyclicGridFunction:
-    """chi_+ (omega_eta - omega_eps), the unit-radius shells, sampled on a cyclic grid.
+    """chi_+ (omega_eta - omega_eps), the unit-radius d = 1 shells, sampled on a cyclic grid.
 
     The grid covers a period of five support diameters so that no cyclic
     combination of shifted factors aliases across components; the shell
     must be resolved by >= 8 cells or the embedding is rejected.
     """
-    if valid_count("d", d) not in (1, 2):
-        raise ValueError("kernel embedding supports d in {1, 2}")
     M = valid_count("M", M)
     M_min = min_shell_grid(eta, eps, p)
     if M < M_min:
@@ -274,15 +272,9 @@ def embed_kernel_difference(eta: float, eps: float, p: float, d: int, M: int,
             f"widths ({eta:g}, {eps:g}) at p = {p:g}")
     cell = _embedding_period(eta, eps, p) / M
     ax = (np.arange(M) - M // 2) * cell
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    k_eta = omega_eps_eval(pts, KernelParams(p, d, 1.0, eta), m)
-    k_eps = omega_eps_eval(pts, KernelParams(p, d, 1.0, eps), m)
-    vals = (k_eta - k_eps).reshape((M,) * d)
-    pos = np.ones_like(vals)
-    for g in grids:
-        pos = pos * (g > 0.0)
-    return CyclicGridFunction(vals * pos, cell=cell)
+    k_eta = omega_eps_eval(ax[:, None], KernelParams(p, 1, 1.0, eta), m)
+    k_eps = omega_eps_eval(ax[:, None], KernelParams(p, 1, 1.0, eps), m)
+    return CyclicGridFunction((k_eta - k_eps) * (ax > 0.0), cell=cell)
 
 
 def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair) -> float:
@@ -297,15 +289,15 @@ def u3_kernel_distance(eta: float, eps: float, p, M: int, m: MollifierPair) -> f
     desk scale, so the probe reports a divergence rate rather than a
     Cauchy tail.
     """
-    pv = valid_exponent(p)
-    if eta == eps:
-        return 0.0
-    return u3_norm_continuum(embed_kernel_difference(eta, eps, pv, 1, M, m))
+    return u3_norm_continuum(embed_kernel_difference(eta, eps, valid_exponent(p), M, m))
 
 
 # ---------------------------------------------------------------------------
 # tensorization check
 # ---------------------------------------------------------------------------
+
+
+_TENSOR_M = 64  # cells per axis of the tensorization check's grids
 
 
 @dataclass
@@ -315,20 +307,20 @@ class TensorCheck:
     relative_gap: float
 
 
-def u3_tensor_check(p, t: float, M: int = 64) -> TensorCheck:
+def u3_tensor_check(p, t: float) -> TensorCheck:
     """Product structure of the U^3 norm of phase-modulated tensor cutoffs.
 
     Compares the d = 2 grid norm of phi(y1) phi(y2) 1_{y>0} e^{it(|y1|^p + |y2|^p)}
-    against the square of the matched one-dimensional norm.  The factorization is
-    an identity of the sums themselves, so agreement holds at any resolution.
+    against the square of the matched one-dimensional norm, on _TENSOR_M cells per
+    axis.  The factorization is an identity of the sums themselves, so agreement
+    holds at any resolution.
     """
     pv = valid_exponent(p)
     t = valid_finite("t", t)
-    M = valid_count("M", M)
     C = 3.0 ** (1.0 / pv)
     period = 5.0 * (2.0 * C)  # positive restriction occupies (0, 2C]
-    cell = period / M
-    ax = (np.arange(M) - M // 2) * cell
+    cell = period / _TENSOR_M
+    ax = (np.arange(_TENSOR_M) - _TENSOR_M // 2) * cell
     f1 = even_bump(ax, C, 2.0 * C) * (ax > 0.0) * np.exp(1j * t * np.abs(ax) ** pv)
     F1 = CyclicGridFunction(f1, cell=cell)
     Y1, Y2 = np.meshgrid(ax, ax, indexing="ij")

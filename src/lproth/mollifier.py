@@ -17,8 +17,9 @@ Shell kernels at radius lam and width eps:
 
 with omega = the eps = 1 case.  The cancelled kernel subtracts the
 mass-matching multiple c1(eps) of omega so that its integral vanishes.
-Kernel integrals use one radial Gauss-Legendre rule with panel edges at the
-shell edges, or in d = 2 one positive-quadrant tensor rule.  The closed
+Kernel integrals, and the transform (d = 1 only), use one radial
+Gauss-Legendre rule with panel edges at the shell edges; the d = 2 full-box
+oracle of forms uses the positive-quadrant tensor rule.  The closed
 form's independent oracle, omega_eps_direct_oscillatory, integrates the
 window psi itself against the oscillation, on composite Gauss-Legendre
 panels short enough for both; it never evaluates psi_hat.
@@ -27,7 +28,7 @@ panels short enough for both; it never evaluates psi_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -231,24 +232,17 @@ def build_cancelled_kernel(params: KernelParams, m: MollifierPair) -> CancelledK
 def kernel_fourier(eta, params: KernelParams, m: MollifierPair) -> float:
     """Fourier transform of the cancelled kernel, convention fhat(eta) = int f(y) e^{-i y.eta} dy.
 
-    Direct quadrature over the compact support, d <= 2 only (radial rule, quadrant rule).
+    Direct quadrature over the compact support by the radial rule, d = 1 only.
     The kernel is real and even, so the transform is real.
     """
-    if params.d > 2:
-        raise ValueError("direct transform quadrature supports d <= 2")
+    if params.d != 1:
+        raise ValueError(f"d must be 1 for the transform, got {params.d}")
     if not np.all(np.isfinite(eta)):
         raise ValueError(f"frequency must be finite: {eta}")
     kern = build_cancelled_kernel(params, m)
-    if params.d == 1:
-        w = float(np.atleast_1d(eta)[0])
-        r, wq = _radial_rule(_shell_edges(params.p, params.eps, params.lam, cancelled=True), w)
-        return 2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r)))
-    eta = np.asarray(eta, dtype=float)
-    R = replace(params, eps=1.0).support_radius  # the union support of the two kernels
-    width = 2.0 * params.eps * params.lam / params.p
-    n_min = max(24.0 * R / max(width, 1e-3), 4.0 * R * float(np.max(np.abs(eta))) / np.pi)
-    osc = lambda Y1, Y2: np.cos(Y1 * eta[0]) * np.cos(Y2 * eta[1])
-    return _quadrant_integral(kern, osc, R, n_min)
+    w = float(np.atleast_1d(eta)[0])
+    r, wq = _radial_rule(_shell_edges(params.p, params.eps, params.lam, cancelled=True), w)
+    return 2.0 * float(np.sum(wq * kern(r[:, None]) * np.cos(w * r)))
 
 
 def omega_eps_direct_oscillatory(y, params: KernelParams, m: MollifierPair) -> float:

@@ -28,6 +28,7 @@ from lproth.cli import (
     run_suite,
     write_report_atomic,
 )
+from test_program_trace import TEST_ORACLES
 
 
 class TestConfigParsing:
@@ -610,10 +611,9 @@ def test_every_public_claim_is_reported():
     assert set(public) - {"check"} - suites - reported == set()
 
 
-# reference implementations that only the tests evaluate, against the paths the program runs
-_TEST_ORACLES = {"i_of_t_lattice", "kernel_mass_mc", "shell_mc_quadrature", "sigma_total_mass",
-                 "unit_ball_volume_mc"}
-
+# A function or method that the program never calls fails test_program_trace.py.  A line
+# trace cannot see a result field nobody reads or a default nobody overrides, so these
+# two guards read the program's source instead.
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = sorted((_ROOT / "src" / "lproth").glob("*.py"))
 # the package, the scripts and the benchmark harness, but no test
@@ -637,33 +637,8 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
-def test_every_public_function_is_used_by_the_program():
-    # a helper that only its own tests call is code nothing needs
-    # a call, or a reference such as the suites held by cli._SUITE_FNS
-    used = set()
-    for node in _program_nodes():
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    public = {f"{path.stem}.{node.name}" for path in _PACKAGE
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    unused = {name for name in public if name.split(".")[1] not in used | _TEST_ORACLES}
-    assert unused == set()
-
-
-def test_every_public_method_is_used_by_the_program():
-    # by name, so a method shares its use with any attribute of the same name
-    used = {node.attr for node in _program_nodes() if isinstance(node, ast.Attribute)}
-    unused = {f"{name}.{node.name}" for name, cls in _package_classes() for node in cls.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-              and node.name not in used}
-    assert unused == set()
-
-
 def test_every_result_field_is_read_by_the_program():
-    # a field that nothing reads is a result nobody looks at; matched by name, as above
+    # a field that nothing reads is a result nobody looks at; matched by attribute name
     read = {node.attr for node in _program_nodes()
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = {f"{name}.{node.target.id}" for name, cls in _package_classes() if _is_dataclass(cls)
@@ -692,7 +667,7 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     fns = [(f"{path.stem}.{node.name}", node, False) for path in _PACKAGE
            for node in ast.parse(path.read_text()).body
            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-           and node.name not in _TEST_ORACLES]
+           and node.name not in TEST_ORACLES]
     fns += [(f"{name}.{node.name}", node, True) for name, cls in _package_classes()
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]

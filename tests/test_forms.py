@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lproth import lpgeom
+from lproth import forms, lpgeom
 from lproth.forms import (
     BoxFunction,
     box_partition_pigeonhole,
@@ -24,6 +24,7 @@ from lproth.forms import (
 )
 from lproth.gowers import CyclicGridFunction, u3_norm_continuum
 from lproth.mollifier import KernelParams, build_cancelled_kernel, kernel_total_mass, omega_eps_eval
+from lproth.util import spawn_rng
 
 P = 1.5
 
@@ -96,6 +97,34 @@ class TestBoxFunction:
         # the stripe period round(1 / density) must fit in int64
         with pytest.raises(ValueError, match="^density must be above 2\\*\\*-63"):
             random_indicator(8.0, 0.5, 2, density, seed=1, structured=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_structured_stripes_as_the_outer_product_loop(self, monkeypatch, d):
+        # the stripes of the d - 1 outer products this build replaced, and the same draws after
+        drawn = []
+
+        def record(*args):
+            drawn.append(spawn_rng(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(forms, "spawn_rng", record)
+        n = 12
+        for seed in range(6):
+            for density in (0.26, 0.3, 0.5):
+                rng = spawn_rng(seed, 3)
+                period = max(2, int(round(1.0 / density)))
+                axis = np.zeros(n)
+                axis[(np.arange(n) + int(rng.integers(period))) % period == 0] = 1.0
+                grid = axis
+                for _ in range(d - 1):
+                    grid = np.multiply.outer(np.ones(n), grid)
+                old = grid.ravel()
+                short = int(np.ceil(density * n**d)) - int(old.sum())
+                if short > 0:
+                    old[rng.choice(np.flatnonzero(old == 0.0), size=short, replace=False)] = 1.0
+                f = random_indicator(float(n), 1.0, d, density, seed=seed, structured=True)
+                assert f.values.tobytes() == old.tobytes() and f.values.flags.writeable
+                assert drawn[-1].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("density, structured, cell", [
         (1.1e-19, True, 142), (np.nextafter(2.0**-63, 1.0), True, 142), (1e-19, False, 109)])
@@ -319,10 +348,6 @@ class TestEnergySum:
 
 
 class TestPigeonhole:
-    def test_constant_half_density(self):
-        f = BoxFunction(values=0.5 * np.ones((16, 16)), N=16.0, h=1.0)
-        assert box_partition_pigeonhole(f, 4.0)
-
     def test_half_filled_boxes(self):
         vals = np.zeros((16, 16))
         vals[:8, :] = 1.0
@@ -345,15 +370,29 @@ class TestPigeonhole:
                 f = random_indicator(16.0, 1.0, d, 0.25, seed=seed)
                 assert box_partition_pigeonhole(f, 2.0)
 
+    def test_box_counts_as_the_per_dimension_sums(self):
+        # the one reshape against the d = 1 and d = 2 sums it replaced, cell count for cell count
+        for d in (1, 2):
+            for seed in range(30):
+                f = random_indicator(16.0, 1.0, d, 0.25, seed=seed)
+                v = f.values.astype(np.int64)
+                old = (v.reshape(8, 2).sum(axis=1) if d == 1
+                       else v.reshape(8, 2, 8, 2).sum(axis=(1, 3)))
+                new = forms._box_counts(f, 2)
+                assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
     def test_non_dividing_side_rejected(self):
         f = full_box(16.0, 1.0, 1)
         with pytest.raises(ValueError):
             box_partition_pigeonhole(f, 3.0)
 
-    def test_negative_values_rejected(self):
-        f = BoxFunction(values=-0.5 * np.ones(16), N=16.0, h=1.0)
-        with pytest.raises(ValueError):
-            box_partition_pigeonhole(f, 4.0)
+    def test_non_indicator_rejected(self):
+        one_cell = np.zeros((16, 16))
+        one_cell[3, 5] = 0.3
+        for vals in (0.5 * np.ones((16, 16)), -0.5 * np.ones(16), one_cell):
+            f = BoxFunction(values=vals, N=16.0, h=1.0)
+            with pytest.raises(ValueError, match="^f must be a 0/1 indicator box"):
+                box_partition_pigeonhole(f, 4.0)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("ell", [np.inf, -np.inf, np.nan, 0.0, -1.0])
@@ -366,21 +405,21 @@ class TestPigeonhole:
 class TestMainTerm:
     def test_full_density(self, moll):
         N, lam = 32.0, 2.0
-        low = roth_main_term_experiment(1.0, 1, N, lam, 2, moll, P, seed=3)
+        low = roth_main_term_experiment(1.0, N, lam, 2, moll, P, seed=3)
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
         assert low == pytest.approx(cw, rel=4.0 * lam / N)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, moll, trials):
         with pytest.raises(ValueError, match="^trials must be at least 1"):
-            roth_main_term_experiment(0.5, 1, 32.0, 2.0, trials, moll, P, seed=3)
+            roth_main_term_experiment(0.5, 32.0, 2.0, trials, moll, P, seed=3)
 
     def test_nan_density_named(self, moll):
         with pytest.raises(ValueError, match="^density must be finite"):
-            roth_main_term_experiment(np.nan, 1, 32.0, 2.0, 2, moll, P, seed=3)
+            roth_main_term_experiment(np.nan, 32.0, 2.0, 2, moll, P, seed=3)
 
     def test_random_ensemble_positive(self, moll):
-        low = roth_main_term_experiment(0.5, 1, 32.0, 2.0, 12, moll, P, seed=9)
+        low = roth_main_term_experiment(0.5, 32.0, 2.0, 12, moll, P, seed=9)
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
         assert low > 1e-3 * cw
 

@@ -226,7 +226,7 @@ class TestSkippedShifts:
         assert [tuple(h) for h in _overlap_shifts(F.values)] == sorted(diffs)
 
     def test_kernel_embedding_is_sparse(self, moll):
-        F = embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll)
+        F = embed_kernel_difference(0.025, 0.1, 1.5, 4096, moll)
         assert np.count_nonzero(F.values) == 194
         assert len(_overlap_shifts(F.values)) == 387
 
@@ -235,7 +235,7 @@ class TestReductions:
     """The compact grid, the shift blocks and their memory, pinned on the suite's grids."""
 
     def test_compact_grid_sizes(self, moll, monkeypatch):
-        F = embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll)
+        F = embed_kernel_difference(0.025, 0.1, 1.5, 4096, moll)
         assert gowers._compact(F.values).shape == (512,)
         shapes = []
         compact = gowers._compact
@@ -246,11 +246,11 @@ class TestReductions:
             return out
 
         monkeypatch.setattr(gowers, "_compact", spy)
-        u3_tensor_check(1.5, 2.0, M=64)
+        u3_tensor_check(1.5, 2.0)
         assert shapes == [(32, 32), (32,)]
 
     def test_one_row_blocks_give_the_same_value(self, moll, rng, monkeypatch):
-        grids = [embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll), random_grid(rng, 12, 2)]
+        grids = [embed_kernel_difference(0.025, 0.1, 1.5, 4096, moll), random_grid(rng, 12, 2)]
         ref = [u3_eighth_recursive(F) for F in grids]
         monkeypatch.setattr(gowers, "_BLOCK_BYTES", 1)
         for F, r in zip(grids, ref):
@@ -268,7 +268,7 @@ class TestReductions:
 
     def test_peak_allocation_bounded(self, moll, rng):
         # blocks of at most _BLOCK_BYTES, never every shift's grid at once
-        for F in (embed_kernel_difference(0.025, 0.1, 1.5, 1, 4096, moll),
+        for F in (embed_kernel_difference(0.025, 0.1, 1.5, 4096, moll),
                   random_grid(rng, 4096, 1)):
             tracemalloc.start()
             try:
@@ -308,9 +308,9 @@ class TestKernelDistance:
     def test_min_shell_grid_is_the_threshold(self, moll):
         for eta, eps, p in ((0.025, 0.1, 1.5), (0.05, 0.1, 3.0), (0.025, 0.1, 5.0)):
             M = min_shell_grid(eta, eps, p)
-            embed_kernel_difference(eta, eps, p, 1, M, moll)
+            embed_kernel_difference(eta, eps, p, M, moll)
             with pytest.raises(ValueError, match=f"< {M}"):
-                embed_kernel_difference(eta, eps, p, 1, M - 1, moll)
+                embed_kernel_difference(eta, eps, p, M - 1, moll)
         assert min_shell_grid(0.025, 0.1, 1.5) == 1356
 
     def test_min_shell_grid_bounded_for_huge_p(self):
@@ -321,26 +321,38 @@ class TestKernelDistance:
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 min_shell_grid(0.025, 0.1, p)
 
+    @pytest.mark.parametrize("M", [2048, 4096])
+    def test_embedding_as_the_dimension_generic_build(self, moll, M):
+        # the meshgrid build and the product of axis masks this 1-d build replaced
+        eta, eps, p = 0.05, 0.1, 1.5
+        cell = gowers._embedding_period(eta, eps, p) / M
+        ax = (np.arange(M) - M // 2) * cell
+        grids = np.meshgrid(ax, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        vals = (omega_eps_eval(pts, KernelParams(p, 1, 1.0, eta), moll)
+                - omega_eps_eval(pts, KernelParams(p, 1, 1.0, eps), moll)).reshape(M)
+        pos = np.ones_like(vals)
+        for g in grids:
+            pos = pos * (g > 0.0)
+        old = CyclicGridFunction(vals * pos, cell=cell)
+        F = embed_kernel_difference(eta, eps, p, M, moll)
+        assert F.values.tobytes() == old.values.tobytes() and F.cell == old.cell
+
     def test_embedding_masks_negative_axis(self, moll):
-        F = embed_kernel_difference(0.05, 0.1, 1.5, 1, 2048, moll)
+        F = embed_kernel_difference(0.05, 0.1, 1.5, 2048, moll)
         ax = (np.arange(2048) - 1024) * F.cell
         assert np.all(F.values[ax <= 0.0] == 0.0)
 
 
 class TestTensorization:
     def test_no_oscillation_matches(self):
-        tc = u3_tensor_check(1.5, 0.0, M=64)
+        tc = u3_tensor_check(1.5, 0.0)
         assert tc.relative_gap < 1e-10
 
     def test_grid_identity_at_stated_points(self):
         for p, t in ((1.5, 2.0), (3.0, 5.0)):
-            tc = u3_tensor_check(p, t, M=64)
+            tc = u3_tensor_check(p, t)
             assert tc.relative_gap < 1e-2
-
-    def test_empty_grid_rejected(self):
-        for M in (0, -4):
-            with pytest.raises(ValueError, match="M must be at least 1"):
-                u3_tensor_check(1.5, 1.0, M=M)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_modulation_named(self, t):

@@ -187,10 +187,6 @@ class TestKernelTransform:
         v = kernel_fourier(np.zeros(1), KernelParams(1.5, 1, 1.0, 0.05), moll)
         assert abs(v) < 1e-8
 
-    def test_zero_frequency_cancellation_2d(self, moll):
-        v = kernel_fourier(np.zeros(2), KernelParams(1.5, 2, 1.0, 0.1), moll)
-        assert abs(v) < 1e-6
-
     def test_small_frequency_slope(self, moll):
         lam = 2.0
         params = KernelParams(1.5, 1, lam, 0.1)
@@ -210,8 +206,10 @@ class TestKernelTransform:
         assert abs(a.imag) < 1e-12
 
     def test_dimension_cap(self, moll):
-        with pytest.raises(ValueError):
-            kernel_fourier(np.zeros(3), KernelParams(1.5, 3, 1.0, 0.1), moll)
+        # the transform is one-dimensional
+        for d in (2, 3):
+            with pytest.raises(ValueError, match="^d must be 1"):
+                kernel_fourier(np.zeros(d), KernelParams(1.5, d, 1.0, 0.1), moll)
 
     def test_frequency_beyond_node_budget_rejected(self, moll):
         # the radial rule's node count grows with the frequency; past its
@@ -219,7 +217,7 @@ class TestKernelTransform:
         with pytest.raises(RuntimeError, match="budget exceeded"):
             kernel_fourier(np.array([1e9]), KernelParams(1.5, 1, 1.0, 0.1), moll)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_frequency_rejected(self, moll, d, bad):
         eta = np.full(d, bad)

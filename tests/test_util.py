@@ -42,14 +42,11 @@ COUNTS = {
     ("i_of_t_lattice", "n_kl"): lambda v: oscillatory.i_of_t_lattice(1.5, 10.0, n_kl=v, n_y=64),
     ("i_of_t_lattice", "n_y"): lambda v: oscillatory.i_of_t_lattice(1.5, 10.0, n_kl=4, n_y=v),
     ("lacunary_sum_bound", "k"): lambda v: oscillatory.lacunary_sum_bound([1.0, 2.0], k=v),
-    ("u3_tensor_check", "M"): lambda v: gowers.u3_tensor_check(1.5, 1.0, M=v),
     ("embed_kernel_difference", "M"): lambda v: gowers.embed_kernel_difference(
-        0.05, 0.1, 1.5, 1, v, None),
-    ("embed_kernel_difference", "d"): lambda v: gowers.embed_kernel_difference(
-        0.05, 0.1, 1.5, v, 2048, None),
+        0.05, 0.1, 1.5, v, None),
     ("u3_kernel_distance", "M"): lambda v: gowers.u3_kernel_distance(0.05, 0.1, 1.5, v, None),
     ("roth_main_term_experiment", "trials"): lambda v: forms.roth_main_term_experiment(
-        0.5, 1, 32.0, 2.0, v, None, 1.5),
+        0.5, 32.0, 2.0, v, None, 1.5),
     ("full_box", "d"): lambda v: forms.full_box(4.0, 1.0, v),
     ("random_indicator", "d"): lambda v: forms.random_indicator(4.0, 1.0, v, 0.5, seed=0),
     ("estimate_density", "n"): lambda v: SHELL.estimate_density(10.0, n=v),
@@ -110,6 +107,8 @@ LIMITS = {
     ("sphere_quadrature", "d"): lambda: lpgeom.sphere_quadrature(1.5, 4, 1.0),
     ("shell_mc_quadrature", "d"): lambda: lpgeom.shell_mc_quadrature(1.5, 9, 1.0, 8, 0),
     ("unit_ball_volume", "d"): lambda: lpgeom.unit_ball_volume(1.5, 2000),
+    ("kernel_fourier", "d"): lambda: mollifier.kernel_fourier(
+        np.zeros(2), mollifier.KernelParams(1.5, 2, 1.0, 0.1), None),
     ("progression_search", "d"): lambda: sets.progression_search(
         sets.bourgain_set(4), 1.5, 2.0, tol=1e-3, budget=1000, box_hi=4.0, seed=1),
 }
@@ -117,6 +116,7 @@ LIMITS = {
 # the first piece of work of each entry point above
 WORK = [(lpgeom, "_graph_rule"), (lpgeom, "spawn_rng"),
         (oscillatory, "_panel_count"), (oscillatory, "_shift_cells"), (oscillatory, "phi_plus"),
+        (mollifier, "build_cancelled_kernel"),
         (gowers, "even_bump"), (gowers, "min_shell_grid"), (forms, "spawn_rng"),
         (forms, "resolved_grid"), (forms, "e_lambda"), (forms, "_gap_sums"),
         (forms, "_product_view"), (sets, "spawn_rng"), (sets, "random_indicator")]
