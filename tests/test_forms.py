@@ -348,6 +348,13 @@ class TestEnergySum:
 
 
 class TestPigeonhole:
+    def test_constant_half_density(self):
+        # a 0/1 checkerboard: every 4 x 4 box holds 8 of its 16 cells, so all L boxes qualify
+        vals = (np.add.outer(np.arange(16), np.arange(16)) % 2).astype(float)
+        f = BoxFunction(values=vals, N=16.0, h=1.0)
+        assert np.all(forms._box_counts(f, 4) == 8)
+        assert box_partition_pigeonhole(f, 4.0)
+
     def test_half_filled_boxes(self):
         vals = np.zeros((16, 16))
         vals[:8, :] = 1.0
@@ -386,10 +393,15 @@ class TestPigeonhole:
         with pytest.raises(ValueError):
             box_partition_pigeonhole(f, 3.0)
 
+    def test_negative_values_rejected(self):
+        f = BoxFunction(values=-0.5 * np.ones(16), N=16.0, h=1.0)
+        with pytest.raises(ValueError, match="^f must be a 0/1 indicator box"):
+            box_partition_pigeonhole(f, 4.0)
+
     def test_non_indicator_rejected(self):
         one_cell = np.zeros((16, 16))
         one_cell[3, 5] = 0.3
-        for vals in (0.5 * np.ones((16, 16)), -0.5 * np.ones(16), one_cell):
+        for vals in (0.5 * np.ones((16, 16)), one_cell):
             f = BoxFunction(values=vals, N=16.0, h=1.0)
             with pytest.raises(ValueError, match="^f must be a 0/1 indicator box"):
                 box_partition_pigeonhole(f, 4.0)
