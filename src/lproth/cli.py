@@ -2,11 +2,14 @@
 
 This module holds the config, the runner and the I/O.  Every record and
 curve comes from a suite function in ``lproth.claims``, a pure function of
-the config, which ``run_suite`` calls in ``_SUITE_FNS`` order.  Every report
-record names the claim it checks through a stable anchor slug;
-``lint_report`` rejects a malformed or anchorless record (exit 3, nothing
-written), and the tests check every suite's whole report against
-``REPORT_SCHEMA``, which ``lproth schema`` prints.  All numerics are fully
+the config.  ``run_suite`` runs the suites of ``verify-all`` on a fork
+process pool, one worker per usable CPU, and merges their records and
+curves in ``_SUITE_FNS`` order.  The report has the same bits as when one
+process runs the suites in turn, as it does for a single suite or on one
+CPU.  Every report record names the claim it checks through a stable
+anchor slug; ``lint_report`` rejects a malformed or anchorless record
+(exit 3, nothing written), and the tests check every suite's whole report
+against ``REPORT_SCHEMA``, which ``lproth schema`` prints.  All numerics are fully
 determined by (config, seed); wall-clock data is isolated in a single
 ``timing`` subtree so reports can be byte-compared with it masked.
 
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import claims, forms, gowers, lpgeom
+from . import claims, forms, gowers, lpgeom, util
 
-# each suite is a pure function of the config: (records, curves), run in this order
+# each suite is a pure function of the config: (records, curves), reported in this order
 _SUITE_FNS = {
     "kernels": claims.kernels_suite,
     "gowers": claims.gowers_suite,
@@ -43,6 +46,8 @@ _SUITE_FNS = {
     "search": claims.search_suite,
 }
 SUITES = (*_SUITE_FNS, "verify-all")
+# the suites as the pool takes them, longest first, so that the short ones fill in behind
+_POOL_ORDER = ("oscillatory", "search", "gowers", "counterexamples", "forms", "kernels")
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -234,17 +239,45 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+def _timed_suite(suite: str, cfg: ExperimentConfig) -> tuple[list, list, float]:
+    """One suite's (records, curves, runtime in s), timed in the process that runs it."""
+    t0 = time.perf_counter()
+    records, curves = _SUITE_FNS[suite](cfg)
+    return records, curves, round(time.perf_counter() - t0, 3)
+
+
+def _pooled_suites(cfg: ExperimentConfig, workers: int) -> dict:
+    """suite -> _timed_suite's triple for every suite, on a pool of forked workers.
+
+    The first failure cancels the suites not yet queued for a worker.  Once
+    every worker has ended, the failure of the first failed suite in
+    ``_SUITE_FNS`` order is raised here."""
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, wait
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {suite: pool.submit(_timed_suite, suite, cfg) for suite in _POOL_ORDER}
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    for suite in _SUITE_FNS:
+        if not futures[suite].cancelled() and futures[suite].exception() is not None:
+            raise futures[suite].exception()
+    return {suite: fut.result() for suite, fut in futures.items()}
+
+
 def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
     """Execute the configured suite; returns (report, curves, exit_code)."""
     names = list(_SUITE_FNS) if cfg.suite == "verify-all" else [cfg.suite]
+    workers = min(util.usable_cpus(), len(names))
+    results = (_pooled_suites(cfg, workers) if workers > 1
+               else {suite: _timed_suite(suite, cfg) for suite in names})
     records, curves = [], []
     runtimes = {}
     for suite in names:
-        t0 = time.perf_counter()
-        suite_records, suite_curves = _SUITE_FNS[suite](cfg)
+        suite_records, suite_curves, runtimes[suite] = results[suite]
         records += suite_records
         curves += suite_curves
-        runtimes[suite] = round(time.perf_counter() - t0, 3)
     n_fail = sum(1 for c in records if not c.passed)
     worst = min((c for c in records if not math.isnan(c.margin)), key=lambda c: c.margin,
                 default=None)

@@ -43,7 +43,6 @@ of the corner weights times a triple sum of f on the grid.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ import numpy as np
 from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
-from .util import spawn_rng, valid_count, valid_finite, valid_lacunary, valid_scale
+from .util import spawn_rng, usable_cpus, valid_count, valid_finite, valid_lacunary, valid_scale
 
 
 @dataclass
@@ -329,14 +328,6 @@ def _shifted(window: tuple, off) -> tuple:
     return tuple(slice(sl.start + o, sl.stop + o) for sl, o in zip(window, off))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS reports one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _overlap_blocks(n: int, b1: np.ndarray, b2: np.ndarray, block_cells: int):
     """The overlap window of the shifts with cell parts b1 and b2, in blocks of rows.
 
@@ -424,7 +415,7 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
             local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(2))
         return _node_sum(f, rim, node, local.bufs, total)
 
-    workers = max(1, min(_usable_cpus(), len(quad.nodes)))
+    workers = max(1, min(usable_cpus(), len(quad.nodes)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
         sums = list(ex.map(run, quad.nodes))
     val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)

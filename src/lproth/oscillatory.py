@@ -347,7 +347,8 @@ def decay_fit(p, n_kl: int = 48) -> DecayFit:
     """
     pv = valid_exponent(p)
     ts = list(_DECAY_T)
-    vals = [i_of_t(pv, t, n_kl=n_kl) for t in ts]
+    # the largest t first: it costs the most, so a config over the I(t) budget fails at once
+    vals = [i_of_t(pv, t, n_kl=n_kl) for t in reversed(ts)][::-1]
     if max(vals) < 1e-12:
         raise RuntimeError("all values below the quadrature noise floor; fit degenerate")
     slope = float(np.polyfit(np.log(ts), np.log(np.maximum(vals, 1e-300)), 1)[0])

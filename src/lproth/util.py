@@ -1,4 +1,5 @@
-"""Small numeric helpers shared across the package, and the rules for counts and scales.
+"""Small helpers shared across the package: seeded streams, the usable CPU count, and the
+rules for counts and scales.
 
 Each ``valid_*`` rule returns the converted argument or raises ``ValueError``
 with a message that starts with the argument's name, as ``lpgeom.valid_exponent`` does for p.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -15,6 +17,14 @@ import numpy as np
 def spawn_rng(master_seed: int, task_index: int) -> np.random.Generator:
     """Derive an independent, reproducible stream from (master seed, task index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(task_index,)))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def valid_count(name: str, n) -> int:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -270,7 +271,7 @@ class TestListAndSchema:
         assert "verify-all" in out and "kernels" in out
 
     def test_list_order(self, capsys):
-        # the suites in run order, then verify-all, which runs them all
+        # the suites in report order, then verify-all, which runs them all
         assert cli.main(["list"]) == 0
         assert capsys.readouterr().out.split() == [
             "kernels", "gowers", "forms", "oscillatory", "counterexamples", "search", "verify-all"]
@@ -503,6 +504,101 @@ def test_each_suite_is_its_slice_of_verify_all(verify_all_run):
         n_rec += len(alone["records"])
         n_curve += len(alone_curves)
     assert (n_rec, n_curve) == (len(report["records"]), len(curves))
+
+
+def test_runtimes_name_every_suite(verify_all_report):
+    runtimes = verify_all_report["timing"]["runtimes_s"]
+    assert list(runtimes) == list(cli._SUITE_FNS)
+    assert all(isinstance(v, float) and v >= 0.0 for v in runtimes.values())
+
+
+def test_pool_takes_every_suite_once():
+    assert sorted(cli._POOL_ORDER) == sorted(cli._SUITE_FNS)
+
+
+@pytest.mark.parametrize("suite,cpus,pooled", [
+    ("verify-all", 2, True), ("verify-all", 64, True), ("verify-all", 1, False),
+    ("kernels", 2, False)])
+def test_pool_merges_in_report_order(monkeypatch, suite, cpus, pooled):
+    # stand-in suites, one record and one curve each, which forked workers inherit
+    for name in cli._SUITE_FNS:
+        monkeypatch.setitem(cli._SUITE_FNS, name, lambda cfg, name=name: (
+            [Check(name, "synthetic-pass", {"pid": os.getpid()}, None, True)],
+            [(f"{name}.csv", ["x"], [[1.0]])]))
+    pools, pooled_run = [], cli._pooled_suites
+
+    def pooled_suites(cfg, workers):
+        pools.append(workers)
+        return pooled_run(cfg, workers)
+
+    monkeypatch.setattr(cli, "_pooled_suites", pooled_suites)
+    monkeypatch.setattr(cli.util, "usable_cpus", lambda: cpus)
+    report, curves, code = run_suite(tiny_config(suite))
+    names = list(cli._SUITE_FNS) if suite == "verify-all" else [suite]
+    assert code == 0
+    assert [r["name"] for r in report["records"]] == names
+    assert [c[0] for c in curves] == [f"{name}.csv" for name in names]
+    assert list(report["timing"]["runtimes_s"]) == names
+    assert pools == ([min(cpus, len(names))] if pooled else [])
+    pids = {r["values"]["pid"] for r in report["records"]}
+    assert (os.getpid() not in pids) == pooled
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_failure_exits_3(monkeypatch, capsys, tmp_path):
+    # the pool on any host; oscillatory refuses p = 64, and the grid resolves its shell
+    monkeypatch.setattr(cli.util, "usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    argv = ["run", "--suite", "verify-all", "--p", "64", "--grid-m", "8192", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "lproth: internal failure: oscillatory budget exceeded at the requested modulation\n")
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_failure_of_the_last_pooled_suite_reaches_the_caller(monkeypatch):
+    def broken(cfg):
+        raise ValueError("kernels broke")
+
+    for name in cli._SUITE_FNS:
+        monkeypatch.setitem(cli._SUITE_FNS, name, lambda cfg: ([], []))
+    monkeypatch.setitem(cli._SUITE_FNS, cli._POOL_ORDER[-1], broken)
+    monkeypatch.setattr(cli.util, "usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="^kernels broke$"):
+        run_suite(tiny_config("verify-all"))
+    assert multiprocessing.active_children() == []
+
+
+# a verify-all run at seed 7 into argv[2], pinned to one CPU when argv[1] is "pinned"
+_PINNED_RUN = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from lproth import cli
+sys.exit(cli.main(["run", "--suite", "verify-all", "--seed", "7", "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two usable CPUs to compare the pool "
+                           "with the one-CPU loop")
+def test_one_cpu_run_writes_the_same_bits_as_the_pool(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    written = {}
+    for mode in ("pinned", "pooled"):
+        out = tmp_path / mode
+        run = subprocess.run([sys.executable, "-c", _PINNED_RUN, mode, str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        report = json.loads((out / "report.json").read_text())
+        report.pop("timing")
+        report["config"]["out_dir"] = None
+        csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+        written[mode] = json.dumps(report, sort_keys=True), csvs
+    assert written["pinned"][1]
+    assert written["pinned"] == written["pooled"]
 
 
 _DROP = object()

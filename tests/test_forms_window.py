@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import forms, lpgeom
+from lproth import forms, lpgeom, util
 from lproth.forms import (BoxFunction, _gap_sums, _kernel_lattice, decomposition_forms,
                           e_lambda, full_box, m_eps_lambda, m_lambda, n_lambda,
                           random_indicator)
@@ -509,7 +509,7 @@ class TestSharpPool:
     @pytest.mark.parametrize("cpus,nodes,want", [(1, 8, 1), (2, 8, 2), (64, 8, 8)])
     def test_one_worker_per_usable_cpu_up_to_the_nodes(self, monkeypatch, pool_workers,
                                                        cpus, nodes, want):
-        monkeypatch.setattr(forms, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forms, "usable_cpus", lambda: cpus)
         sizes = pool_workers(want)
         f = _signed_box(4.0, 16, 2, seed=1)
         n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=nodes), 1.0)
@@ -518,9 +518,9 @@ class TestSharpPool:
     def test_usable_cpus_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert forms._usable_cpus() == 5
+        assert util.usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert forms._usable_cpus() == 1
+        assert util.usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_node_sum_error_reaches_caller(self, monkeypatch, pool_workers, workers):

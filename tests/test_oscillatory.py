@@ -356,6 +356,26 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="^n_kl must be at least 1"):
             decay_fit(1.5, n_kl=0)
 
+    def test_budget_failure_comes_from_the_first_call(self, monkeypatch):
+        # p = 6 exceeds the I(t) budget at the largest t, which is evaluated first
+        calls = []
+
+        def counted(p, t, n_kl):
+            calls.append(t)
+            return i_of_t(p, t, n_kl=n_kl)
+
+        monkeypatch.setattr(oscillatory, "i_of_t", counted)
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            decay_fit(6.0)
+        assert calls == [max(oscillatory._DECAY_T)]
+
+    def test_samples_keep_ascending_t(self, monkeypatch):
+        monkeypatch.setattr(oscillatory, "i_of_t", lambda p, t, n_kl: 1.0 / t)
+        fit = decay_fit(3.0)
+        assert fit.t_samples == sorted(fit.t_samples) == list(oscillatory._DECAY_T)
+        assert fit.values == [1.0 / t for t in fit.t_samples]
+        assert fit.slope == pytest.approx(-1.0)
+
 
 def stationary_pair_loop(p, eta):
     """Reference psi' floor: one np.linspace grid per shift pair, minima taken pair by pair."""

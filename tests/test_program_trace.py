@@ -6,8 +6,11 @@ benchmark do: ``python -m lproth.cli``, the three scripts at the arguments
 of ``test_scripts.py``, the ``verify-all`` and ``counting-forms`` benchmark
 workloads, CLI runs of other suites, formats and dimensions, a ``--config``
 run, one bad argv per rule of ``ExperimentConfig.validate`` and
-``parse_config``, and a run that exits 3.  It counts by ``ast`` statement:
-a statement ran if any of its own lines (those of no nested statement) ran.
+``parse_config``, and a run that exits 3.  ``verify-all`` runs its suites in
+forked pool workers, which inherit the trace; each worker writes what it
+traced to the scratch directory as it exits, and the child merges those
+files with its own.  It counts by ``ast`` statement: a statement ran if any
+of its own lines (those of no nested statement) ran.
 
 The guard fails on each statement that did not run, except
 
@@ -31,6 +34,8 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
+import multiprocessing.util
 import os
 import runpy
 import subprocess
@@ -54,7 +59,7 @@ ALLOWED = {
         "today, so a run reaches it only once a claim stops converting one",
     ("cli", "if os.path.exists(tmp):"):
         "cleanup after a failed report write (a full disk or a read-only directory)",
-    ("forms", "return os.cpu_count() or 1"):
+    ("util", "return os.cpu_count() or 1"):
         "platform fallback where os.sched_getaffinity is missing (macOS, Windows)",
     ("forms", "return v, np.sum"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
@@ -117,6 +122,30 @@ def _trace(files: set) -> tuple[dict, dict]:
     return lines, calls
 
 
+def _dump_at_worker_exit(lines: dict, calls: dict, scratch: str):
+    """Have each multiprocessing child write lines and calls to scratch as it exits.
+
+    ``os.register_at_fork`` is no use here: a child's ``Process._bootstrap``
+    clears the finalizers registered before it runs the after-fork hooks."""
+    def dump():
+        with open(os.path.join(scratch, f"worker-{os.getpid()}.json"), "w") as fh:
+            json.dump({f: [sorted(lines[f]), sorted(calls[f])] for f in lines}, fh)
+
+    # the registry holds dump weakly; the hook's closure keeps it alive
+    multiprocessing.util.register_after_fork(
+        dump, lambda _: multiprocessing.util.Finalize(None, dump, exitpriority=0))
+
+
+def _merge_worker_dumps(lines: dict, calls: dict, scratch: str) -> int:
+    """Add the workers' lines and calls to the child's own; returns the number of workers."""
+    dumps = sorted(Path(scratch).glob("worker-*.json"))
+    for path in dumps:
+        for f, (worker_lines, worker_calls) in json.loads(path.read_text()).items():
+            lines[f].update(worker_lines)
+            calls[f].update(worker_calls)
+    return len(dumps)
+
+
 def _run_program(scratch: str) -> None:
     """The runs of the module docstring, each asserted to exit as it should."""
     out = lambda name: os.path.join(scratch, name)
@@ -137,7 +166,12 @@ def _run_program(scratch: str) -> None:
     finally:
         sys.argv = argv
 
-    from lproth import cli
+    from lproth import cli, util
+
+    # verify-all pools its suites only where two CPUs are usable; a one-CPU host
+    # lists two, so that the pool's statements run on any host
+    if util.usable_cpus() < 2:
+        util.usable_cpus = lambda: 2
 
     def main(*argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -164,7 +198,8 @@ def _run_program(scratch: str) -> None:
     assert main("run", "--config", config, "--d", "2", "--out", out("config")) == 0
     for bad in _BAD_ARGV:
         assert main(*bad) == 1, bad
-    # the I(t) budget refuses p = 64 at once; p = 6 exits 3 too, but after 12 s of integration
+    # the I(t) budget refuses p = 64 before any integration; p = 6 exits 3 at decay_fit's
+    # first I(t) call, the largest t
     assert main("run", "--suite", "oscillatory", "--p", "64", "--out", out("p64")) == 3
 
 
@@ -248,7 +283,9 @@ def _child() -> int:
     hits, calls = _trace({str(p) for p in PACKAGE.glob("*.py")})
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as scratch:
+        _dump_at_worker_exit(hits, calls, scratch)
         _run_program(scratch)
+        workers = _merge_worker_dumps(hits, calls, scratch)
     sys.settrace(None)
     threading.settrace(None)
     import lproth
@@ -256,7 +293,8 @@ def _child() -> int:
     counts, unrun, bad = _audit(hits, calls)
     for name, ran, executable in counts:
         print(f"{name:12s} {ran:5d} of {executable:5d} statements ran")
-    print(f"{'total':12s} {sum(c[1] for c in counts):5d} of {sum(c[2] for c in counts):5d}")
+    print(f"{'total':12s} {sum(c[1] for c in counts):5d} of {sum(c[2] for c in counts):5d}"
+          f" ({workers} pool workers merged)")
     for module, line, text in unrun:
         print(f"not run: src/lproth/{module}.py:{line}: {text}")
     for module, text in bad:
