@@ -5,8 +5,9 @@ curve comes from a suite function in ``lproth.claims``, a pure function of
 the config.  ``run_suite`` runs the suites of ``verify-all`` on a fork
 process pool, one worker per usable CPU, and merges their records and
 curves in ``_SUITE_FNS`` order.  The report has the same bits as when one
-process runs the suites in turn, as it does for a single suite or on one
-CPU.  Every report record names the claim it checks through a stable
+process runs the suites in turn, as it does for a single suite, on one
+CPU, where ``os.sched_getaffinity`` is missing (the pool forks only on
+Linux) and when a suite function is wrapped in this process.  Every report record names the claim it checks through a stable
 anchor slug; ``lint_report`` rejects a malformed or anchorless record
 (exit 3, nothing written), and the tests check every suite's whole report
 against ``REPORT_SCHEMA``, which ``lproth schema`` prints.  All numerics are fully
@@ -249,28 +250,26 @@ def _timed_suite(suite: str, cfg: ExperimentConfig) -> tuple[list, list, float]:
 def _pooled_suites(cfg: ExperimentConfig, workers: int) -> dict:
     """suite -> _timed_suite's triple for every suite, on a pool of forked workers.
 
-    The first failure cancels the suites not yet queued for a worker.  Once
-    every worker has ended, the failure of the first failed suite in
-    ``_SUITE_FNS`` order is raised here."""
+    A failure is raised in ``_SUITE_FNS`` order once every worker has ended."""
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, wait
     from concurrent.futures.process import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {suite: pool.submit(_timed_suite, suite, cfg) for suite in _POOL_ORDER}
-        wait(futures.values(), return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    for suite in _SUITE_FNS:
-        if not futures[suite].cancelled() and futures[suite].exception() is not None:
-            raise futures[suite].exception()
-    return {suite: fut.result() for suite, fut in futures.items()}
+        return {suite: futures[suite].result() for suite in _SUITE_FNS}
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[dict, list, int]:
     """Execute the configured suite; returns (report, curves, exit_code)."""
     names = list(_SUITE_FNS) if cfg.suite == "verify-all" else [cfg.suite]
     workers = min(util.usable_cpus(), len(names))
-    results = (_pooled_suites(cfg, workers) if workers > 1
+    # The pool forks, so it runs only where os.sched_getaffinity is (Linux): Windows cannot
+    # fork, and macOS forks unsafely once a system library such as LAPACK has run.  A suite
+    # function wrapped in this process (a tracer's or a profiler's wrapper) runs in turn as
+    # well, since what the wrapper records in a forked worker dies with the worker.
+    pooled = workers > 1 and hasattr(os, "sched_getaffinity") and not any(
+        hasattr(_SUITE_FNS[suite], "__wrapped__") for suite in names)
+    results = (_pooled_suites(cfg, workers) if pooled
                else {suite: _timed_suite(suite, cfg) for suite in names})
     records, curves = [], []
     runtimes = {}

@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -543,6 +544,34 @@ def test_pool_merges_in_report_order(monkeypatch, suite, cpus, pooled):
     pids = {r["values"]["pid"] for r in report["records"]}
     assert (os.getpid() not in pids) == pooled
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("reason", ["no affinity", "wrapped"])
+def test_suites_run_in_turn_where_a_fork_cannot_serve(monkeypatch, reason):
+    # without os.sched_getaffinity (Windows, macOS) the pool does not fork; a wrapper
+    # installed in this process, as a tracer's, sees every suite run in this process
+    wrapped_in = []
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def traced(cfg):
+            wrapped_in.append(os.getpid())
+            return fn(cfg)
+        return traced
+
+    for name in cli._SUITE_FNS:
+        suite = lambda cfg, name=name: (
+            [Check(name, "synthetic-pass", {"pid": os.getpid()}, None, True)], [])
+        monkeypatch.setitem(cli._SUITE_FNS, name, wrap(suite) if reason == "wrapped" else suite)
+    if reason == "no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.util, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_pooled_suites", None)  # a call would fail
+    report, _, code = run_suite(tiny_config("verify-all"))
+    assert code == 0
+    assert [r["name"] for r in report["records"]] == list(cli._SUITE_FNS)
+    assert {r["values"]["pid"] for r in report["records"]} == {os.getpid()}
+    assert wrapped_in == ([os.getpid()] * len(cli._SUITE_FNS) if reason == "wrapped" else [])
 
 
 def test_worker_failure_exits_3(monkeypatch, capsys, tmp_path):
