@@ -31,17 +31,20 @@ M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 
 The forms are evaluated at f = 1_A, so their boxes are 0/1 indicators.
 One helper, _product_view, picks how every form multiplies and sums a box:
-a box whose values are all exactly 0.0 or 1.0 is counted on its bool view,
-where each product is a logical and and each sum the number of cells it
-keeps, the same integer, bit for bit, that float products give; a box with
-any other value (BoxFunction admits reals in [-1, 1]) takes float64
-products.  The sharp form has one node loop for both: interpolation is
+a box whose values are all exactly 0.0 or 1.0 is counted, each product a
+logical and and each sum the number of cells it keeps, the same integer,
+bit for bit, that float products give; a box with any other value
+(BoxFunction admits reals in [-1, 1]) takes float64 products.  The lattice
+sums of a 0/1 box are counted on packed 64-bit words, a block of gaps per
+array pass (_word_gap_sums); the sharp form counts on the bool view.  The
+sharp form has one node loop for both kinds of box: interpolation is
 linear in f, so each node sum is a sum over pairs of interpolation corners
 of the corner weights times a triple sum of f on the grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +56,8 @@ import numpy as np
 from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
-from .util import spawn_rng, usable_cpus, valid_count, valid_finite, valid_lacunary, valid_scale
+from .util import (spawn_rng, usable_cpus, valid_count, valid_finite, valid_fraction,
+                   valid_lacunary, valid_scale)
 
 
 @dataclass
@@ -109,8 +113,7 @@ def random_indicator(N: float, h: float, d: int, density: float, seed: int,
     """
     n = _cell_count(N, h)
     d = valid_count("d", d)
-    if not (math.isfinite(density) and 0.0 < density <= 1.0):
-        raise ValueError(f"density must be finite and in (0, 1], got {density}")
+    density = valid_fraction("density", density)
     if structured and 1.0 / density >= 2.0**63:  # the stripe period must fit in int64
         raise ValueError(f"density must be above 2**-63 for a structured draw, got {density}")
     total = n**d
@@ -191,6 +194,122 @@ def _product_view(v: np.ndarray):
     return v, np.sum
 
 
+# Bytes of each of the two work buffers of the packed gap sums.  A block is
+# a run of at most 32 last-axis shifts that one strided view of the word
+# phases serves, so the numpy loops run along the block's gaps.  On a
+# 2^18-cell row (8,000 gaps, 2 cores) blocks of 64 KiB (2 gaps) took 1.17 s,
+# 256 KiB (8 gaps) 0.38 s and 1 MiB (32 gaps) 0.27 s, against 0.38-0.41 s for
+# the per-gap loop on the bool view that they replace.
+_WORD_BLOCK_BYTES = 1 << 20
+
+# the masks and the byte-sum multiplier of the SWAR popcount
+_SWAR = tuple(np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
+                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _popcount(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The number of set bits of each uint64 word of w, written over w; t is scratch of w's shape.
+
+    The SWAR reduction (Warren, Hacker's Delight, 2nd ed., section 5-1): shifts
+    and masks sum the bits of each pair, nibble and byte within the word, and
+    one multiply, wrapping modulo 2^64, adds the eight byte counts into the top
+    byte.  Only array operations touch the words: numpy warns on a wrapping
+    multiply of uint64 scalars, and np.bitwise_count needs numpy >= 2.0.
+    """
+    m1, m2, m4, h01 = _SWAR
+    np.right_shift(w, 1, out=t)
+    t &= m1
+    w -= t
+    np.right_shift(w, 2, out=t)
+    t &= m2
+    w &= m2
+    w += t
+    np.right_shift(w, 4, out=t)
+    w += t
+    w &= m4
+    w *= h01
+    w >>= 56
+    return w
+
+
+def _word_phases(v: np.ndarray) -> np.ndarray:
+    """The 64 bit phases of the bool box v, packed along its last axis in uint64 words.
+
+    Bit b of word i in phase k is the cell 64 (i - 1) + k + b of its row, and
+    zero off the box: word i = 0 is the word before the row.  So a shift of a
+    row by c = 64 q + k cells, 0 <= k < 64, is the slice of phase k offset by q
+    words.  Each phase is a funnel shift of the packed row, each word made from
+    two neighbouring words.  Shape v.shape[:-1] + (W + 1, 64), W = ceil(n / 64).
+    """
+    n = v.shape[-1]
+    W = -(-n // 64)
+    raw = np.zeros(v.shape[:-1] + (8 * (W + 2),), dtype=np.uint8)
+    raw[..., 8:8 + -(-n // 8)] = np.packbits(v, axis=-1, bitorder="little")
+    words = raw.view("<u8")  # the words before and after the row stay zero
+    phases = np.empty(v.shape[:-1] + (W + 1, 64), dtype=np.uint64)
+    phases[..., 0] = words[..., :-1]
+    for k in range(1, 64):
+        np.right_shift(words[..., :-1], k, out=phases[..., k])
+        phases[..., k] |= words[..., 1:] << (64 - k)
+    return phases
+
+
+def _word_gap_sums(v: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """S(j) for each row j of J on the bool box v, counted on packed words.
+
+    Every gap of J must have a nonempty window.  The gaps are taken in blocks
+    that share the leading shifts j' = j[:-1] and a = floor(c / 32) of the last
+    shift c, and whose words fit a work buffer of _WORD_BLOCK_BYTES (or that
+    hold one gap).  Then c = 64 floor(a / 2) + k and 2c = 64 a + 2 (c - 32 a), so x + j
+    and x + 2j each read one strided view of the word phases (_word_phases),
+    whose last axis runs over the block's c.  Rows run over the window of j';
+    words over those that meet the window of some c of the block, and each
+    cell outside a gap's own window meets a zero bit in one of the three
+    operands.  A block ANDs the three views in a work buffer, counts the bits
+    (_popcount) and sums the counts per gap: exact integers, as are the S(j).
+    """
+    n = v.shape[-1]
+    phases = _word_phases(v)
+    lead, c = J[:, :-1], J[:, -1]
+    order = np.lexsort(np.column_stack([c, lead[:, ::-1]]).T)
+    keys = np.column_stack([lead, c // 32])[order]
+    first = np.ones(len(keys), dtype=bool)  # the first gap of each run of equal keys
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    starts = np.flatnonzero(first).tolist()
+    row_words = math.prod(phases.shape[:-1])  # a block holds 1 to 32 gaps of at most this
+    room = max(row_words, min(_WORD_BLOCK_BYTES // 8, 32 * row_words))
+    buf, scratch = (np.empty(room, dtype=np.uint64) for _ in range(2))
+    # the words of the phases (index 0 is the word before the row) that x runs over
+    span = lambda c0, c1: (max(0, -2 * c1) // 64 + 1, -(-min(n, n - 2 * c0) // 64) + 1)
+    S = np.zeros(len(J), dtype=np.uint64)
+    for s, e in zip(starts, starts[1:] + [len(order)]):
+        j = lead[order[s]].tolist()
+        lo, hi = [max(0, -2 * x) for x in j], [min(n, n - 2 * x) for x in j]
+        rows = [tuple(slice(x0 + t * x, x1 + t * x) for x0, x1, x in zip(lo, hi, j))
+                for t in range(3)]
+        row_cells = math.prod(x1 - x0 for x0, x1 in zip(lo, hi))
+        shifts = c[order[s:e]].tolist()
+        i = 0
+        while i < len(shifts):
+            w0, w1 = span(shifts[i], shifts[-1])
+            m = max(1, _WORD_BLOCK_BYTES // (8 * row_cells * (w1 - w0)))  # gaps in the block
+            k = bisect.bisect_left(shifts, shifts[i] + m, i)
+            c0, c1 = shifts[i], shifts[k - 1]
+            w0, w1 = span(c0, c1)
+            q, a = c0 // 64, c0 // 32
+            x = phases[rows[0] + (slice(w0, w1), slice(0, 1))]
+            y1 = phases[rows[1] + (slice(w0 + q, w1 + q), slice(c0 - 64 * q, c1 - 64 * q + 1))]
+            y2 = phases[rows[2] + (slice(w0 + a, w1 + a),
+                                   slice(2 * c0 - 64 * a, 2 * c1 - 64 * a + 1, 2))]
+            out = np.bitwise_and(y1, y2, out=buf[:y1.size].reshape(y1.shape))
+            out &= x
+            _popcount(out, scratch[:y1.size].reshape(y1.shape))
+            counts = out.reshape(-1, c1 - c0 + 1).sum(axis=0)
+            S[order[s + i:s + k]] = counts[np.array(shifts[i:k]) - c0]
+            i = k
+    return S
+
+
 def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     """S(j) = sum_x f(x) f(x+j) f(x+2j) for each row j of J, with f zero outside the box.
 
@@ -203,26 +322,32 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     product and every partial sum is an exact integer, so the two agree bit
     for bit; for real values they differ by rounding in that order.
 
-    The products run on the view of f from _product_view.  A 0/1 box gives
-    the S(j) of float products bit for bit: each partial sum is an integer
-    of at most n^d < 2^53.
+    A 0/1 box (_product_view gives its bool view) is counted on packed words,
+    many gaps per array pass (_word_gap_sums): each S(j) is the exact integer
+    count, of at most n^d < 2^53 cells, so it equals the sum of float products
+    bit for bit.  A box with any other value multiplies float64 values, one
+    gap at a time, and sums each window with np.sum.
     """
     n = f.n
     v, total = _product_view(f.values)
     lo = np.maximum(0, -2 * J)
     hi = np.minimum(n, n - 2 * J)
+    live = np.flatnonzero(np.all(hi > lo, axis=1))
     S = np.zeros(len(J))
-    buf = np.empty(v.size, dtype=v.dtype)
-    for i in np.flatnonzero(np.all(hi > lo, axis=1)).tolist():
-        a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
-        s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
-        s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
-        s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
-        shape = tuple(x1 - x0 for x0, x1 in zip(a, b))
-        prod = buf[:math.prod(shape)].reshape(shape)
-        np.multiply(v[s0], v[s1], out=prod)
-        prod *= v[s2]
-        S[i] = total(prod)
+    if v.dtype != bool:
+        buf = np.empty(v.size)
+        for i in live.tolist():
+            a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
+            s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
+            s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
+            s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
+            shape = tuple(x1 - x0 for x0, x1 in zip(a, b))
+            prod = buf[:math.prod(shape)].reshape(shape)
+            np.multiply(v[s0], v[s1], out=prod)
+            prod *= v[s2]
+            S[i] = total(prod)
+        return S
+    S[live] = _word_gap_sums(v, J[live])
     return S
 
 
@@ -386,8 +511,8 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     3-progression in supp f whose gap length is lam in the lp metric.
 
     Each node sum is a weighted sum of corner-pair triple sums (_node_sum)
-    on the view of f that _product_view picks, as _gap_sums does: counts of
-    bool ands for a 0/1 box, float64 products for any other.
+    on the view of f that _product_view picks: counts of bool ands for a
+    0/1 box, float64 products for any other.
 
     The node sums run on a thread pool with one thread per usable CPU (at
     most one per node); numpy releases the interpreter lock on the window
@@ -536,6 +661,7 @@ def roth_main_term_experiment(delta: float, N: float, lam: float, trials: int,
     Ensembles alternate i.i.d. cell draws with structured stripes; the
     observed minimum is the empirical density constant.
     """
+    delta, lam = valid_fraction("delta", delta), valid_scale("lam", lam)
     pv = valid_exponent(p)
     trials = valid_count("trials", trials)
     if lam > N / 8.0:

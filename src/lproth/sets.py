@@ -26,7 +26,7 @@ import numpy as np
 
 from .forms import BoxFunction, random_indicator
 from .lpgeom import DEGENERATE_P, lp_norm, lp_norm_batch, sphere_quadrature, valid_exponent
-from .util import spawn_rng, valid_count, valid_finite, valid_scale
+from .util import spawn_rng, valid_count, valid_finite, valid_scale, valid_seed
 
 BOURGAIN_SHELL = 0.1
 HALF_INTEGER_CAP = 0.4
@@ -317,7 +317,7 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
     if d > 3:
         raise ValueError("experiment supports d <= 3")
     budget_per_scale = valid_count("budget_per_scale", budget_per_scale)
-    seeds = [int(s) for s in seeds]
+    seeds = [valid_seed("seeds", s) for s in seeds]
     if not seeds:
         raise ValueError("seeds must not be empty")
     lams = [valid_scale("sequence", lam) for lam in sequence]

@@ -1,5 +1,5 @@
 """Small helpers shared across the package: seeded streams, the usable CPU count, and the
-rules for counts and scales.
+rules for counts, seeds, scales and fractions.
 
 Each ``valid_*`` rule returns the converted argument or raises ``ValueError``
 with a message that starts with the argument's name, as ``lpgeom.valid_exponent`` does for p.
@@ -36,6 +36,13 @@ def valid_count(name: str, n) -> int:
     return int(n)
 
 
+def valid_seed(name: str, s) -> int:
+    """A seed as an int: an integer of at least 0 (not a bool, a NaN or a float such as 1.5)."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+        raise ValueError(f"{name} must hold non-negative integers, got {s!r}")
+    return int(s)
+
+
 def valid_finite(name: str, x) -> float:
     """A finite real as a float."""
     v = float(x)
@@ -49,6 +56,14 @@ def valid_scale(name: str, x) -> float:
     v = float(x)
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {x}")
+    return v
+
+
+def valid_fraction(name: str, x) -> float:
+    """A real in (0, 1] (a density) as a float."""
+    v = float(x)
+    if not (math.isfinite(v) and 0.0 < v <= 1.0):
+        raise ValueError(f"{name} must be finite and in (0, 1], got {x}")
     return v
 
 

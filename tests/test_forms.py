@@ -427,7 +427,7 @@ class TestMainTerm:
             roth_main_term_experiment(0.5, 32.0, 2.0, trials, moll, P, seed=3)
 
     def test_nan_density_named(self, moll):
-        with pytest.raises(ValueError, match="^density must be finite"):
+        with pytest.raises(ValueError, match="^delta must be finite"):
             roth_main_term_experiment(np.nan, 32.0, 2.0, 2, moll, P, seed=3)
 
     def test_random_ensemble_positive(self, moll):

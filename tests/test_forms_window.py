@@ -4,8 +4,8 @@ The references below embed f in a zero box wide enough for every shift and
 sum over all n^d cells, and the lattice references visit every gap j and -j.
 Cells outside the forms' overlap window add exact zeros and S(-j) = S(j), so
 the two differ only in summation order; on 0/1 indicators not even that.
-The gap sums of 0/1 boxes, which are counted on a bool view, are compared
-with == against _float_gap_sums, a copy of the float loop they replace.
+The gap sums of 0/1 boxes, which are counted on packed 64-bit words, are
+compared with == against _float_gap_sums, a copy of the float loop.
 The sharp form sums corner-pair triple sums on every box; _float_n, a copy
 of the float interpolation loop it replaced, is its reference within REL.
 """
@@ -13,6 +13,7 @@ of the float interpolation loop it replaced, is its reference within REL.
 import math
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -313,6 +314,27 @@ def counts(monkeypatch):
     return seen
 
 
+@pytest.fixture()
+def popcounts(monkeypatch):
+    """(dtype, gaps, bytes) of each block the packed gap sums count: the dtype of the
+    words, the length of their last axis, which runs over the block's gaps, and their size."""
+    seen = []
+    popcount = forms._popcount
+
+    def spy(w, t):
+        seen.append((w.dtype, w.shape[-1], w.nbytes))
+        return popcount(w, t)
+    monkeypatch.setattr(forms, "_popcount", spy)
+    return seen
+
+
+def _counted_on_words(popcounts, live):
+    """Whether the blocks counted on uint64 words cover live gaps, 32 at most per block."""
+    widths = [gaps for _, gaps, _ in popcounts]
+    return ({dtype for dtype, _, _ in popcounts} <= {np.dtype(np.uint64)}
+            and len(widths) <= live <= sum(widths) and max(widths, default=0) <= 32)
+
+
 def _window_cells(n, J):
     """Cells of each gap's window, prod max(0, n - 2|j_i|): S(j) of the full box."""
     return np.prod(np.clip(n - 2 * np.abs(J), 0, None), axis=1).astype(float)
@@ -328,31 +350,109 @@ _EDGE_GAPS = {1: [[0], [1], [3], [-3], [4], [-5]],
 
 
 class TestCountedGapSums:
-    """0/1 boxes are counted on their bool view; the counts equal the float loop with ==."""
+    """0/1 boxes are counted on packed words; the counts equal the float loop with ==."""
 
     @pytest.mark.parametrize("structured", [False, True])
     @pytest.mark.parametrize("d,N,n,lam,eps", [
         (1, 32.0, 768, 2.0, 0.25),
         (2, 8.0, 96, 2.0, 0.5),
     ])
-    def test_random_indicator_equals_float_loop(self, counts, d, N, n, lam, eps, structured):
+    def test_random_indicator_equals_float_loop(self, counts, popcounts, d, N, n, lam, eps,
+                                                structured):
         f = random_indicator(N, N / n, d, 0.3, seed=n, structured=structured)
         J, _ = _kernel_lattice(P, d, lam, eps, f.h)
         counts.clear()
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))
         assert got[0] == np.sum(f.values)
-        assert counts == [np.dtype(bool)] * _live_windows(f, J)
+        assert counts == [] and popcounts
+        assert _counted_on_words(popcounts, _live_windows(f, J))
 
     @pytest.mark.parametrize("fill", [0.0, 1.0])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_constant_box_equals_float_loop(self, counts, d, fill):
+    def test_constant_box_equals_float_loop(self, counts, popcounts, d, fill):
         f = BoxFunction(values=np.full((40,) * d, fill), N=10.0, h=0.25)
         J, _ = _kernel_lattice(P, d, 2.0, 0.5, f.h)
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))
         assert np.array_equal(got, fill * _window_cells(f.n, J))
-        assert counts == [np.dtype(bool)] * _live_windows(f, J)
+        assert counts == [] and popcounts
+        assert _counted_on_words(popcounts, _live_windows(f, J))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 129])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_word_edges_equal_float_loop(self, popcounts, d, n):
+        # every gap out to 2|j_i| >= n on each axis, both signs: windows that end
+        # on, before and after a word boundary, and windows that are empty
+        ax = np.arange(-(n // 2) - 1, n // 2 + 2)
+        J = np.stack([g.ravel() for g in np.meshgrid(*([ax] * d), indexing="ij")], axis=-1)
+        assert np.any(2 * np.abs(J) >= n)
+        for seed, density in ((n, 0.5), (n + 1, 0.9)):
+            f = random_indicator(float(n), 1.0, d, density, seed=seed)
+            popcounts.clear()
+            got = _gap_sums(f, J)
+            assert np.array_equal(got, _float_gap_sums(f, J))
+            assert np.all(got[_window_cells(n, J) == 0.0] == 0.0)
+            assert _counted_on_words(popcounts, _live_windows(f, J))
+        full = full_box(float(n), 1.0, d)
+        assert np.array_equal(_gap_sums(full, J), _window_cells(n, J))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_wide_and_negative_gaps_equal_float_loop(self, d):
+        n = 130
+        f = random_indicator(float(n), 1.0, d, 0.7, seed=d)
+        rows = {1: [[65], [-65], [64], [-64], [66], [-130], [-1], [-63], [-33], [31], [32]],
+                2: [[-3, 64], [-64, 1], [-65, 0], [-1, -64], [-40, 33], [-2, -63], [65, -65],
+                    [-7, 131], [0, -32], [-50, -31]]}
+        J = np.array(rows[d])
+        assert np.any(J[:, 0] < 0) and np.any(2 * np.abs(J) >= n)
+        got = _gap_sums(f, J)
+        assert np.array_equal(got, _float_gap_sums(f, J))
+        empty = _window_cells(n, J) == 0.0
+        assert np.any(empty) and np.all(got[empty] == 0.0) and np.any(got > 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_gaps(self, popcounts, d):
+        f = random_indicator(16.0, 1.0, d, 0.5, seed=d)
+        J = np.zeros((0, d), dtype=int)
+        got = _gap_sums(f, J)
+        assert got.shape == (0,) and np.array_equal(got, _float_gap_sums(f, J))
+        assert popcounts == []
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_bench_box_equals_float_loop(self, seed):
+        # the counting-forms workload's random 192^2 box and the width-1 half
+        # lattice of its decomposition forms
+        f = random_indicator(8.0, 8.0 / 192, 2, 0.5, seed)
+        J, _ = _kernel_lattice(P, 2, 2.0, 1.0, f.h)
+        assert np.array_equal(_gap_sums(f, J), _float_gap_sums(f, J))
+
+    @pytest.mark.parametrize("block_bytes", [8, 400, 2000])
+    @pytest.mark.parametrize("d,n", [(1, 700), (2, 130)])
+    def test_small_blocks_equal_float_loop(self, monkeypatch, popcounts, d, n, block_bytes):
+        # blocks cut to fewer than 32 gaps, down to one gap each
+        f = random_indicator(float(n), 1.0, d, 0.5, seed=n)
+        J, _ = _kernel_lattice(P, d, n / 5.0, 1.0, 1.0)
+        ref = _float_gap_sums(f, J)
+        monkeypatch.setattr(forms, "_WORD_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(_gap_sums(f, J), ref)
+        # each block fits the budget, or holds one gap
+        assert all(size <= block_bytes or gaps == 1 for _, gaps, size in popcounts)
+        assert block_bytes > 8 or {gaps for _, gaps, _ in popcounts} == {1}
+
+    @pytest.mark.parametrize("d,n,lam", [(2, 192, 2.0), (1, 1 << 18, 0.05)])
+    def test_work_memory_is_bounded(self, d, n, lam):
+        # the bench's 192^2 box (20,201 gaps), and a row of 2^18 cells (3,410 gaps)
+        f = random_indicator(8.0, 8.0 / n, d, 0.5, seed=3)
+        J, _ = _kernel_lattice(P, d, lam, 1.0, f.h)
+        tracemalloc.start()
+        try:
+            _gap_sums(f, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_cell_and_empty_windows(self, counts, d):
@@ -388,6 +488,31 @@ class TestCountedGapSums:
         assert [g.value for g in got] == [r.value for r in ref]
 
 
+class TestPopcount:
+    """The SWAR popcount against Python's count of the ones of each word."""
+
+    @staticmethod
+    def _check(words):
+        w = np.array(words, dtype=np.uint64)
+        got = forms._popcount(w.copy(), np.empty_like(w))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [bin(x).count("1") for x in words]
+
+    def test_extremes_and_single_bits(self):
+        self._check([0, (1 << 64) - 1] + [1 << b for b in range(64)]
+                    + [((1 << 64) - 1) ^ (1 << b) for b in range(64)])
+
+    def test_random_words(self):
+        rng = np.random.default_rng(5)
+        self._check(rng.integers(0, 1 << 64, size=2000, dtype=np.uint64).tolist())
+
+    def test_multidimensional_words(self):
+        rng = np.random.default_rng(6)
+        w = rng.integers(0, 1 << 64, size=(3, 5, 7), dtype=np.uint64)
+        got = forms._popcount(w.copy(), np.empty_like(w))
+        assert got.tolist() == [[[bin(x).count("1") for x in r] for r in m] for m in w.tolist()]
+
+
 def _near_indicator(N, n, d, seed):
     """A random indicator with one cell raised to 1 + 1e-13, which BoxFunction admits."""
     vals = random_indicator(N, N / n, d, 0.5, seed=seed).values
@@ -408,22 +533,20 @@ class TestFloatGapSums:
         (1, 8.0, 96, 2.0, 0.5),
         (2, 8.0, 96, 2.0, 0.5),
     ])
-    def test_matches_padded_reference(self, moll, counts, build, d, N, n, lam, eps):
+    def test_matches_padded_reference(self, moll, popcounts, build, d, N, n, lam, eps):
         f = build(N, n, d, seed=n + d)
-        counts.clear()
         got_m = m_eps_lambda(f, lam, eps, moll, P).value
         got_e = e_lambda(f, lam, eps, moll, P).value
-        assert counts == []
+        assert popcounts == []
         assert got_m == pytest.approx(_padded_m_eps(f, lam, eps, moll), rel=REL)
         assert got_e == pytest.approx(_padded_e(f, lam, eps, moll), rel=REL)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_near_one_is_never_counted_as_one(self, counts, d):
+    def test_near_one_is_never_counted_as_one(self, popcounts, d):
         f = _near_indicator(8.0, 32, d, seed=d)
         J, _ = _kernel_lattice(P, d, 2.0, 0.5, f.h)
-        counts.clear()
         got = _gap_sums(f, J)
-        assert counts == []
+        assert popcounts == []
         assert np.array_equal(got, _float_gap_sums(f, J))
         # S(0) = sum f^3 picks up (1 + 1e-13)^3, a few ulp above the count
         rounded = BoxFunction(values=np.round(f.values), N=f.N, h=f.h)

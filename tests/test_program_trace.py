@@ -64,6 +64,9 @@ ALLOWED = {
     ("forms", "return v, np.sum"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
         "decomposition identity on them; the program's boxes are 0/1",
+    ("forms", "if v.dtype != bool:"):
+        "the gap sums of the real-valued boxes of the entry above, one float64 window per "
+        "gap; the program's 0/1 boxes are counted on packed words",
     ("forms", "if any(b <= a for a, b in zip(lo, hi)):"):
         "valid-input branch: a sharp-form gap above N/2 leaves no overlap window; the "
         "program's gaps are at most N/4",

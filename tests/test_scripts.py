@@ -9,11 +9,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, *args, cwd):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(script, *args, cwd):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300, check=True).stdout
+                          env=_env(), capture_output=True, text=True, timeout=300,
+                          check=True).stdout
 
 
 def test_decay_curves(tmp_path):
@@ -47,3 +52,11 @@ def test_theorem_control(tmp_path):
     lines = out.splitlines()
     assert lines == ["seed 1: scales realized ['4', '8']",
                      "all seeds realized at least one scale: True"]
+
+
+def test_theorem_control_names_a_negative_seed(tmp_path):
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "theorem_control.py"),
+                           "--seeds", "1", "--seed0", "-1"], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env=_env())
+    assert done.returncode != 0
+    assert "ValueError: seeds must hold non-negative integers, got -1" in done.stderr

@@ -455,6 +455,14 @@ class TestTheoremExperiment:
         with pytest.raises(ValueError, match="seeds"):
             theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[])
 
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan])
+    def test_bad_seed_named_before_any_draw(self, monkeypatch, seed):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("indicator drawn before the seeds were checked")
+        monkeypatch.setattr(sets, "random_indicator", no_draw)
+        with pytest.raises(ValueError, match="^seeds must hold non-negative integers"):
+            theorem_experiment(0.4, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[1, seed])
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="sequence"):
             theorem_experiment(0.4, 1.5, 2, 64.0, [], seeds=[1])

@@ -9,18 +9,22 @@ passed as ``None``.
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from lproth import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets
 from lproth.gowers import min_shell_grid  # held here: WORK patches the module's name
-from lproth.util import valid_count, valid_finite, valid_lacunary, valid_scale
+from lproth.util import (valid_count, valid_finite, valid_fraction, valid_lacunary,
+                         valid_scale, valid_seed)
 
 BAD_COUNTS = [0, -1, 2.5, math.inf, math.nan, "8", True]
 BAD_SCALES = [0.0, -1.0, math.nan, math.inf, -math.inf]
 BAD_FINITE = [math.nan, math.inf, -math.inf]
 BAD_SEQUENCES = [[], [1.0, 1.5], [math.nan], [1.0, math.inf], [1.0, -2.0], [0.0, 1.0]]
+BAD_FRACTIONS = [0.0, -0.5, 1.5, math.nan, math.inf, -math.inf]
+BAD_SEEDS = [1.5, -1, math.nan, 2.0, -math.inf, True, "3", np.int64(-2)]
 
 BOX = forms.full_box(4.0, 1.0, 1)
 QUAD = lpgeom.sphere_quadrature(1.5, 1, 1.0, n=2)
@@ -80,6 +84,20 @@ SCALES = {
     ("progression_search", "tol"): lambda v: sets.progression_search(
         CUBE, 1.5, 2.0, tol=v, budget=10, box_hi=16.0),
     ("u3_form_control", "lam"): lambda v: claims.u3_form_control(BOX, [1.0, 0.5], v),
+    ("roth_main_term_experiment", "lam"): lambda v: forms.roth_main_term_experiment(
+        0.5, 32.0, v, 2, None, 1.5),
+}
+
+FRACTIONS = {
+    ("roth_main_term_experiment", "delta"): lambda v: forms.roth_main_term_experiment(
+        v, 32.0, 2.0, 2, None, 1.5),
+    ("random_indicator", "density"): lambda v: forms.random_indicator(4.0, 1.0, 1, v, seed=0),
+}
+
+# one bad seed after a good one
+SEEDS = {
+    ("theorem_experiment", "seeds"): lambda v: sets.theorem_experiment(
+        0.5, 1.5, 2, 64.0, [4.0], [1, v]),
 }
 
 FINITE = {
@@ -154,6 +172,18 @@ def test_finite_values_rejected_by_name(key, no_work):
         _rejects(FINITE[key], key[1], value)
 
 
+@pytest.mark.parametrize("key", list(FRACTIONS), ids="-".join)
+def test_fractions_rejected_by_name(key, no_work):
+    for value in BAD_FRACTIONS:
+        _rejects(FRACTIONS[key], key[1], value)
+
+
+@pytest.mark.parametrize("key", list(SEEDS), ids="-".join)
+def test_seeds_rejected_by_name(key, no_work):
+    for value in BAD_SEEDS:
+        _rejects(SEEDS[key], key[1], value)
+
+
 @pytest.mark.parametrize("key", list(LIMITS), ids="-".join)
 def test_limits_rejected_by_name(key, no_work):
     _rejects(lambda _: LIMITS[key](), key[1], None)
@@ -192,6 +222,28 @@ class TestRules:
             valid_scale("tol", 0.0)
         with pytest.raises(ValueError, match="^t must be finite, got nan"):
             valid_finite("t", math.nan)
+
+    def test_seed_converts_to_int(self):
+        for s, want in ((0, 0), (np.int64(3), 3), (10**20, 10**20)):
+            got = valid_seed("seeds", s)
+            assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("value,message", [
+        (1.5, "seeds must hold non-negative integers, got 1.5"),
+        (-1, "seeds must hold non-negative integers, got -1"),
+        (math.nan, "seeds must hold non-negative integers, got nan"),
+        (3.0, "seeds must hold non-negative integers, got 3.0"),
+        (False, "seeds must hold non-negative integers, got False"),
+    ])
+    def test_seed_messages(self, value, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            valid_seed("seeds", value)
+
+    def test_fraction(self):
+        assert valid_fraction("delta", 1) == 1.0 and type(valid_fraction("delta", 1)) is float
+        assert valid_fraction("delta", np.float64(0.25)) == 0.25
+        with pytest.raises(ValueError, match=r"^delta must be finite and in \(0, 1\], got 1.5$"):
+            valid_fraction("delta", 1.5)
 
     def test_lacunary(self):
         got = valid_lacunary("mu", (1, np.float64(2.0), 4.5))
