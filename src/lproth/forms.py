@@ -10,10 +10,11 @@ Its node sums run on a thread pool, one thread per usable CPU, and are
 combined in node order; each node sum takes the same operations in the
 same order on any thread, so the value does not depend on the core count.
 
-Every form sums, gap by gap, only over the overlap window: the cells x for
-which f(x), f(x+y) and f(x+2y) can all be nonzero.  Zero extension stays
-exact, because each skipped cell would add an exact zero; only the order
-of summation differs from a sum over the whole grid.
+Every form sums only over the overlap window of each gap: the cells x for
+which f(x), f(x+y) and f(x+2y) can all be nonzero (the packed lattice sums
+read the whole words that meet it).  Zero extension stays exact, because
+each skipped cell would add an exact zero; only the order of summation
+differs from a sum over the whole grid.
 
 The mollified form with width 1 *is* the base form (same code path), and
 the cancelled form is accumulated in a single pass with the fused kernel
