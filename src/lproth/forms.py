@@ -40,12 +40,13 @@ sums of a 0/1 box are counted on packed 64-bit words, a block of gaps per
 array pass (_word_gap_sums); the sharp form counts on the bool view.  The
 sharp form has one node loop for both kinds of box: interpolation is
 linear in f, so each node sum is a sum over pairs of interpolation corners
-of the corner weights times a triple sum of f on the grid.
+of the corner weights times a triple sum of f on the grid.  The lattice
+sums of any other box are that node loop's sums at whole-cell nodes, one
+corner of weight 1 per shift (_node_sums).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -185,23 +186,19 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
 
 
 def _product_view(v: np.ndarray):
-    """(view, total) for the products of the box values v: the bool view and
-    np.count_nonzero if every value is exactly 0.0 or 1.0, else v and np.sum.
+    """(view, total, lattice) for the products of the box values v: the bool
+    view, np.count_nonzero and _word_gap_sums if every value is exactly 0.0 or
+    1.0, else v, np.sum and _node_sums.
 
-    On bools np.multiply is a logical and; a value such as 1 + 1e-13 is not 1.
+    lattice(view, total, J) gives the triple sums S(j) of the lattice gaps j,
+    rows of J in cells, each with a nonempty window: counted on packed words,
+    or as the sharp form's node sums at whole-cell nodes.  On bools
+    np.multiply is a logical and; a value such as 1 + 1e-13 is not 1.
     """
     if np.all((v == 0.0) | (v == 1.0)):
-        return v != 0.0, np.count_nonzero
-    return v, np.sum
+        return v != 0.0, np.count_nonzero, _word_gap_sums
+    return v, np.sum, _node_sums
 
-
-# Bytes of each of the two work buffers of the packed gap sums.  A block is
-# a run of at most 32 last-axis shifts that one strided view of the word
-# phases serves, so the numpy loops run along the block's gaps.  On a
-# 2^18-cell row (8,000 gaps, 2 cores) blocks of 64 KiB (2 gaps) took 1.17 s,
-# 256 KiB (8 gaps) 0.38 s and 1 MiB (32 gaps) 0.27 s, against 0.38-0.41 s for
-# the per-gap loop on the bool view that they replace.
-_WORD_BLOCK_BYTES = 1 << 20
 
 # the masks and the byte-sum multiplier of the SWAR popcount
 _SWAR = tuple(np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333,
@@ -255,19 +252,22 @@ def _word_phases(v: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _word_gap_sums(v: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _word_gap_sums(v: np.ndarray, total, J: np.ndarray) -> np.ndarray:
     """S(j) for each row j of J on the bool box v, counted on packed words.
 
-    Every gap of J must have a nonempty window.  The gaps are taken in blocks
-    that share the leading shifts j' = j[:-1] and a = floor(c / 32) of the last
-    shift c, and whose words fit a work buffer of _WORD_BLOCK_BYTES (or that
-    hold one gap).  Then c = 64 floor(a / 2) + k and 2c = 64 a + 2 (c - 32 a), so x + j
-    and x + 2j each read one strided view of the word phases (_word_phases),
-    whose last axis runs over the block's c.  Rows run over the window of j';
-    words over those that meet the window of some c of the block, and each
-    cell outside a gap's own window meets a zero bit in one of the three
-    operands.  A block ANDs the three views in a work buffer, counts the bits
-    (_popcount) and sums the counts per gap: exact integers, as are the S(j).
+    Every gap of J must have a nonempty window; total, np.count_nonzero, is
+    not needed, since _popcount counts the words.  The gaps are taken in
+    blocks that share the leading shifts j' = j[:-1] and a = floor(c / 32) of
+    the last shift c, so a block holds at most 32 gaps.  Then
+    c = 64 floor(a / 2) + k and 2c = 64 a + 2 (c - 32 a), so x + j and x + 2j
+    each read one strided view of the word phases (_word_phases), whose last
+    axis runs over the block's c; no block gathers, long rows included.  Rows
+    run over the window of j'; words over those that meet the window of some
+    c of the block, and each cell outside a gap's own window meets a zero bit
+    in one of the three operands.  A block ANDs the three views in a work
+    buffer, of at most 32 words per word of the phases' rows (half the
+    phases' own size), counts the bits (_popcount) and sums the counts per
+    gap: exact integers, as are the S(j).
     """
     n = v.shape[-1]
     phases = _word_phases(v)
@@ -277,37 +277,27 @@ def _word_gap_sums(v: np.ndarray, J: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)  # the first gap of each run of equal keys
     first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     starts = np.flatnonzero(first).tolist()
-    row_words = math.prod(phases.shape[:-1])  # a block holds 1 to 32 gaps of at most this
-    room = max(row_words, min(_WORD_BLOCK_BYTES // 8, 32 * row_words))
-    buf, scratch = (np.empty(room, dtype=np.uint64) for _ in range(2))
-    # the words of the phases (index 0 is the word before the row) that x runs over
-    span = lambda c0, c1: (max(0, -2 * c1) // 64 + 1, -(-min(n, n - 2 * c0) // 64) + 1)
+    buf, scratch = (np.empty(32 * math.prod(phases.shape[:-1]), dtype=np.uint64)
+                    for _ in range(2))
     S = np.zeros(len(J), dtype=np.uint64)
     for s, e in zip(starts, starts[1:] + [len(order)]):
         j = lead[order[s]].tolist()
         lo, hi = [max(0, -2 * x) for x in j], [min(n, n - 2 * x) for x in j]
         rows = [tuple(slice(x0 + t * x, x1 + t * x) for x0, x1, x in zip(lo, hi, j))
                 for t in range(3)]
-        row_cells = math.prod(x1 - x0 for x0, x1 in zip(lo, hi))
-        shifts = c[order[s:e]].tolist()
-        i = 0
-        while i < len(shifts):
-            w0, w1 = span(shifts[i], shifts[-1])
-            m = max(1, _WORD_BLOCK_BYTES // (8 * row_cells * (w1 - w0)))  # gaps in the block
-            k = bisect.bisect_left(shifts, shifts[i] + m, i)
-            c0, c1 = shifts[i], shifts[k - 1]
-            w0, w1 = span(c0, c1)
-            q, a = c0 // 64, c0 // 32
-            x = phases[rows[0] + (slice(w0, w1), slice(0, 1))]
-            y1 = phases[rows[1] + (slice(w0 + q, w1 + q), slice(c0 - 64 * q, c1 - 64 * q + 1))]
-            y2 = phases[rows[2] + (slice(w0 + a, w1 + a),
-                                   slice(2 * c0 - 64 * a, 2 * c1 - 64 * a + 1, 2))]
-            out = np.bitwise_and(y1, y2, out=buf[:y1.size].reshape(y1.shape))
-            out &= x
-            _popcount(out, scratch[:y1.size].reshape(y1.shape))
-            counts = out.reshape(-1, c1 - c0 + 1).sum(axis=0)
-            S[order[s + i:s + k]] = counts[np.array(shifts[i:k]) - c0]
-            i = k
+        shifts = c[order[s:e]]
+        c0, c1 = int(shifts[0]), int(shifts[-1])
+        # the words of the phases (index 0 is the word before the row) that x runs over
+        w0, w1 = max(0, -2 * c1) // 64 + 1, -(-min(n, n - 2 * c0) // 64) + 1
+        q, a = c0 // 64, c0 // 32
+        x = phases[rows[0] + (slice(w0, w1), slice(0, 1))]
+        y1 = phases[rows[1] + (slice(w0 + q, w1 + q), slice(c0 - 64 * q, c1 - 64 * q + 1))]
+        y2 = phases[rows[2] + (slice(w0 + a, w1 + a),
+                               slice(2 * c0 - 64 * a, 2 * c1 - 64 * a + 1, 2))]
+        out = np.bitwise_and(y1, y2, out=buf[:y1.size].reshape(y1.shape))
+        out &= x
+        _popcount(out, scratch[:y1.size].reshape(y1.shape))
+        S[order[s:e]] = out.reshape(-1, c1 - c0 + 1).sum(axis=0)[shifts - c0]
     return S
 
 
@@ -323,32 +313,20 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     product and every partial sum is an exact integer, so the two agree bit
     for bit; for real values they differ by rounding in that order.
 
-    A 0/1 box (_product_view gives its bool view) is counted on packed words,
-    many gaps per array pass (_word_gap_sums): each S(j) is the exact integer
-    count, of at most n^d < 2^53 cells, so it equals the sum of float products
-    bit for bit.  A box with any other value multiplies float64 values, one
-    gap at a time, and sums each window with np.sum.
+    The gaps with a nonempty window go to the lattice routine of
+    _product_view.  A 0/1 box is counted on packed words, many gaps per array
+    pass (_word_gap_sums): each S(j) is the exact integer count, of at most
+    n^d < 2^53 cells, so it equals the sum of float products bit for bit.  A
+    box with any other value takes the sharp form's node sums (_node_sums) at
+    the whole-cell nodes j: one corner per shift, of weight 1, so each S(j)
+    multiplies float64 values over the window and sums them with np.sum, in
+    blocks of _BLOCK_BYTES.
     """
     n = f.n
-    v, total = _product_view(f.values)
-    lo = np.maximum(0, -2 * J)
-    hi = np.minimum(n, n - 2 * J)
-    live = np.flatnonzero(np.all(hi > lo, axis=1))
+    v, total, lattice = _product_view(f.values)
+    live = np.flatnonzero(np.all(np.minimum(n, n - 2 * J) > np.maximum(0, -2 * J), axis=1))
     S = np.zeros(len(J))
-    if v.dtype != bool:
-        buf = np.empty(v.size)
-        for i in live.tolist():
-            a, b, row = lo[i].tolist(), hi[i].tolist(), J[i].tolist()
-            s0 = tuple(slice(x0, x1) for x0, x1 in zip(a, b))
-            s1 = tuple(slice(x0 + c, x1 + c) for x0, x1, c in zip(a, b, row))
-            s2 = tuple(slice(x0 + 2 * c, x1 + 2 * c) for x0, x1, c in zip(a, b, row))
-            shape = tuple(x1 - x0 for x0, x1 in zip(a, b))
-            prod = buf[:math.prod(shape)].reshape(shape)
-            np.multiply(v[s0], v[s1], out=prod)
-            prod *= v[s2]
-            S[i] = total(prod)
-        return S
-    S[live] = _word_gap_sums(v, J[live])
+    S[live] = lattice(v, total, J[live])
     return S
 
 
@@ -423,9 +401,8 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
 _BLOCK_BYTES = 1 << 22
 
 
-def _cell_offset(y: np.ndarray, h: float):
-    """Whole-cell part (as ints) and fractional part of the shift y, per axis."""
-    t = y / h
+def _cell_offset(t: np.ndarray):
+    """Whole-cell part (as ints) and fractional part of the shift of t cells, per axis."""
     base = np.floor(t)
     return base.astype(int), t - base
 
@@ -436,6 +413,7 @@ def _corners(base: np.ndarray, frac: np.ndarray) -> list:
     The corners of x + y sit at x + base + {0, 1} per axis; in an array with
     a one-cell rim on every side that is one more cell along each axis.
     """
+    base, frac = base.tolist(), frac.tolist()
     out = []
     for corner in range(1 << len(base)):
         w = 1.0
@@ -443,7 +421,7 @@ def _corners(base: np.ndarray, frac: np.ndarray) -> list:
         for axis in range(len(base)):
             bit = (corner >> axis) & 1
             w = w * (frac[axis] if bit else 1.0 - frac[axis])
-            off.append(1 + int(base[axis]) + bit)
+            off.append(1 + base[axis] + bit)
         if w != 0.0:
             out.append((w, off))
     return out
@@ -454,15 +432,21 @@ def _shifted(window: tuple, off) -> tuple:
     return tuple(slice(sl.start + o, sl.stop + o) for sl, o in zip(window, off))
 
 
-def _overlap_blocks(n: int, b1: np.ndarray, b2: np.ndarray, block_cells: int):
-    """The overlap window of the shifts with cell parts b1 and b2, in blocks of rows.
+def _overlap_blocks(n: int, c1: list, c2: list, block_cells: int):
+    """The overlap window of the corners c1 of x + y and c2 of x + 2y, in blocks of rows.
 
-    x, x + y and x + 2y can all meet the box only on this window; cells
-    outside add exact zeros.  Each block holds whole rows of the inner axes
-    and about block_cells cells.  None if the window is empty.
+    A corner at rim offset o reads the box at x + o - 1, which lies in it for
+    1 - o <= x < n + 1 - o.  Per axis the window is the cells of the box that
+    some corner of c1 and some corner of c2 keep in the box; x, x + y and
+    x + 2y can all meet the box only on it, and cells outside add exact
+    zeros.  At a whole-cell shift j (one corner per list) it is
+    [max(0, -2j), min(n, n - 2j)), the window of _gap_sums.  Each block holds
+    whole rows of the inner axes and about block_cells cells.  None if the
+    window is empty.
     """
-    lo = np.maximum(0, np.maximum(-b1, -b2) - 1).tolist()
-    hi = np.minimum(n, np.minimum(n - b1, n - b2)).tolist()
+    axes = list(zip(zip(*(off for _, off in c1)), zip(*(off for _, off in c2))))
+    lo = [max(0, 1 - min(max(o1), max(o2))) for o1, o2 in axes]
+    hi = [min(n, n + 1 - max(min(o1), min(o2))) for o1, o2 in axes]
     if any(b <= a for a, b in zip(lo, hi)):
         return None
     inner = tuple(slice(a, b) for a, b in zip(lo[1:], hi[1:]))
@@ -470,9 +454,9 @@ def _overlap_blocks(n: int, b1: np.ndarray, b2: np.ndarray, block_cells: int):
     return [(slice(r0, min(r0 + rows, hi[0])),) + inner for r0 in range(lo[0], hi[0], rows)]
 
 
-def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple,
+def _node_sum(rim: np.ndarray, t: np.ndarray, bufs: tuple,
               total: Callable[[np.ndarray], float]) -> Optional[float]:
-    """sum_x f(x) f(x + y) f(x + 2y) at the gap y = node, or None if no x can count.
+    """sum_x f(x) f(x + y) f(x + 2y) at the shift y of t cells, or None if no x can count.
 
     rim is the view of f from _product_view with a one-cell zero rim, and
     total its sum.  Interpolation is linear in f, so the node sum is
@@ -482,27 +466,51 @@ def _node_sum(f: BoxFunction, rim: np.ndarray, node: np.ndarray, bufs: tuple,
     in the work buffers bufs, with each c1 product reused across c2.  On a
     bool view each S is an exact integer count whatever the blocks (held
     exactly in float64, being below 2^53).  The weighted terms are added by
-    fsum.
+    fsum; at a whole-cell shift there is one term, of weight 1.
     """
     first, both = bufs
-    b1, fr1 = _cell_offset(node, f.h)
-    b2, fr2 = _cell_offset(2.0 * node, f.h)
-    blocks = _overlap_blocks(f.n, b1, b2, _BLOCK_BYTES // rim.itemsize)
+    c1, c2 = _corners(*_cell_offset(t)), _corners(*_cell_offset(2.0 * t))
+    blocks = _overlap_blocks(rim.shape[0] - 2, c1, c2, _BLOCK_BYTES // rim.itemsize)
     if blocks is None:
         return None
-    c1, c2 = _corners(b1, fr1), _corners(b2, fr2)
     S = np.zeros((len(c1), len(c2)))
     for window in blocks:
         shape = tuple(sl.stop - sl.start for sl in window)
         size = math.prod(shape)
-        g, t = first[:size].reshape(shape), both[:size].reshape(shape)
-        here = rim[_shifted(window, (1,) * f.d)]
+        g, p = first[:size].reshape(shape), both[:size].reshape(shape)
+        here = rim[_shifted(window, (1,) * rim.ndim)]
         for i, (_, off1) in enumerate(c1):
             np.multiply(here, rim[_shifted(window, off1)], out=g)
             for j, (_, off2) in enumerate(c2):
-                S[i, j] += total(np.multiply(g, rim[_shifted(window, off2)], out=t))
+                S[i, j] += total(np.multiply(g, rim[_shifted(window, off2)], out=p))
     return math.fsum(w1 * w2 * S[i, j] for i, (w1, _) in enumerate(c1)
                      for j, (w2, _) in enumerate(c2))
+
+
+def _node_sums(view: np.ndarray, total: Callable[[np.ndarray], float],
+               shifts: np.ndarray) -> list:
+    """_node_sum at each row of shifts, in cells, on the view and total of _product_view.
+
+    The node sums run on a thread pool with one thread per usable CPU (at
+    most one per row); numpy releases the interpreter lock on the window
+    blocks.  Each worker has two work buffers of the view's dtype, of
+    max(_BLOCK_BYTES / itemsize, n^(d-1)) cells.  Every node sum is computed
+    by the same operations in the same order whichever thread runs it, and
+    the sums come back in row order, so they do not depend on the core
+    count, bit for bit.
+    """
+    rim = np.pad(view, 1)
+    cells = max(_BLOCK_BYTES // rim.itemsize, view.shape[0] ** (view.ndim - 1))
+    local = threading.local()
+
+    def run(t: np.ndarray) -> Optional[float]:
+        if not hasattr(local, "bufs"):
+            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(2))
+        return _node_sum(rim, t, local.bufs, total)
+
+    workers = max(1, min(usable_cpus(), len(shifts)))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(run, shifts))
 
 
 def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
@@ -513,15 +521,9 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
 
     Each node sum is a weighted sum of corner-pair triple sums (_node_sum)
     on the view of f that _product_view picks: counts of bool ands for a
-    0/1 box, float64 products for any other.
-
-    The node sums run on a thread pool with one thread per usable CPU (at
-    most one per node); numpy releases the interpreter lock on the window
-    blocks.  Each worker has two work buffers of the view's dtype, of
-    max(_BLOCK_BYTES / itemsize, n^(d-1)) cells.  Every node sum is computed
-    by the same operations in the same order whichever thread runs it, and
-    the results are combined in node order by one fsum, so the value does
-    not depend on the core count, bit for bit.
+    0/1 box, float64 products for any other.  The node sums run on a thread
+    pool (_node_sums) and are combined in node order by one fsum, so the
+    value does not depend on the core count, bit for bit.
     """
     lam = valid_finite("lam", lam)
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
@@ -531,19 +533,8 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     d = f.d
-    rim, total = _product_view(f.values)
-    rim = np.pad(rim, 1)  # drops a 0/1 box's unpadded bool copy
-    cells = max(_BLOCK_BYTES // rim.itemsize, f.n ** (d - 1))
-    local = threading.local()
-
-    def run(node: np.ndarray) -> Optional[float]:
-        if not hasattr(local, "bufs"):
-            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(2))
-        return _node_sum(f, rim, node, local.bufs, total)
-
-    workers = max(1, min(usable_cpus(), len(quad.nodes)))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        sums = list(ex.map(run, quad.nodes))
+    view, total, _ = _product_view(f.values)
+    sums = _node_sums(view, total, quad.nodes / f.h)
     val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)

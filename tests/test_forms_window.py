@@ -4,8 +4,10 @@ The references below embed f in a zero box wide enough for every shift and
 sum over all n^d cells, and the lattice references visit every gap j and -j.
 Cells outside the forms' overlap window add exact zeros and S(-j) = S(j), so
 the two differ only in summation order; on 0/1 indicators not even that.
-The gap sums of 0/1 boxes, which are counted on packed 64-bit words, are
-compared with == against _float_gap_sums, a copy of the float loop.
+The gap sums of 0/1 boxes, which are counted on packed 64-bit words, and
+those of real-valued boxes, which are the sharp form's node sums at
+whole-cell nodes, are compared with == against _float_gap_sums, a copy of
+the float loop they replaced.
 The sharp form sums corner-pair triple sums on every box; _float_n, a copy
 of the float interpolation loop it replaced, is its reference within REL.
 """
@@ -129,12 +131,12 @@ def _serial_n(f, quad):
     first, both = (np.empty(max(block, f.n ** (f.d - 1)), dtype=rim.dtype) for _ in range(2))
     parts = []
     for node, w in zip(quad.nodes, quad.weights):
-        b1, fr1 = forms._cell_offset(node, f.h)
-        b2, fr2 = forms._cell_offset(2.0 * node, f.h)
-        blocks = forms._overlap_blocks(f.n, b1, b2, block)
+        shift = node / f.h
+        c1 = forms._corners(*forms._cell_offset(shift))
+        c2 = forms._corners(*forms._cell_offset(2.0 * shift))
+        blocks = forms._overlap_blocks(f.n, c1, c2, block)
         if blocks is None:
             continue
-        c1, c2 = forms._corners(b1, fr1), forms._corners(b2, fr2)
         S = np.zeros((len(c1), len(c2)))
         for window in blocks:
             shape = tuple(sl.stop - sl.start for sl in window)
@@ -169,12 +171,12 @@ def _float_n(f, quad):
     rim = np.pad(f.values, 1)
     parts = []
     for node, w in zip(quad.nodes, quad.weights):
-        b1, fr1 = forms._cell_offset(node, f.h)
-        b2, fr2 = forms._cell_offset(2.0 * node, f.h)
-        blocks = forms._overlap_blocks(f.n, b1, b2, 1 << 16)
+        shift = node / f.h
+        c1 = forms._corners(*forms._cell_offset(shift))
+        c2 = forms._corners(*forms._cell_offset(2.0 * shift))
+        blocks = forms._overlap_blocks(f.n, c1, c2, 1 << 16)
         if blocks is None:
             continue
-        c1, c2 = forms._corners(b1, fr1), forms._corners(b2, fr2)
         sums = [float(np.sum(f.values[window] * _interp(rim, c1, window)
                              * _interp(rim, c2, window))) for window in blocks]
         parts.append(w * math.fsum(sums))
@@ -427,19 +429,6 @@ class TestCountedGapSums:
         J, _ = _kernel_lattice(P, 2, 2.0, 1.0, f.h)
         assert np.array_equal(_gap_sums(f, J), _float_gap_sums(f, J))
 
-    @pytest.mark.parametrize("block_bytes", [8, 400, 2000])
-    @pytest.mark.parametrize("d,n", [(1, 700), (2, 130)])
-    def test_small_blocks_equal_float_loop(self, monkeypatch, popcounts, d, n, block_bytes):
-        # blocks cut to fewer than 32 gaps, down to one gap each
-        f = random_indicator(float(n), 1.0, d, 0.5, seed=n)
-        J, _ = _kernel_lattice(P, d, n / 5.0, 1.0, 1.0)
-        ref = _float_gap_sums(f, J)
-        monkeypatch.setattr(forms, "_WORD_BLOCK_BYTES", block_bytes)
-        assert np.array_equal(_gap_sums(f, J), ref)
-        # each block fits the budget, or holds one gap
-        assert all(size <= block_bytes or gaps == 1 for _, gaps, size in popcounts)
-        assert block_bytes > 8 or {gaps for _, gaps, _ in popcounts} == {1}
-
     @pytest.mark.parametrize("d,n,lam", [(2, 192, 2.0), (1, 1 << 18, 0.05)])
     def test_work_memory_is_bounded(self, d, n, lam):
         # the bench's 192^2 box (20,201 gaps), and a row of 2^18 cells (3,410 gaps)
@@ -526,7 +515,7 @@ def _halves_box(N, n, d, seed):
 
 
 class TestFloatGapSums:
-    """Boxes with any value other than 0.0 and 1.0 take float products."""
+    """Boxes with any value other than 0.0 and 1.0 take float products, in the node sums."""
 
     @pytest.mark.parametrize("build", [_halves_box, _signed_box, _near_indicator])
     @pytest.mark.parametrize("d,N,n,lam,eps", [
@@ -551,6 +540,28 @@ class TestFloatGapSums:
         # S(0) = sum f^3 picks up (1 + 1e-13)^3, a few ulp above the count
         rounded = BoxFunction(values=np.round(f.values), N=f.N, h=f.h)
         assert got[0] > _gap_sums(rounded, J)[0]
+
+    @pytest.mark.parametrize("build", [_halves_box, _signed_box])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_whole_cell_node_sums_equal_float_loop(self, monkeypatch, popcounts, build, d):
+        # the sharp form's node sums at every gap out to 2|j_i| >= n on each axis,
+        # both signs: one corner per shift, so the float loop's products and window
+        n = 9
+        f = build(float(n), n, d, seed=d)
+        ax = np.arange(-(n // 2) - 1, n // 2 + 2)
+        J = np.stack([g.ravel() for g in np.meshgrid(*([ax] * d), indexing="ij")], axis=-1)
+        totals = []
+        node_sum = forms._node_sum
+
+        def spy(rim, t, bufs, total):
+            totals.append(total)
+            return node_sum(rim, t, bufs, total)
+        monkeypatch.setattr(forms, "_node_sum", spy)
+        got = _gap_sums(f, J)
+        assert np.array_equal(got, _float_gap_sums(f, J))
+        assert np.all(got[_window_cells(n, J) == 0.0] == 0.0)
+        assert popcounts == [] and set(totals) == {np.sum}
+        assert len(totals) == _live_windows(f, J) < len(J)
 
 
 def _shell_indicator(N=4.0, n=2048):

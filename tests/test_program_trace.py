@@ -61,12 +61,9 @@ ALLOWED = {
         "cleanup after a failed report write (a full disk or a read-only directory)",
     ("util", "return os.cpu_count() or 1"):
         "platform fallback where os.sched_getaffinity is missing (macOS, Windows)",
-    ("forms", "return v, np.sum"):
+    ("forms", "return v, np.sum, _node_sums"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
         "decomposition identity on them; the program's boxes are 0/1",
-    ("forms", "if v.dtype != bool:"):
-        "the gap sums of the real-valued boxes of the entry above, one float64 window per "
-        "gap; the program's 0/1 boxes are counted on packed words",
     ("forms", "if any(b <= a for a, b in zip(lo, hi)):"):
         "valid-input branch: a sharp-form gap above N/2 leaves no overlap window; the "
         "program's gaps are at most N/4",
