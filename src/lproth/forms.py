@@ -35,14 +35,15 @@ One helper, _product_view, picks how every form multiplies and sums a box:
 a box whose values are all exactly 0.0 or 1.0 is counted, each product a
 logical and and each sum the number of cells it keeps, the same integer,
 bit for bit, that float products give; a box with any other value
-(BoxFunction admits reals in [-1, 1]) takes float64 products.  The lattice
-sums of a 0/1 box are counted on packed 64-bit words, a block of gaps per
-array pass (_word_gap_sums); the sharp form counts on the bool view.  The
-sharp form has one node loop for both kinds of box: interpolation is
-linear in f, so each node sum is a sum over pairs of interpolation corners
-of the corner weights times a triple sum of f on the grid.  The lattice
-sums of any other box are that node loop's sums at whole-cell nodes, one
-corner of weight 1 per shift (_node_sums).
+(BoxFunction admits reals in [-1, 1]) takes float64 products.  A 0/1 box
+is counted on packed 64-bit word phases (_word_phases): the lattice sums a
+block of gaps per array pass (_word_gap_sums), the sharp form 2 x 2 corner
+pairs per array pass (_pair_counts).  The sharp form has one node loop for
+both kinds of box: interpolation is linear in f, so each node sum is a sum
+over pairs of interpolation corners of the corner weights times a triple
+sum of f on the grid.  The lattice sums of any other box are that node
+loop's sums at whole-cell nodes, one corner of weight 1 per shift
+(_node_sums).
 """
 
 from __future__ import annotations
@@ -186,18 +187,19 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
 
 
 def _product_view(v: np.ndarray):
-    """(view, total, lattice) for the products of the box values v: the bool
-    view, np.count_nonzero and _word_gap_sums if every value is exactly 0.0 or
-    1.0, else v, np.sum and _node_sums.
+    """(data, lattice) for the products of the box values v: the packed word
+    phases of v != 0 (_word_phases) and _word_gap_sums if every value is
+    exactly 0.0 or 1.0, else v with a one-cell zero rim and _node_sums.
 
-    lattice(view, total, J) gives the triple sums S(j) of the lattice gaps j,
+    lattice(data, n, J) gives the triple sums S(j) of the lattice gaps j,
     rows of J in cells, each with a nonempty window: counted on packed words,
-    or as the sharp form's node sums at whole-cell nodes.  On bools
-    np.multiply is a logical and; a value such as 1 + 1e-13 is not 1.
+    or as the sharp form's node sums at whole-cell nodes.  _node_sums(data,
+    n, shifts) gives the sharp form's node sums on either data.  A value
+    such as 1 + 1e-13 is not 1.
     """
     if np.all((v == 0.0) | (v == 1.0)):
-        return v != 0.0, np.count_nonzero, _word_gap_sums
-    return v, np.sum, _node_sums
+        return _word_phases(v != 0.0), _word_gap_sums
+    return np.pad(v, 1), _node_sums
 
 
 # the masks and the byte-sum multiplier of the SWAR popcount
@@ -231,46 +233,52 @@ def _popcount(w: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _word_phases(v: np.ndarray) -> np.ndarray:
-    """The 64 bit phases of the bool box v, packed along its last axis in uint64 words.
+    """The 65 bit phases of the bool box v, packed along its last axis in uint64 words.
 
     Bit b of word i in phase k is the cell 64 (i - 1) + k + b of its row, and
     zero off the box: word i = 0 is the word before the row.  So a shift of a
     row by c = 64 q + k cells, 0 <= k < 64, is the slice of phase k offset by q
-    words.  Each phase is a funnel shift of the packed row, each word made from
-    two neighbouring words.  Shape v.shape[:-1] + (W + 1, 64), W = ceil(n / 64).
+    words, and phase 64 is phase 0 one word on: the shift c + 1 is phase
+    k + 1 at the same offset q.  Each phase is a funnel shift of the packed
+    row, each word made from two neighbouring words.  Every leading axis has a
+    one-row zero rim, as in np.pad(v, 1).  Phase-major: shape
+    (65,) + (m + 2 for m in v.shape[:-1]) + (W + 1,), W = ceil(n / 64), so
+    that a phase's words run along contiguous rows.
     """
     n = v.shape[-1]
     W = -(-n // 64)
-    raw = np.zeros(v.shape[:-1] + (8 * (W + 2),), dtype=np.uint8)
-    raw[..., 8:8 + -(-n // 8)] = np.packbits(v, axis=-1, bitorder="little")
+    rim = tuple(m + 2 for m in v.shape[:-1])
+    raw = np.zeros(rim + (8 * (W + 2),), dtype=np.uint8)
+    raw[(slice(1, -1),) * len(rim) + (slice(8, 8 + -(-n // 8)),)] = np.packbits(
+        v, axis=-1, bitorder="little")
     words = raw.view("<u8")  # the words before and after the row stay zero
-    phases = np.empty(v.shape[:-1] + (W + 1, 64), dtype=np.uint64)
-    phases[..., 0] = words[..., :-1]
+    phases = np.empty((65,) + rim + (W + 1,), dtype=np.uint64)
+    phases[0], phases[64] = words[..., :-1], words[..., 1:]
     for k in range(1, 64):
-        np.right_shift(words[..., :-1], k, out=phases[..., k])
-        phases[..., k] |= words[..., 1:] << (64 - k)
+        np.right_shift(words[..., :-1], k, out=phases[k])
+        phases[k] |= words[..., 1:] << (64 - k)
     return phases
 
 
-def _word_gap_sums(v: np.ndarray, total, J: np.ndarray) -> np.ndarray:
-    """S(j) for each row j of J on the bool box v, counted on packed words.
+def _word_gap_sums(phases: np.ndarray, n: int, J: np.ndarray) -> np.ndarray:
+    """S(j) for each row j of J on a 0/1 box of side n, counted on its word phases.
 
-    Every gap of J must have a nonempty window; total, np.count_nonzero, is
-    not needed, since _popcount counts the words.  The gaps are taken in
-    blocks that share the leading shifts j' = j[:-1] and a = floor(c / 32) of
-    the last shift c, so a block holds at most 32 gaps.  Then
-    c = 64 floor(a / 2) + k and 2c = 64 a + 2 (c - 32 a), so x + j and x + 2j
-    each read one strided view of the word phases (_word_phases), whose last
-    axis runs over the block's c; no block gathers, long rows included.  Rows
-    run over the window of j'; words over those that meet the window of some
-    c of the block, and each cell outside a gap's own window meets a zero bit
-    in one of the three operands.  A block ANDs the three views in a work
-    buffer, of at most 32 words per word of the phases' rows (half the
-    phases' own size), counts the bits (_popcount) and sums the counts per
-    gap: exact integers, as are the S(j).
+    Every gap of J must have a nonempty window.  The gaps read phases 0-63
+    shift-minor: a contiguous copy of shape n^(d-1) x (W + 1) x 64, without
+    the rim.  They are taken in blocks that share the leading shifts
+    j' = j[:-1] and a = floor(c / 32) of the last shift c, so a block holds
+    at most 32 gaps.  Then c = 64 floor(a / 2) + k and
+    2c = 64 a + 2 (c - 32 a), so x + j and x + 2j each read one strided view
+    of the copy, whose last axis runs over the block's c; no block gathers,
+    long rows included.  Rows run over the window of j'; words over those
+    that meet the window of some c of the block, and each cell outside a
+    gap's own window meets a zero bit in one of the three operands.  A block
+    ANDs the three views in a work buffer, of at most 32 words per word of
+    the copy's rows (half the copy's own size), counts the bits (_popcount)
+    and sums the counts per gap: exact integers, as are the S(j).
     """
-    n = v.shape[-1]
-    phases = _word_phases(v)
+    inner = (slice(64),) + (slice(1, -1),) * (J.shape[1] - 1)
+    phases = np.ascontiguousarray(np.moveaxis(phases[inner], 0, -1))
     lead, c = J[:, :-1], J[:, -1]
     order = np.lexsort(np.column_stack([c, lead[:, ::-1]]).T)
     keys = np.column_stack([lead, c // 32])[order]
@@ -320,13 +328,13 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     box with any other value takes the sharp form's node sums (_node_sums) at
     the whole-cell nodes j: one corner per shift, of weight 1, so each S(j)
     multiplies float64 values over the window and sums them with np.sum, in
-    blocks of _BLOCK_BYTES.
+    blocks of _BLOCK_BYTES (_pair_products).
     """
     n = f.n
-    v, total, lattice = _product_view(f.values)
+    data, lattice = _product_view(f.values)
     live = np.flatnonzero(np.all(np.minimum(n, n - 2 * J) > np.maximum(0, -2 * J), axis=1))
     S = np.zeros(len(J))
-    S[live] = lattice(v, total, J[live])
+    S[live] = lattice(data, n, J[live])
     return S
 
 
@@ -392,12 +400,13 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
     return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
-# Bytes per block of the sharp form's window in each work buffer: 2^22
-# cells on a bool view, 2^19 on float64 values, so a worker's two buffers
-# take 8 MiB.  A block costs a fixed count of numpy calls per corner pair,
-# which dominates small blocks; on a 2048^2 shell (2 cores, 64 nodes) the
-# counted node sums took 1.6 s in blocks of 2^16 cells, 0.7-0.8 s at 2^20
-# and 0.55 s at 2^22, the whole window.
+# Bytes per block of the float64 node sums' window in each work buffer
+# (_pair_products): 2^19 cells, so a worker's two buffers take 8 MiB.  A
+# block costs a fixed count of numpy calls per corner pair, but on a
+# real-valued 2048^2 shell (2 cores, 64 nodes) the float products set the
+# time: 2.2-2.7 s in blocks of 2^16 cells, 2.2-2.5 s at 2^19 and 2.2-2.4 s
+# at 2^22, the whole window.  So the size bounds the work memory.  The word
+# counts of a 0/1 box take the whole window as one block (_pair_counts).
 _BLOCK_BYTES = 1 << 22
 
 
@@ -454,25 +463,36 @@ def _overlap_blocks(n: int, c1: list, c2: list, block_cells: int):
     return [(slice(r0, min(r0 + rows, hi[0])),) + inner for r0 in range(lo[0], hi[0], rows)]
 
 
-def _node_sum(rim: np.ndarray, t: np.ndarray, bufs: tuple,
-              total: Callable[[np.ndarray], float]) -> Optional[float]:
+def _node_sum(data: np.ndarray, n: int, t: np.ndarray, bufs: tuple) -> Optional[float]:
     """sum_x f(x) f(x + y) f(x + 2y) at the shift y of t cells, or None if no x can count.
 
-    rim is the view of f from _product_view with a one-cell zero rim, and
-    total its sum.  Interpolation is linear in f, so the node sum is
-    sum_{c1, c2} w1(c1) w2(c2) S(c1, c2) over the corners c1 of x + y and c2
-    of x + 2y with nonzero weight, where S(c1, c2) sums f(x) f(c1) f(c2) over
-    the overlap window.  S accumulates total of the products block by block,
-    in the work buffers bufs, with each c1 product reused across c2.  On a
-    bool view each S is an exact integer count whatever the blocks (held
-    exactly in float64, being below 2^53).  The weighted terms are added by
-    fsum; at a whole-cell shift there is one term, of weight 1.
+    data is f's side-n box from _product_view: the word phases of a 0/1 box,
+    or float64 values with a one-cell zero rim.  Interpolation is linear in
+    f, so the node sum is sum_{c1, c2} w1(c1) w2(c2) S(c1, c2) over the
+    corners c1 of x + y and c2 of x + 2y with nonzero weight, where
+    S(c1, c2) sums f(x) f(c1) f(c2) over the overlap window, in the work
+    buffers bufs: counted on the words in one block, the whole window
+    (_pair_counts), or multiplied in blocks of _BLOCK_BYTES (_pair_products).
+    The weighted terms are added by fsum; at a whole-cell shift there is one
+    term, of weight 1.
     """
-    first, both = bufs
     c1, c2 = _corners(*_cell_offset(t)), _corners(*_cell_offset(2.0 * t))
-    blocks = _overlap_blocks(rim.shape[0] - 2, c1, c2, _BLOCK_BYTES // rim.itemsize)
+    counted = data.dtype == np.uint64
+    blocks = _overlap_blocks(n, c1, c2, n ** len(t) if counted else _BLOCK_BYTES // 8)
     if blocks is None:
         return None
+    S = (_pair_counts if counted else _pair_products)(data, c1, c2, blocks, bufs)
+    return math.fsum(w1 * w2 * S[i, j] for i, (w1, _) in enumerate(c1)
+                     for j, (w2, _) in enumerate(c2))
+
+
+def _pair_products(rim: np.ndarray, c1: list, c2: list, blocks: list, bufs: tuple) -> np.ndarray:
+    """S(c1, c2) for each pair of corners, from float64 products of the rimmed values.
+
+    S accumulates np.sum of the products block by block, in the two work
+    buffers, with each c1 product reused across c2.
+    """
+    first, both = bufs
     S = np.zeros((len(c1), len(c2)))
     for window in blocks:
         shape = tuple(sl.stop - sl.start for sl in window)
@@ -482,31 +502,76 @@ def _node_sum(rim: np.ndarray, t: np.ndarray, bufs: tuple,
         for i, (_, off1) in enumerate(c1):
             np.multiply(here, rim[_shifted(window, off1)], out=g)
             for j, (_, off2) in enumerate(c2):
-                S[i, j] += total(np.multiply(g, rim[_shifted(window, off2)], out=p))
-    return math.fsum(w1 * w2 * S[i, j] for i, (w1, _) in enumerate(c1)
-                     for j, (w2, _) in enumerate(c2))
+                S[i, j] += np.sum(np.multiply(g, rim[_shifted(window, off2)], out=p))
+    return S
 
 
-def _node_sums(view: np.ndarray, total: Callable[[np.ndarray], float],
-               shifts: np.ndarray) -> list:
-    """_node_sum at each row of shifts, in cells, on the view and total of _product_view.
+def _pair_counts(phases: np.ndarray, c1: list, c2: list, blocks: list, bufs: tuple) -> np.ndarray:
+    """S(c1, c2) for each pair of corners, counted on the word phases of a 0/1 box.
+
+    blocks holds one block, the window.  A corner at rim offset o reads the
+    box o - 1 cells on.  On the last axis the corners of x + y are s and
+    s + 1 cells on, or s alone, with s = 64 q + k: phases k and k + 1 (phase
+    64 included) at the word offset q.  The same holds for x + 2y.  x reads
+    phase 0 over the words that meet the window, and each corner the same
+    words q on.  The window keeps x + s + 1 >= 0 and x + s < n, so those
+    words lie on the phases, and their bits off the box are zero.  So each
+    pair of leading-axis corners is one array pass: a broadcast AND of x,
+    x + y and x + 2y fills a 2 x 2 x rows x words work buffer with the four
+    last-axis corner pairs, and _popcount and a sum over the words give four
+    exact counts.  A pass whose AND is all zero counts zero without
+    _popcount.
+    """
+    (window,) = blocks
+    lead, last = window[:-1], window[-1]
+    words = slice(last.start // 64 + 1, -(-last.stop // 64) + 1)
+    x = phases[(0,) + _shifted(lead, (1,) * len(lead)) + (words,)]
+    passes = []  # per corner list and leading offsets: a view of the phases, and the
+    # index of each corner with those offsets and of its phase in the view
+    for corners in (c1, c2):
+        shifts = [off[-1] - 1 for _, off in corners]
+        s = min(shifts)
+        q, k = divmod(s, 64)
+        lead_offs = {}
+        for i, (_, off) in enumerate(corners):
+            lead_offs.setdefault(tuple(off[:-1]), []).append((i, shifts[i] - s))
+        passes.append([(phases[(slice(k, k + max(shifts) - s + 1),) + _shifted(lead, o)
+                               + (slice(words.start + q, words.stop + q),)], idx)
+                       for o, idx in lead_offs.items()])
+    shape = (passes[0][0][0].shape[0], passes[1][0][0].shape[0]) + x.shape
+    out, scratch = (b[:math.prod(shape)].reshape(shape) for b in bufs)
+    S = np.zeros((len(c1), len(c2)))
+    for y1, idx1 in passes[0]:
+        for y2, idx2 in passes[1]:
+            np.bitwise_and(y1[:, None], y2[None], out=out)
+            out &= x
+            if out.any():
+                counts = _popcount(out, scratch).reshape(shape[:2] + (-1,)).sum(axis=-1)
+                for i, a in idx1:
+                    for j, b in idx2:
+                        S[i, j] = counts[a, b]
+    return S
+
+
+def _node_sums(data: np.ndarray, n: int, shifts: np.ndarray) -> list:
+    """_node_sum at each row of shifts, in cells, on the side-n box data of _product_view.
 
     The node sums run on a thread pool with one thread per usable CPU (at
-    most one per row); numpy releases the interpreter lock on the window
-    blocks.  Each worker has two work buffers of the view's dtype, of
-    max(_BLOCK_BYTES / itemsize, n^(d-1)) cells.  Every node sum is computed
-    by the same operations in the same order whichever thread runs it, and
-    the sums come back in row order, so they do not depend on the core
-    count, bit for bit.
+    most one per row); numpy releases the interpreter lock on the array
+    passes.  Each worker has two work buffers of data's 8-byte dtype, of
+    max(_BLOCK_BYTES / 8, 4 data[0].size) items: a float64 block, which
+    holds at least one slab of whole inner rows, or the 2 x 2 corner words
+    of every row.  Every node sum is computed by the same operations in the
+    same order whichever thread runs it, and the sums come back in row
+    order, so they do not depend on the core count, bit for bit.
     """
-    rim = np.pad(view, 1)
-    cells = max(_BLOCK_BYTES // rim.itemsize, view.shape[0] ** (view.ndim - 1))
+    cells = max(_BLOCK_BYTES // 8, 4 * data[0].size)
     local = threading.local()
 
     def run(t: np.ndarray) -> Optional[float]:
         if not hasattr(local, "bufs"):
-            local.bufs = tuple(np.empty(cells, dtype=rim.dtype) for _ in range(2))
-        return _node_sum(rim, t, local.bufs, total)
+            local.bufs = tuple(np.empty(cells, dtype=data.dtype) for _ in range(2))
+        return _node_sum(data, n, t, local.bufs)
 
     workers = max(1, min(usable_cpus(), len(shifts)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -520,10 +585,10 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     3-progression in supp f whose gap length is lam in the lp metric.
 
     Each node sum is a weighted sum of corner-pair triple sums (_node_sum)
-    on the view of f that _product_view picks: counts of bool ands for a
-    0/1 box, float64 products for any other.  The node sums run on a thread
-    pool (_node_sums) and are combined in node order by one fsum, so the
-    value does not depend on the core count, bit for bit.
+    on the data of f that _product_view picks: bit counts on packed words
+    for a 0/1 box, float64 products for any other.  The node sums run on a
+    thread pool (_node_sums) and are combined in node order by one fsum, so
+    the value does not depend on the core count, bit for bit.
     """
     lam = valid_finite("lam", lam)
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
@@ -533,8 +598,8 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     d = f.d
-    view, total, _ = _product_view(f.values)
-    sums = _node_sums(view, total, quad.nodes / f.h)
+    data, _ = _product_view(f.values)
+    sums = _node_sums(data, f.n, quad.nodes / f.h)
     val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)

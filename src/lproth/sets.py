@@ -26,7 +26,8 @@ import numpy as np
 
 from .forms import BoxFunction, random_indicator
 from .lpgeom import DEGENERATE_P, lp_norm, lp_norm_batch, sphere_quadrature, valid_exponent
-from .util import spawn_rng, valid_count, valid_finite, valid_scale, valid_seed
+from .util import (spawn_rng, valid_count, valid_finite, valid_fraction, valid_scale,
+                   valid_seed)
 
 BOURGAIN_SHELL = 0.1
 HALF_INTEGER_CAP = 0.4
@@ -311,6 +312,7 @@ def theorem_experiment(delta: float, p, d: int, N: float, sequence: Sequence[flo
     A seed counts as realized when at least one scale yields a verified
     witness.  Failures are findings, not errors.
     """
+    delta = valid_fraction("delta", delta)
     pv = valid_exponent(p)
     if pv in DEGENERATE_P:
         raise ValueError("degenerate exponents are rejected by the progression experiment")

@@ -9,7 +9,9 @@ those of real-valued boxes, which are the sharp form's node sums at
 whole-cell nodes, are compared with == against _float_gap_sums, a copy of
 the float loop they replaced.
 The sharp form sums corner-pair triple sums on every box; _float_n, a copy
-of the float interpolation loop it replaced, is its reference within REL.
+of the float interpolation loop it replaced, is its reference within REL,
+and _serial_n, the same corner pairs one node after another (counted on
+the bool view of a 0/1 box), its reference with ==.
 """
 
 import math
@@ -318,8 +320,9 @@ def counts(monkeypatch):
 
 @pytest.fixture()
 def popcounts(monkeypatch):
-    """(dtype, gaps, bytes) of each block the packed gap sums count: the dtype of the
-    words, the length of their last axis, which runs over the block's gaps, and their size."""
+    """(dtype, last axis, bytes) of each array _popcount counts: the dtype of the words, the
+    length of their last axis, which runs over a block's gaps in the packed gap sums and
+    over words in the sharp form's corner pairs, and their size."""
     seen = []
     popcount = forms._popcount
 
@@ -550,18 +553,18 @@ class TestFloatGapSums:
         f = build(float(n), n, d, seed=d)
         ax = np.arange(-(n // 2) - 1, n // 2 + 2)
         J = np.stack([g.ravel() for g in np.meshgrid(*([ax] * d), indexing="ij")], axis=-1)
-        totals = []
+        dtypes = []
         node_sum = forms._node_sum
 
-        def spy(rim, t, bufs, total):
-            totals.append(total)
-            return node_sum(rim, t, bufs, total)
+        def spy(data, n, t, bufs):
+            dtypes.append(data.dtype)
+            return node_sum(data, n, t, bufs)
         monkeypatch.setattr(forms, "_node_sum", spy)
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))
         assert np.all(got[_window_cells(n, J) == 0.0] == 0.0)
-        assert popcounts == [] and set(totals) == {np.sum}
-        assert len(totals) == _live_windows(f, J) < len(J)
+        assert popcounts == [] and set(dtypes) == {np.dtype(float)}
+        assert len(dtypes) == _live_windows(f, J) < len(J)
 
 
 def _shell_indicator(N=4.0, n=2048):
@@ -680,8 +683,14 @@ def _indicator_box(N, n, d, seed, structured=False):
     return random_indicator(N, N / n, d, 0.4, seed=seed, structured=structured)
 
 
+def _on_words(popcounts):
+    """Whether some corner pairs were counted, all on uint64 words."""
+    return bool(popcounts) and {dtype for dtype, _, _ in popcounts} == {np.dtype(np.uint64)}
+
+
 class TestCountedSharpForm:
-    """0/1 boxes take counted node sums; they match the deleted float loop within REL."""
+    """0/1 boxes take node sums counted on packed words; they equal the serial bool
+    counts with == and match the deleted float loop within REL."""
 
     @pytest.mark.parametrize("structured", [False, True])
     @pytest.mark.parametrize("d,n,N,p,nodes", [
@@ -690,12 +699,11 @@ class TestCountedSharpForm:
         (2, 96, 8.0, 3.0, 8),
         (3, 20, 5.0, 1.5, 8),
     ])
-    def test_indicator_matches_float_loop(self, counts, d, n, N, p, nodes, structured):
+    def test_indicator_matches_float_loop(self, popcounts, d, n, N, p, nodes, structured):
         f = _indicator_box(N, n, d, seed=n + d, structured=structured)
         rule = lpgeom.sphere_quadrature(p, d, 1.0, n=nodes)
-        counts.clear()
         got = n_lambda(f, rule, 1.0).value
-        assert counts and set(counts) == {np.dtype(bool)}
+        assert _on_words(popcounts)
         assert got == _serial_n(f, rule)
         ref = _float_n(f, rule)
         assert ref > 0.0
@@ -703,27 +711,33 @@ class TestCountedSharpForm:
 
     @pytest.mark.parametrize("fill", [0.0, 1.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_constant_box_matches_float_loop(self, counts, d, fill):
+    def test_constant_box_matches_float_loop(self, popcounts, d, fill):
         f = BoxFunction(values=np.full((16,) * d, fill), N=4.0, h=0.25)
         rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
         got = n_lambda(f, rule, 1.0).value
-        assert counts and set(counts) == {np.dtype(bool)}
+        assert forms._product_view(f.values)[0].dtype == np.uint64
         if fill == 0.0:
+            # every AND of the empty box is zero, so no pass reaches _popcount
+            assert popcounts == []
             assert got == 0.0 == _float_n(f, rule)
         else:
+            assert _on_words(popcounts)
+            assert got == _serial_n(f, rule)
             assert got == pytest.approx(_float_n(f, rule), rel=REL)
             assert got == pytest.approx(_padded_n(f, rule), rel=REL)
 
     @pytest.mark.parametrize("d,n,N", [(1, 4000, 16.0), (2, 96, 8.0), (3, 24, 6.0)])
     def test_blocks_split_the_window_bit_for_bit(self, monkeypatch, d, n, N):
-        # the counts are exact integers, so the block size cannot move a bit;
-        # float block sums of a signed box round differently, so it compares at REL
+        # the word counts take the whole window and are exact integers, so they equal
+        # the serial bool counts in 56-cell blocks; float block sums of a signed box
+        # round differently, so it compares at REL
         f, signed = _indicator_box(N, n, d, seed=d), _signed_box(N, n, d, seed=d)
         rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
-        whole, whole_signed = n_lambda(f, rule, 1.0).value, n_lambda(signed, rule, 1.0).value
+        whole_signed = n_lambda(signed, rule, 1.0).value
         monkeypatch.setattr(forms, "_BLOCK_BYTES", 56)  # 56 bool or 7 float64 cells
-        assert n_lambda(f, rule, 1.0).value == whole
-        assert whole == pytest.approx(_float_n(f, rule), rel=REL)
+        got = n_lambda(f, rule, 1.0).value
+        assert got == _serial_n(f, rule)
+        assert got == pytest.approx(_float_n(f, rule), rel=REL)
         assert n_lambda(signed, rule, 1.0).value == pytest.approx(whole_signed, rel=REL)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -759,12 +773,29 @@ class TestCountedSharpForm:
 
     @pytest.mark.parametrize("build", [_halves_box, _signed_box, _near_indicator])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_other_boxes_take_the_float_loop(self, counts, build, d):
+    def test_other_boxes_take_the_float_loop(self, popcounts, build, d):
         f = build(4.0, 16, d, seed=d)
         rule = lpgeom.sphere_quadrature(1.5, d, 1.0, n=8)
-        counts.clear()
         got = n_lambda(f, rule, 1.0).value
-        assert counts == []
+        assert popcounts == []
+        assert got == _serial_n(f, rule)
+        assert got == pytest.approx(_float_n(f, rule), rel=REL)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_word_edge_corners_equal_serial(self, popcounts, d, n):
+        # last-axis shifts, in cells, whose two corners are phases 63 and 64 (phase 0 of
+        # the next word): 63.3 and 31.7 (x + 2y), -0.5 and -64.5 below the row; other
+        # negative shifts; and shifts whose x + 2y has one corner on the box's last cell
+        # and one off it, alone or beside a leading shift that leaves the box
+        last = [63.3, 31.7, -0.5, -64.5, -31.6, -1.2, n / 2 - 0.25, 0.25 - n / 2, 0.4]
+        lead = [0.3, -1.6, 2.5, n / 2 - 0.25]
+        nodes = np.array([[lead[(i + a) % 4] for a in range(d - 1)] + [t]
+                          for i, t in enumerate(last)])
+        f = random_indicator(float(n), 1.0, d, 0.6, seed=n + d)
+        rule = _rule(nodes)
+        got = n_lambda(f, rule, 1.0).value
+        assert got > 0.0 and _on_words(popcounts)
         assert got == _serial_n(f, rule)
         assert got == pytest.approx(_float_n(f, rule), rel=REL)
 
@@ -780,17 +811,17 @@ class TestCountedSharpForm:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_node_count_error_reaches_caller(self, monkeypatch, pool_workers, workers):
-        count = np.count_nonzero
+        popcount = forms._popcount
         calls = []
         lock = threading.Lock()
 
-        def failing(*args, **kwargs):
+        def failing(w, t):
             with lock:
                 calls.append(None)
                 if len(calls) == 7:
                     raise FloatingPointError("node count failed")
-            return count(*args, **kwargs)
-        monkeypatch.setattr(np, "count_nonzero", failing)
+            return popcount(w, t)
+        monkeypatch.setattr(forms, "_popcount", failing)
         pool_workers(workers)
         f = _indicator_box(4.0, 32, 2, seed=2)
         with pytest.raises(FloatingPointError, match="node count failed"):

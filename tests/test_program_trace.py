@@ -61,9 +61,13 @@ ALLOWED = {
         "cleanup after a failed report write (a full disk or a read-only directory)",
     ("util", "return os.cpu_count() or 1"):
         "platform fallback where os.sched_getaffinity is missing (macOS, Windows)",
-    ("forms", "return v, np.sum, _node_sums"):
+    ("forms", "return np.pad(v, 1), _node_sums"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
         "decomposition identity on them; the program's boxes are 0/1",
+    ("forms", "def _pair_products(rim: np.ndarray, c1: list, c2: list, blocks: list, "
+              "bufs: tuple) -> np.ndarray:"):
+        "the float64 corner-pair sums of the real-valued boxes of the entry above; the "
+        "program's 0/1 boxes are counted on words (_pair_counts)",
     ("forms", "if any(b <= a for a, b in zip(lo, hi)):"):
         "valid-input branch: a sharp-form gap above N/2 leaves no overlap window; the "
         "program's gaps are at most N/4",

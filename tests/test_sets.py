@@ -485,7 +485,7 @@ class TestTheoremExperiment:
             theorem_experiment(0.4, 1.5, 2, 64.0, [4.0, bad], seeds=[1])
 
     def test_nan_density_named(self):
-        with pytest.raises(ValueError, match="^density must be finite"):
+        with pytest.raises(ValueError, match="^delta must be finite"):
             theorem_experiment(np.nan, 1.5, 2, 64.0, lacunary_generate(4.0, 2.0, 3), seeds=[1])
 
     def test_oversized_scale_rejected(self):

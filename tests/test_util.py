@@ -92,6 +92,8 @@ FRACTIONS = {
     ("roth_main_term_experiment", "delta"): lambda v: forms.roth_main_term_experiment(
         v, 32.0, 2.0, 2, None, 1.5),
     ("random_indicator", "density"): lambda v: forms.random_indicator(4.0, 1.0, 1, v, seed=0),
+    ("theorem_experiment", "delta"): lambda v: sets.theorem_experiment(
+        v, 1.5, 2, 64.0, [4.0], [1]),
 }
 
 # one bad seed after a good one
