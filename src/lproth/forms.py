@@ -38,12 +38,13 @@ bit for bit, that float products give; a box with any other value
 (BoxFunction admits reals in [-1, 1]) takes float64 products.  A 0/1 box
 is counted on packed 64-bit word phases (_word_phases): the lattice sums a
 block of gaps per array pass (_word_gap_sums), the sharp form 2 x 2 corner
-pairs per array pass (_pair_counts).  The sharp form has one node loop for
-both kinds of box: interpolation is linear in f, so each node sum is a sum
-over pairs of interpolation corners of the corner weights times a triple
-sum of f on the grid.  The lattice sums of any other box are that node
-loop's sums at whole-cell nodes, one corner of weight 1 per shift
-(_node_sums).
+pairs per array pass.  The sharp form has one node loop and one corner-pair
+routine (_pair_sums) for both kinds of box: interpolation is linear in f,
+so each node sum is a sum over pairs of interpolation corners of the corner
+weights times a triple sum of f on the grid, and the routine reads either
+box through the same phases, words of 64 cells or float64 cells.  The
+lattice sums of any other box are that node loop's sums at whole-cell
+nodes, one corner of weight 1 per shift (_node_sums).
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
@@ -186,20 +188,45 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
     return J[half], np.where(lead[half] > 0, 2.0, 1.0)
 
 
-def _product_view(v: np.ndarray):
-    """(data, lattice) for the products of the box values v: the packed word
-    phases of v != 0 (_word_phases) and _word_gap_sums if every value is
-    exactly 0.0 or 1.0, else v with a one-cell zero rim and _node_sums.
+class _Box(NamedTuple):
+    """How the forms multiply and sum the values of one box (_product_view).
 
-    lattice(data, n, J) gives the triple sums S(j) of the lattice gaps j,
-    rows of J in cells, each with a nonempty window: counted on packed words,
-    or as the sharp form's node sums at whole-cell nodes.  _node_sums(data,
-    n, shifts) gives the sharp form's node sums on either data.  A value
-    such as 1 + 1e-13 is not 1.
+    data holds the box's phases: data[k] is the box with a one-cell zero rim
+    on every axis, shifted k cells along its last axis, and its last axis
+    runs over items of unit cells each.  product multiplies items cell by
+    cell, count(w, t) turns products into per-item sums (t is scratch of w's
+    shape), and the sum of an item's sums is the sum of its cells' products.
+    A corner pair's window is taken in blocks of at most block_cells cells
+    (_overlap_blocks).  lattice(box, n, J) gives the triple sums S(j) of the
+    lattice gaps j, rows of J in cells, each with a nonempty window.
+    """
+
+    data: np.ndarray
+    unit: int
+    product: Callable
+    count: Callable
+    block_cells: int
+    lattice: Callable
+
+
+def _product_view(v: np.ndarray) -> _Box:
+    """How to multiply and sum the box values v: counted on packed words if every value
+    is exactly 0.0 or 1.0, else multiplied in float64.
+
+    A 0/1 box takes its 65 word phases (_word_phases), 64 cells per item:
+    products are logical ands, counted by _popcount, a corner pair's window
+    is one block, and the lattice sums are counted a block of gaps at a time
+    (_word_gap_sums).  Any other box takes two float64 views of its rimmed
+    values, the second one cell on, one cell per item: products are float
+    products, summed as they are in blocks of _BLOCK_BYTES, and the lattice
+    sums are the sharp form's node sums at whole-cell nodes (_node_sums).
+    A value such as 1 + 1e-13 is not 1.
     """
     if np.all((v == 0.0) | (v == 1.0)):
-        return _word_phases(v != 0.0), _word_gap_sums
-    return np.pad(v, 1), _node_sums
+        return _Box(_word_phases(v != 0.0), 64, np.bitwise_and, _popcount, v.size,
+                    _word_gap_sums)
+    return _Box(np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), -1, 0), 1,
+                np.multiply, lambda w, t: w, _BLOCK_BYTES // 8, _node_sums)
 
 
 # the masks and the byte-sum multiplier of the SWAR popcount
@@ -260,7 +287,7 @@ def _word_phases(v: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _word_gap_sums(phases: np.ndarray, n: int, J: np.ndarray) -> np.ndarray:
+def _word_gap_sums(box: _Box, n: int, J: np.ndarray) -> np.ndarray:
     """S(j) for each row j of J on a 0/1 box of side n, counted on its word phases.
 
     Every gap of J must have a nonempty window.  The gaps read phases 0-63
@@ -278,7 +305,7 @@ def _word_gap_sums(phases: np.ndarray, n: int, J: np.ndarray) -> np.ndarray:
     and sums the counts per gap: exact integers, as are the S(j).
     """
     inner = (slice(64),) + (slice(1, -1),) * (J.shape[1] - 1)
-    phases = np.ascontiguousarray(np.moveaxis(phases[inner], 0, -1))
+    phases = np.ascontiguousarray(np.moveaxis(box.data[inner], 0, -1))
     lead, c = J[:, :-1], J[:, -1]
     order = np.lexsort(np.column_stack([c, lead[:, ::-1]]).T)
     keys = np.column_stack([lead, c // 32])[order]
@@ -328,13 +355,13 @@ def _gap_sums(f: BoxFunction, J: np.ndarray) -> np.ndarray:
     box with any other value takes the sharp form's node sums (_node_sums) at
     the whole-cell nodes j: one corner per shift, of weight 1, so each S(j)
     multiplies float64 values over the window and sums them with np.sum, in
-    blocks of _BLOCK_BYTES (_pair_products).
+    blocks of _BLOCK_BYTES (_pair_sums).
     """
     n = f.n
-    data, lattice = _product_view(f.values)
+    box = _product_view(f.values)
     live = np.flatnonzero(np.all(np.minimum(n, n - 2 * J) > np.maximum(0, -2 * J), axis=1))
     S = np.zeros(len(J))
-    S[live] = lattice(data, n, J[live])
+    S[live] = box.lattice(box, n, J[live])
     return S
 
 
@@ -400,14 +427,13 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
     return _grid_forms(f, params, 1.0, [("E_lambda", eps, CancelledKernel(params, c, m))])[0]
 
 
-# Bytes per block of the float64 node sums' window in each work buffer
-# (_pair_products): 2^19 cells, so a worker's two buffers take 8 MiB.  A
-# block costs a fixed count of numpy calls per corner pair, but on a
-# real-valued 2048^2 shell (2 cores, 64 nodes) the float products set the
-# time: 2.2-2.7 s in blocks of 2^16 cells, 2.2-2.5 s at 2^19 and 2.2-2.4 s
-# at 2^22, the whole window.  So the size bounds the work memory.  The word
-# counts of a 0/1 box take the whole window as one block (_pair_counts).
-_BLOCK_BYTES = 1 << 22
+# Bytes of one corner pair's block of float64 products (_pair_sums): 2^16
+# cells, so a worker's three work buffers, of 2 x 2 blocks each, take 6 MiB.
+# On a real-valued 2048^2 shell (values 0 and 0.5, gap 1.0, 64 nodes, 2
+# cores) the products set the time, not the count of blocks: 2.2-2.3 s in
+# blocks of 2^16 cells, 2.3-2.4 s at 2^17 and 2.2-2.6 s at 2^19.  So the size
+# bounds the work memory.  A 0/1 box counts its whole window as one block.
+_BLOCK_BYTES = 1 << 19
 
 
 def _cell_offset(t: np.ndarray):
@@ -463,115 +489,97 @@ def _overlap_blocks(n: int, c1: list, c2: list, block_cells: int):
     return [(slice(r0, min(r0 + rows, hi[0])),) + inner for r0 in range(lo[0], hi[0], rows)]
 
 
-def _node_sum(data: np.ndarray, n: int, t: np.ndarray, bufs: tuple) -> Optional[float]:
+def _node_sum(box: _Box, n: int, t: np.ndarray, bufs: list) -> Optional[float]:
     """sum_x f(x) f(x + y) f(x + 2y) at the shift y of t cells, or None if no x can count.
 
-    data is f's side-n box from _product_view: the word phases of a 0/1 box,
-    or float64 values with a one-cell zero rim.  Interpolation is linear in
-    f, so the node sum is sum_{c1, c2} w1(c1) w2(c2) S(c1, c2) over the
-    corners c1 of x + y and c2 of x + 2y with nonzero weight, where
-    S(c1, c2) sums f(x) f(c1) f(c2) over the overlap window, in the work
-    buffers bufs: counted on the words in one block, the whole window
-    (_pair_counts), or multiplied in blocks of _BLOCK_BYTES (_pair_products).
-    The weighted terms are added by fsum; at a whole-cell shift there is one
-    term, of weight 1.
+    box is f's side-n box from _product_view.  Interpolation is linear in f,
+    so the node sum is sum_{c1, c2} w1(c1) w2(c2) S(c1, c2) over the corners
+    c1 of x + y and c2 of x + 2y with nonzero weight, where S(c1, c2) sums
+    f(x) f(c1) f(c2) over the overlap window, in blocks of box.block_cells
+    cells, in the work buffers bufs (_pair_sums).  The weighted terms are
+    added by fsum; at a whole-cell shift there is one term, of weight 1.
     """
     c1, c2 = _corners(*_cell_offset(t)), _corners(*_cell_offset(2.0 * t))
-    counted = data.dtype == np.uint64
-    blocks = _overlap_blocks(n, c1, c2, n ** len(t) if counted else _BLOCK_BYTES // 8)
+    blocks = _overlap_blocks(n, c1, c2, box.block_cells)
     if blocks is None:
         return None
-    S = (_pair_counts if counted else _pair_products)(data, c1, c2, blocks, bufs)
+    S = _pair_sums(box, c1, c2, blocks, bufs)
     return math.fsum(w1 * w2 * S[i, j] for i, (w1, _) in enumerate(c1)
                      for j, (w2, _) in enumerate(c2))
 
 
-def _pair_products(rim: np.ndarray, c1: list, c2: list, blocks: list, bufs: tuple) -> np.ndarray:
-    """S(c1, c2) for each pair of corners, from float64 products of the rimmed values.
+def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.ndarray:
+    """S(c1, c2) for each pair of corners, block by block, on the phases of the box.
 
-    S accumulates np.sum of the products block by block, in the two work
-    buffers, with each c1 product reused across c2.
+    A corner at rim offset o reads the box o - 1 cells on.  On the last axis
+    the corners of x + y are s and s + 1 cells on, or s alone, with
+    s = unit q + k, 0 <= k < unit: phases k and k + 1 at the item offset q.
+    The same holds for x + 2y.  x reads phase 0 over the items that meet the
+    block, and each corner the same items q on.  The window keeps
+    x + s + 1 >= 0 and x + s < n, so those items lie on the phases, and
+    their cells off the box are zero: a cell of those items outside the
+    window reads such a zero in every pass and adds an exact zero.  So in
+    each block, f(x) f(x + y) is one product per leading offsets of c1, over
+    its one or two last-axis corners, and each pair of leading offsets is one
+    more: times f(x + 2y), into a 2 x 2 x rows x items work buffer that holds
+    the four last-axis corner pairs.  count and a sum over the items give
+    their four sums, which S accumulates.  A pass whose products are all zero
+    adds nothing.  bufs holds three work buffers of the phases' dtype, grown
+    to fit the largest block: the products, count's scratch and f(x) f(x + y).
     """
-    first, both = bufs
+    phases, unit = box.data, box.unit
     S = np.zeros((len(c1), len(c2)))
     for window in blocks:
-        shape = tuple(sl.stop - sl.start for sl in window)
+        lead, last = window[:-1], window[-1]
+        items = slice(last.start // unit + 1, -(-last.stop // unit) + 1)
+        x = phases[(0,) + _shifted(lead, (1,) * len(lead)) + (items,)]
+        passes = []  # per corner list and leading offsets: a view of the phases, and the
+        # index of each corner with those offsets and of its phase in the view
+        for corners in (c1, c2):
+            shifts = [off[-1] - 1 for _, off in corners]
+            s = min(shifts)
+            q, k = divmod(s, unit)
+            lead_offs = {}
+            for i, (_, off) in enumerate(corners):
+                lead_offs.setdefault(tuple(off[:-1]), []).append((i, shifts[i] - s))
+            passes.append([(phases[(slice(k, k + max(shifts) - s + 1),) + _shifted(lead, o)
+                                   + (slice(items.start + q, items.stop + q),)], idx)
+                           for o, idx in lead_offs.items()])
+        shape = (passes[0][0][0].shape[0], passes[1][0][0].shape[0]) + x.shape
         size = math.prod(shape)
-        g, p = first[:size].reshape(shape), both[:size].reshape(shape)
-        here = rim[_shifted(window, (1,) * rim.ndim)]
-        for i, (_, off1) in enumerate(c1):
-            np.multiply(here, rim[_shifted(window, off1)], out=g)
-            for j, (_, off2) in enumerate(c2):
-                S[i, j] += np.sum(np.multiply(g, rim[_shifted(window, off2)], out=p))
+        if len(bufs[0]) < size:
+            bufs[:] = [np.empty(size, dtype=phases.dtype) for _ in bufs]
+        out, scratch, first = (b[:size].reshape(shape) for b in bufs)
+        for y1, idx1 in passes[0]:
+            x_y1 = box.product(y1, x, out=first[:, 0])
+            for y2, idx2 in passes[1]:
+                box.product(x_y1[:, None], y2[None], out=out)
+                if out.any():
+                    sums = box.count(out, scratch).reshape(shape[:2] + (-1,)).sum(axis=-1)
+                    for i, a in idx1:
+                        for j, b in idx2:
+                            S[i, j] += sums[a, b]
     return S
 
 
-def _pair_counts(phases: np.ndarray, c1: list, c2: list, blocks: list, bufs: tuple) -> np.ndarray:
-    """S(c1, c2) for each pair of corners, counted on the word phases of a 0/1 box.
-
-    blocks holds one block, the window.  A corner at rim offset o reads the
-    box o - 1 cells on.  On the last axis the corners of x + y are s and
-    s + 1 cells on, or s alone, with s = 64 q + k: phases k and k + 1 (phase
-    64 included) at the word offset q.  The same holds for x + 2y.  x reads
-    phase 0 over the words that meet the window, and each corner the same
-    words q on.  The window keeps x + s + 1 >= 0 and x + s < n, so those
-    words lie on the phases, and their bits off the box are zero.  So each
-    pair of leading-axis corners is one array pass: a broadcast AND of x,
-    x + y and x + 2y fills a 2 x 2 x rows x words work buffer with the four
-    last-axis corner pairs, and _popcount and a sum over the words give four
-    exact counts.  A pass whose AND is all zero counts zero without
-    _popcount.
-    """
-    (window,) = blocks
-    lead, last = window[:-1], window[-1]
-    words = slice(last.start // 64 + 1, -(-last.stop // 64) + 1)
-    x = phases[(0,) + _shifted(lead, (1,) * len(lead)) + (words,)]
-    passes = []  # per corner list and leading offsets: a view of the phases, and the
-    # index of each corner with those offsets and of its phase in the view
-    for corners in (c1, c2):
-        shifts = [off[-1] - 1 for _, off in corners]
-        s = min(shifts)
-        q, k = divmod(s, 64)
-        lead_offs = {}
-        for i, (_, off) in enumerate(corners):
-            lead_offs.setdefault(tuple(off[:-1]), []).append((i, shifts[i] - s))
-        passes.append([(phases[(slice(k, k + max(shifts) - s + 1),) + _shifted(lead, o)
-                               + (slice(words.start + q, words.stop + q),)], idx)
-                       for o, idx in lead_offs.items()])
-    shape = (passes[0][0][0].shape[0], passes[1][0][0].shape[0]) + x.shape
-    out, scratch = (b[:math.prod(shape)].reshape(shape) for b in bufs)
-    S = np.zeros((len(c1), len(c2)))
-    for y1, idx1 in passes[0]:
-        for y2, idx2 in passes[1]:
-            np.bitwise_and(y1[:, None], y2[None], out=out)
-            out &= x
-            if out.any():
-                counts = _popcount(out, scratch).reshape(shape[:2] + (-1,)).sum(axis=-1)
-                for i, a in idx1:
-                    for j, b in idx2:
-                        S[i, j] = counts[a, b]
-    return S
-
-
-def _node_sums(data: np.ndarray, n: int, shifts: np.ndarray) -> list:
-    """_node_sum at each row of shifts, in cells, on the side-n box data of _product_view.
+def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
+    """_node_sum at each row of shifts, in cells, on the side-n box of _product_view.
 
     The node sums run on a thread pool with one thread per usable CPU (at
     most one per row); numpy releases the interpreter lock on the array
-    passes.  Each worker has two work buffers of data's 8-byte dtype, of
-    max(_BLOCK_BYTES / 8, 4 data[0].size) items: a float64 block, which
-    holds at least one slab of whole inner rows, or the 2 x 2 corner words
-    of every row.  Every node sum is computed by the same operations in the
+    passes.  Each worker has three work buffers, which _pair_sums grows to
+    its largest block: 2 x 2 float64 blocks of _BLOCK_BYTES (or of one slab
+    of whole inner rows, if larger), or 2 x 2 times a 0/1 box's whole window
+    in words.  Every node sum is computed by the same operations in the
     same order whichever thread runs it, and the sums come back in row
     order, so they do not depend on the core count, bit for bit.
     """
-    cells = max(_BLOCK_BYTES // 8, 4 * data[0].size)
     local = threading.local()
 
     def run(t: np.ndarray) -> Optional[float]:
         if not hasattr(local, "bufs"):
-            local.bufs = tuple(np.empty(cells, dtype=data.dtype) for _ in range(2))
-        return _node_sum(data, n, t, local.bufs)
+            local.bufs = [np.empty(0, dtype=box.data.dtype) for _ in range(3)]
+        return _node_sum(box, n, t, local.bufs)
 
     workers = max(1, min(usable_cpus(), len(shifts)))
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -598,8 +606,7 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     if f.d > 3:
         raise ValueError("sharp form supports d <= 3")
     d = f.d
-    data, _ = _product_view(f.values)
-    sums = _node_sums(data, f.n, quad.nodes / f.h)
+    sums = _node_sums(_product_view(f.values), f.n, quad.nodes / f.h)
     val = f.h**d * math.fsum(w * s for w, s in zip(quad.weights, sums) if s is not None)
     err = abs(val) * min(1.0, f.h * d / lam) + 1e-14
     return FormValue(kind="N_lambda", lam=lam, eps=None, value=val, quadrature_error=err)

@@ -556,9 +556,9 @@ class TestFloatGapSums:
         dtypes = []
         node_sum = forms._node_sum
 
-        def spy(data, n, t, bufs):
-            dtypes.append(data.dtype)
-            return node_sum(data, n, t, bufs)
+        def spy(box, n, t, bufs):
+            dtypes.append(box.data.dtype)
+            return node_sum(box, n, t, bufs)
         monkeypatch.setattr(forms, "_node_sum", spy)
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))

@@ -61,13 +61,12 @@ ALLOWED = {
         "cleanup after a failed report write (a full disk or a read-only directory)",
     ("util", "return os.cpu_count() or 1"):
         "platform fallback where os.sched_getaffinity is missing (macOS, Windows)",
-    ("forms", "return np.pad(v, 1), _node_sums"):
+    ("forms", "return _Box(np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), "
+              "-1, 0), 1,"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
-        "decomposition identity on them; the program's boxes are 0/1",
-    ("forms", "def _pair_products(rim: np.ndarray, c1: list, c2: list, blocks: list, "
-              "bufs: tuple) -> np.ndarray:"):
-        "the float64 corner-pair sums of the real-valued boxes of the entry above; the "
-        "program's 0/1 boxes are counted on words (_pair_counts)",
+        "decomposition identity on them; the program's boxes are 0/1.  The statement "
+        "holds all that is theirs alone: their float64 phases and products, and the "
+        "sums that need no count",
     ("forms", "if any(b <= a for a, b in zip(lo, hi)):"):
         "valid-input branch: a sharp-form gap above N/2 leaves no overlap window; the "
         "program's gaps are at most N/4",
