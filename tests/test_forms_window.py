@@ -679,6 +679,20 @@ class TestSharpPool:
             assert len(calls) >= 7
 
 
+def _corner_pair_counts(f, c1, c2):
+    """S(c1, c2) = sum_x f(x) f(x + c1) f(x + c2) of the 0/1 box f for each pair of corners
+    (rim offsets, as forms._corners gives them), on a zero-padded copy of the box."""
+    pad = 1 + max(abs(o - 1) for _, off in c1 + c2 for o in off)
+    P = np.pad(f.values != 0.0, pad)
+    box = (slice(pad, pad + f.n),) * f.d
+    S = np.zeros((len(c1), len(c2)), dtype=int)
+    for i, (_, o1) in enumerate(c1):
+        for j, (_, o2) in enumerate(c2):
+            S[i, j] = np.count_nonzero(P[box] & P[forms._shifted(box, np.array(o1) - 1)]
+                                       & P[forms._shifted(box, np.array(o2) - 1)])
+    return S
+
+
 def _indicator_box(N, n, d, seed, structured=False):
     return random_indicator(N, N / n, d, 0.4, seed=seed, structured=structured)
 
@@ -717,7 +731,7 @@ class TestCountedSharpForm:
         got = n_lambda(f, rule, 1.0).value
         assert forms._product_view(f.values)[0].dtype == np.uint64
         if fill == 0.0:
-            # every AND of the empty box is zero, so no pass reaches _popcount
+            # the empty box's covers are empty, so no block reaches _popcount
             assert popcounts == []
             assert got == 0.0 == _float_n(f, rule)
         else:
@@ -798,6 +812,52 @@ class TestCountedSharpForm:
         assert got > 0.0 and _on_words(popcounts)
         assert got == _serial_n(f, rule)
         assert got == pytest.approx(_float_n(f, rule), rel=REL)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_cover_reaches_no_popcount(self, popcounts, d):
+        # along the last axis f is 1 at 0, 10, 30 and 50, on leading rows 2 and 3; at
+        # the shift (0.5, ..., 10.25) f(x) f(x + y) is nonzero at x = 0 and f(x + 2y)
+        # at x = 9, 10, 29 and 30, but f(x) f(x + y) f(x + 2y) nowhere, so the cover
+        # is empty
+        vals = np.zeros((56,) * d)
+        vals[(slice(2, 4),) * (d - 1) + ([0, 10, 30, 50],)] = 1.0
+        f = BoxFunction(values=vals, N=56.0, h=1.0)
+        rule = _rule([[0.5] * (d - 1) + [10.25]])
+        assert n_lambda(f, rule, 1.0).value == 0.0 == _serial_n(f, rule)
+        assert popcounts == []
+        # beside a node that counts (10, 30, 50), the value equals the serial counts
+        both = _rule([[0.5] * (d - 1) + [10.25], [0.5] * (d - 1) + [20.0]])
+        got = n_lambda(f, both, 1.0).value
+        assert got > 0.0 and _on_words(popcounts)
+        assert got == _serial_n(f, both)
+
+    @pytest.mark.parametrize("d,last", [(1, 63.3), (1, 31.7), (1, -32.3), (2, 63.3),
+                                        (2, 31.7), (2, -32.3), (2, -0.3), (3, -32.3),
+                                        (3, -0.3)])
+    def test_each_corner_pair_alone_equals_serial(self, popcounts, d, last):
+        # one box per pair of corners (c1, c2) of the shift y = (2.3, ..., last): f is 1
+        # at x0, x0 + c1 and x0 + c2, so that pair alone counts (checked below), and a
+        # cover that drops any one corner skips it.  The last-axis corners sit at
+        # phases 63 and 64: c1 at 63.3, c2 (x + 2y) at 31.7, both at -32.3 and -0.3
+        y = np.array([2.3] * (d - 1) + [last])
+        c1 = forms._corners(*forms._cell_offset(y))
+        c2 = forms._corners(*forms._cell_offset(2.0 * y))
+        assert len(c1) == len(c2) == 2**d
+        shifts = [np.array(off) - 1 for _, off in c1 + c2]
+        x0 = 1 + np.maximum(0, -np.min(shifts, axis=0))
+        n = int(np.max(x0 + np.maximum(0, np.max(shifts, axis=0)))) + 2
+        for i, (_, o1) in enumerate(c1):
+            for j, (_, o2) in enumerate(c2):
+                vals = np.zeros((n,) * d)
+                for cell in (x0, x0 + np.array(o1) - 1, x0 + np.array(o2) - 1):
+                    vals[tuple(cell)] = 1.0
+                f = BoxFunction(values=vals, N=float(n), h=1.0)
+                S = _corner_pair_counts(f, c1, c2)
+                assert S[i, j] > 0 and np.count_nonzero(S) == 1
+                rule = _rule([y])
+                got = n_lambda(f, rule, 1.0).value
+                assert got > 0.0 and _on_words(popcounts)
+                assert got == _serial_n(f, rule)
 
     def test_any_worker_count_is_bit_identical(self, pool_workers):
         f = _indicator_box(8.0, 96, 2, seed=3)

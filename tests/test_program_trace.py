@@ -65,8 +65,8 @@ ALLOWED = {
               "-1, 0), 1,"):
         "real-valued boxes, which BoxFunction admits: acceptance criterion 9 runs the "
         "decomposition identity on them; the program's boxes are 0/1.  The statement "
-        "holds all that is theirs alone: their float64 phases and products, and the "
-        "sums that need no count",
+        "holds all that is theirs alone: their float64 phases and products, the sums "
+        "that need no count, and the blocks that no cover skips",
     ("forms", "if any(b <= a for a, b in zip(lo, hi)):"):
         "valid-input branch: a sharp-form gap above N/2 leaves no overlap window; the "
         "program's gaps are at most N/4",
