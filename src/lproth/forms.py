@@ -38,20 +38,22 @@ bit for bit, that float products give; a box with any other value
 (BoxFunction admits reals in [-1, 1]) takes float64 products.  A 0/1 box
 is counted on packed 64-bit word phases (_word_phases): the lattice sums a
 block of gaps per array pass (_word_gap_sums), the sharp form 2 x 2 corner
-pairs per array pass.  The sharp form first ands f(x) with the or of the
-f(x + c1) over the corners c1 of x + y and the or of the f(x + c2) over
-those of x + 2y, and skips the block when that cover has no set bit
-(_empty_cover): each pair product's bits lie in the cover, so the skipped
-block would add only exact integer zeros, and the node sums keep their
-bits.  On a 2048^2 grid of the square-shell set at a forbidden gap
-(2 lam^2 midway between integers) every block is skipped.  The sharp form
-has one node loop and one corner-pair routine (_pair_sums) for both kinds
-of box: interpolation is linear in f, so each node sum is a sum over pairs
-of interpolation corners of the corner weights times a triple sum of f on
-the grid, and the routine reads either box through the same phases, words
-of 64 cells or float64 cells.  The lattice sums of any other box are that
-node loop's sums at whole-cell nodes, one corner of weight 1 per shift
-(_node_sums).
+pairs per array pass.  Each block of corner pairs has a cover,
+C = f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2) over the corners c1 of x + y
+and c2 of x + 2y, and every pair product's bits lie in C.  The sharp form
+takes it with one covering and (_covering_and): f(x) is anded with the or
+of the x + 2y phases before the products f(x) f(x + c1), whose or is C,
+and a block whose products are all zero, that is whose cover has no set
+bit, reaches no count.  The skipped words would add only exact integer
+zeros, so the node sums keep their bits.  On a 2048^2 grid of the
+square-shell set at a forbidden gap (2 lam^2 midway between integers)
+every block is skipped.  The sharp form has one node loop and one
+corner-pair routine (_pair_sums) for both kinds of box: interpolation is
+linear in f, so each node sum is a sum over pairs of interpolation corners
+of the corner weights times a triple sum of f on the grid, and the routine
+reads either box through the same phases, words of 64 cells or float64
+cells.  The lattice sums of any other box are that node loop's sums at
+whole-cell nodes, one corner of weight 1 per shift (_node_sums).
 """
 
 from __future__ import annotations
@@ -206,8 +208,9 @@ class _Box(NamedTuple):
     A corner pair's window is taken in blocks of at most block_cells cells
     (_overlap_blocks).  lattice(box, n, J) gives the triple sums S(j) of the
     lattice gaps j, rows of J in cells, each with a nonempty window.
-    empty(xy, views, c, t) says whether a block's corner pairs can all be
-    skipped, from its f(x) f(x + y) products and x + 2y views (_pair_sums).
+    cover(x, views, t) gives the words that stand for f(x) in a block's
+    products, given its x + 2y views (t is scratch of x's shape), and
+    nonzero(w) whether the products w may hold a nonzero one (_pair_sums).
     """
 
     data: np.ndarray
@@ -216,7 +219,8 @@ class _Box(NamedTuple):
     count: Callable
     block_cells: int
     lattice: Callable
-    empty: Callable
+    cover: Callable
+    nonzero: Callable
 
 
 def _product_view(v: np.ndarray) -> _Box:
@@ -226,20 +230,21 @@ def _product_view(v: np.ndarray) -> _Box:
     A 0/1 box takes its 65 word phases (_word_phases), 64 cells per item:
     products are logical ands, counted by _popcount, a corner pair's window
     is one block, and the lattice sums are counted a block of gaps at a time
-    (_word_gap_sums); a block whose cover is empty is skipped (_empty_cover).
+    (_word_gap_sums); f(x) is screened by the covering and (_covering_and),
+    and products whose words are all zero (a uint64 max of 0) are skipped.
     Any other box takes two float64 views of its rimmed values, the second
     one cell on, one cell per item: products are float products, summed as
-    they are in blocks of _BLOCK_BYTES, every block is summed, and the
+    they are in blocks of _BLOCK_BYTES, none is screened or skipped, and the
     lattice sums are the sharp form's node sums at whole-cell nodes
     (_node_sums).
     A value such as 1 + 1e-13 is not 1.
     """
     if np.all((v == 0.0) | (v == 1.0)):
         return _Box(_word_phases(v != 0.0), 64, np.bitwise_and, _popcount, v.size,
-                    _word_gap_sums, _empty_cover)
+                    _word_gap_sums, _covering_and, np.ndarray.max)
     return _Box(np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), -1, 0), 1,
                 np.multiply, lambda w, t: w, _BLOCK_BYTES // 8, _node_sums,
-                lambda xy, views, c, t: False)
+                lambda x, views, t: x, lambda w: True)
 
 
 # the masks and the byte-sum multiplier of the SWAR popcount
@@ -441,8 +446,8 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
 
 
 # Bytes of one corner pair's block of float64 products (_pair_sums): 2^16
-# cells, so a worker's three work buffers, of 2 x 2 blocks each, take 6 MiB
-# (8 MiB at d = 3, whose f(x) f(x + y) products span 2 x 4 blocks).
+# cells, so a worker's three work buffers, of at most 2 x 2 blocks each,
+# take at most 6 MiB.
 # On a real-valued 2048^2 shell (values 0 and 0.5, gap 1.0, 64 nodes, 2
 # cores) the products set the time, not the count of blocks: 2.2-2.3 s in
 # blocks of 2^16 cells, 2.3-2.4 s at 2^17 and 2.2-2.6 s at 2^19.  So the size
@@ -539,17 +544,19 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
     the four last-axis corner pairs.  count and a sum over the items give
     their four sums, which S accumulates.
 
-    The products f(x) f(x + y) come first, for every leading offsets of c1,
-    and box.empty may then skip the whole block.  A 0/1 box ors those
-    products and the x + 2y views into its cover
-    C = f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2) (_empty_cover), one and of
-    two ors; the bits of every pair product f(x) f(x + c1) f(x + c2) are a
-    subset of C's bits.  So a block whose cover has no set bit would add only
-    exact integer zeros to every S(c1, c2), and skipping it keeps each node
-    sum, bit for bit.  A real-valued box sums every block.  bufs holds three
+    The block's cover is C = f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2), and
+    the bits of every pair product f(x) f(x + c1) f(x + c2) are a subset of
+    C's.  For a 0/1 box, box.cover replaces f(x) by the covering and
+    f(x) & OR_c2 f(x + c2) (_covering_and) before the products with
+    f(x + y), which changes no pair product, and the or of those products
+    over the leading offsets of c1 is C.  A leading offset whose products
+    have no set bit (box.nonzero) has no pass, so a block whose cover has no
+    set bit reaches no count: its pair products, all zero, would add only
+    exact integer zeros to every S(c1, c2), and each node sum keeps its
+    bits.  A real-valued box screens and skips nothing.  bufs holds three
     work buffers of the phases' dtype, each grown to fit the largest block:
-    the products, count's scratch, and f(x) f(x + y) at every leading offsets
-    of c1.  The cover is written into the first two, before the passes.
+    the products, count's scratch, and f(x) f(x + y) beside the screened
+    f(x).
     """
     phases, unit = box.data, box.unit
     S = np.zeros((len(c1), len(c2)))
@@ -571,17 +578,16 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
                            for o, idx in lead_offs.items()])
         shape = (passes[0][0][0].shape[0], passes[1][0][0].shape[0]) + x.shape
         size = math.prod(shape)
-        lead1 = (len(passes[0]), shape[0]) + x.shape
-        need = (size, size, math.prod(lead1))
+        need = (size, size, (shape[0] + 1) * x.size)
         if any(len(b) < m for b, m in zip(bufs, need)):
             bufs[:] = [np.empty(max(len(b), m), dtype=phases.dtype) for b, m in zip(bufs, need)]
         out, scratch = (b[:size].reshape(shape) for b in bufs[:2])
-        first = bufs[2][:need[2]].reshape(lead1)
-        for (y1, _), x_y1 in zip(passes[0], first):
-            box.product(y1, x, out=x_y1)
-        if box.empty(first, [y2 for y2, _ in passes[1]], out[0, 0], scratch[0, 0]):
-            continue
-        for (_, idx1), x_y1 in zip(passes[0], first):
+        first = bufs[2][:need[2]].reshape((shape[0] + 1,) + x.shape)
+        x = box.cover(x, [y2 for y2, _ in passes[1]], first[-1])
+        for y1, idx1 in passes[0]:
+            x_y1 = box.product(y1, x, out=first[:-1])
+            if not box.nonzero(x_y1):
+                continue
             for y2, idx2 in passes[1]:
                 box.product(x_y1[:, None], y2[None], out=out)
                 sums = box.count(out, scratch).reshape(shape[:2] + (-1,)).sum(axis=-1)
@@ -591,23 +597,20 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
     return S
 
 
-def _empty_cover(xy: np.ndarray, views: list, c: np.ndarray, t: np.ndarray) -> bool:
-    """Whether a block of a 0/1 box counts no bit: its cover has none.
+def _covering_and(x: np.ndarray, views: list, t: np.ndarray) -> np.ndarray:
+    """f(x) & OR_c2 f(x + c2) in t: the words of x anded with the or of every phase of
+    views, the x + 2y views of a block of a 0/1 box, one view per leading offsets of c2.
 
-    xy holds the words of f(x) f(x + c1), one array per corner c1 of x + y,
-    and views the phases of x + 2y, one view per leading offsets of c2.  The
-    cover C = OR xy & OR views, written to c (t is scratch of c's shape), is
-    f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2), so the bits of every pair
-    product f(x) f(x + c1) f(x + c2) are a subset of C's bits.  A uint64 max
-    is nonzero if and only if some word is.
+    Each phase of the views is a subset of that or, so anding x with it
+    first changes no product f(x) f(x + c1) f(x + c2), and the or over c1 of
+    the products with f(x + c1) is the block's cover (_pair_sums).
     """
-    for words, acc in ((list(xy.reshape((-1,) + c.shape)), c),
-                       ([phase for view in views for phase in view], t)):
-        np.bitwise_or(words[0], words[-1], out=acc)
-        for w in words[1:-1]:
-            acc |= w
-    c &= t
-    return not c.max()
+    phases = [phase for view in views for phase in view]
+    np.bitwise_or(phases[0], phases[-1], out=t)
+    for phase in phases[1:-1]:
+        t |= phase
+    t &= x
+    return t
 
 
 def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
@@ -618,8 +621,7 @@ def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
     passes.  Each worker has three work buffers, which _pair_sums grows to
     its largest block: 2 x 2 float64 blocks of _BLOCK_BYTES (or of one slab
     of whole inner rows, if larger), or 2 x 2 times a 0/1 box's whole window
-    in words, and the f(x) f(x + y) products, 2 per leading offsets of the
-    corners of x + y (up to 2 x 2^(d-1) blocks or windows).  Every node sum is computed by the same operations in the
+    in words.  Every node sum is computed by the same operations in the
     same order whichever thread runs it, and the sums come back in row
     order, so they do not depend on the core count, bit for bit.
     """
