@@ -837,7 +837,7 @@ class TestCountedSharpForm:
     def test_each_corner_pair_alone_equals_serial(self, popcounts, d, last):
         # one box per pair of corners (c1, c2) of the shift y = (2.3, ..., last): f is 1
         # at x0, x0 + c1 and x0 + c2, so that pair alone counts (checked below), and a
-        # cover that drops any one corner skips it.  The last-axis corners sit at
+        # screen that drops any one corner skips it.  The last-axis corners sit at
         # phases 63 and 64: c1 at 63.3, c2 (x + 2y) at 31.7, both at -32.3 and -0.3
         y = np.array([2.3] * (d - 1) + [last])
         c1 = forms._corners(*forms._cell_offset(y))
@@ -846,6 +846,7 @@ class TestCountedSharpForm:
         shifts = [np.array(off) - 1 for _, off in c1 + c2]
         x0 = 1 + np.maximum(0, -np.min(shifts, axis=0))
         n = int(np.max(x0 + np.maximum(0, np.max(shifts, axis=0)))) + 2
+        rule = _rule([y])
         for i, (_, o1) in enumerate(c1):
             for j, (_, o2) in enumerate(c2):
                 vals = np.zeros((n,) * d)
@@ -854,7 +855,7 @@ class TestCountedSharpForm:
                 f = BoxFunction(values=vals, N=float(n), h=1.0)
                 S = _corner_pair_counts(f, c1, c2)
                 assert S[i, j] > 0 and np.count_nonzero(S) == 1
-                rule = _rule([y])
+                popcounts.clear()
                 got = n_lambda(f, rule, 1.0).value
                 assert got > 0.0 and _on_words(popcounts)
                 assert got == _serial_n(f, rule)
