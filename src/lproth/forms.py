@@ -32,22 +32,25 @@ M_eps = c1 M + E share one set of S(j) on the width-1 (union) support.
 
 The forms are evaluated at f = 1_A, so their boxes are 0/1 indicators.
 One helper, _product_view, picks how every form multiplies and sums a box:
-a box whose values are all exactly 0.0 or 1.0 is counted, each product a
-logical and and each sum the number of cells it keeps, the same integer,
-bit for bit, that float products give; a box with any other value
+a box whose values are all exactly 0.0 or 1.0 (_packed_ones) is counted, each
+product a logical and and each sum the number of cells it keeps, the same
+integer, bit for bit, that float products give; a box with any other value
 (BoxFunction admits reals in [-1, 1]) takes float64 products.  A 0/1 box
 is counted on packed 64-bit word phases (_word_phases): the lattice sums a
 block of gaps per array pass (_word_gap_sums), the sharp form 2 x 2 corner
-pairs per array pass.  Each block of corner pairs has a cover,
-C = f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2) over the corners c1 of x + y
-and c2 of x + 2y, and every pair product's bits lie in C.  The sharp form
-takes it with one covering and (_covering_and): f(x) is anded with the or
-of the x + 2y phases before the products f(x) f(x + c1), whose or is C,
-and a block whose products are all zero, that is whose cover has no set
-bit, reaches no count.  The skipped words would add only exact integer
-zeros, so the node sums keep their bits.  On a 2048^2 grid of the
-square-shell set at a forbidden gap (2 lam^2 midway between integers)
-every block is skipped.  The sharp form has one node loop and one
+pairs per array pass.  Before that, the sharp form screens each node on
+one packed copy of f dilated one cell up every axis,
+H(z) = OR over e in {0, 1}^d of f(z + e) (_screen_rows): with b1 and b2 the
+lowest corners of x + y and x + 2y, every corner of x + y lies in
+b1 + {0, 1}^d and every corner of x + 2y in b2 + {0, 1}^d, so the bits of
+every pair product f(x) f(x + c1) f(x + c2) lie in
+A = f(x) & H(x + b1) & H(x + b2) (_word_screen).  A node whose A has no
+set bit counts nothing and gets 0.0, which its exact zero counts would
+give; any other node is counted with A in place of f(x), which changes no
+product.  The phases are built once per call, and only if some node's A
+has a set bit (_built_once).  On a 2048^2 grid of the square-shell set at
+a forbidden gap (2 lam^2 midway between integers) every A is empty, so
+the certificate builds no phase.  The sharp form has one node loop and one
 corner-pair routine (_pair_sums) for both kinds of box: interpolation is
 linear in f, so each node sum is a sum over pairs of interpolation corners
 of the corner weights times a triple sum of f on the grid, and the routine
@@ -200,17 +203,19 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
 class _Box(NamedTuple):
     """How the forms multiply and sum the values of one box (_product_view).
 
-    data holds the box's phases: data[k] is the box with a one-cell zero rim
-    on every axis, shifted k cells along its last axis, and its last axis
-    runs over items of unit cells each.  product multiplies items cell by
+    phases(box) gives the box's phases: phases[k] is the box with a one-cell
+    zero rim on every axis, shifted k cells along its last axis, and its
+    last axis runs over items of unit cells each.  data is what the box
+    keeps from the start: the phases themselves for a real-valued box, the
+    packed rows and their dilation for a 0/1 box (_screen_rows), whose
+    phases are built on the first call.  product multiplies items cell by
     cell, count(w, t) turns products into per-item sums (t is scratch of w's
     shape), and the sum of an item's sums is the sum of its cells' products.
     A corner pair's window is taken in blocks of at most block_cells cells
     (_overlap_blocks).  lattice(box, n, J) gives the triple sums S(j) of the
     lattice gaps j, rows of J in cells, each with a nonempty window.
-    cover(x, views, t) gives the words that stand for f(x) in a block's
-    products, given its x + 2y views (t is scratch of x's shape), and
-    nonzero(w) whether the products w may hold a nonzero one (_pair_sums).
+    screen(box, rows, items, lows, a) gives what stands for f(x) in a
+    block's products, or None if none of them can be nonzero (_pair_sums).
     """
 
     data: np.ndarray
@@ -219,32 +224,51 @@ class _Box(NamedTuple):
     count: Callable
     block_cells: int
     lattice: Callable
-    cover: Callable
-    nonzero: Callable
+    screen: Callable
+    phases: Callable
 
 
 def _product_view(v: np.ndarray) -> _Box:
     """How to multiply and sum the box values v: counted on packed words if every value
-    is exactly 0.0 or 1.0, else multiplied in float64.
+    is exactly 0.0 or 1.0 (_packed_ones), else multiplied in float64.
 
-    A 0/1 box takes its 65 word phases (_word_phases), 64 cells per item:
-    products are logical ands, counted by _popcount, a corner pair's window
-    is one block, and the lattice sums are counted a block of gaps at a time
-    (_word_gap_sums); f(x) is screened by the covering and (_covering_and),
-    and products whose words are all zero (a uint64 max of 0) are skipped.
-    Any other box takes two float64 views of its rimmed values, the second
-    one cell on, one cell per item: products are float products, summed as
-    they are in blocks of _BLOCK_BYTES, none is screened or skipped, and the
-    lattice sums are the sharp form's node sums at whole-cell nodes
-    (_node_sums).
-    A value such as 1 + 1e-13 is not 1.
+    A 0/1 box keeps its packed rows and their dilation (_screen_rows), 64
+    cells per item: products are logical ands, counted by _popcount, a
+    corner pair's window is one block, f(x) is screened on the dilation
+    (_word_screen), and the 65 word phases (_word_phases) are built on the
+    first call of phases, at most once per box, by whichever thread needs
+    them first (_built_once); the lattice sums are counted a block of gaps
+    at a time (_word_gap_sums).  Any other box takes two float64 views of its
+    rimmed values, the second one cell on, one cell per item: products are
+    float products, summed as they are in blocks of _BLOCK_BYTES, f(x) is its
+    own screen, and the lattice sums are the sharp form's node sums at
+    whole-cell nodes (_node_sums).
     """
-    if np.all((v == 0.0) | (v == 1.0)):
-        return _Box(_word_phases(v != 0.0), 64, np.bitwise_and, _popcount, v.size,
-                    _word_gap_sums, _covering_and, np.ndarray.max)
+    words = _packed_ones(v)
+    if words is not None:
+        return _Box(_screen_rows(words), 64, np.bitwise_and, _popcount, v.size,
+                    _word_gap_sums, _word_screen,
+                    _built_once(lambda box: _word_phases(box.data[0])))
     return _Box(np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), -1, 0), 1,
                 np.multiply, lambda w, t: w, _BLOCK_BYTES // 8, _node_sums,
-                lambda x, views, t: x, lambda w: True)
+                lambda box, rows, items, lows, a: box.data[0][rows + (items,)],
+                lambda box: box.data)
+
+
+def _built_once(build: Callable) -> Callable:
+    """A call get(box) that returns build(box), built on the first call under a lock.
+
+    The pool's threads share the result; a thread that asks while another
+    builds waits for it.
+    """
+    lock, built = threading.Lock(), []
+
+    def get(box):
+        with lock:
+            if not built:
+                built.append(build(box))
+        return built[0]
+    return get
 
 
 # the masks and the byte-sum multiplier of the SWAR popcount
@@ -277,27 +301,70 @@ def _popcount(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _word_phases(v: np.ndarray) -> np.ndarray:
-    """The 65 bit phases of the bool box v, packed along its last axis in uint64 words.
+def _packed_ones(v: np.ndarray) -> Optional[np.ndarray]:
+    """The cells where v is 1.0, packed along the last axis in uint64 words with zero rims,
+    if every value of v is exactly 0.0 or 1.0; else None.
 
-    Bit b of word i in phase k is the cell 64 (i - 1) + k + b of its row, and
-    zero off the box: word i = 0 is the word before the row.  So a shift of a
-    row by c = 64 q + k cells, 0 <= k < 64, is the slice of phase k offset by q
-    words, and phase 64 is phase 0 one word on: the shift c + 1 is phase
-    k + 1 at the same offset q.  Each phase is a funnel shift of the packed
-    row, each word made from two neighbouring words.  Every leading axis has a
-    one-row zero rim, as in np.pad(v, 1).  Phase-major: shape
-    (65,) + (m + 2 for m in v.shape[:-1]) + (W + 1,), W = ceil(n / 64), so
-    that a phase's words run along contiguous rows.
+    v holds no NaN (BoxFunction rejects it), so v is 0/1 when it has as many
+    ones as nonzero values.  A value such as 1 + 1e-13 is not 1.  Bit b of
+    word i is the cell 64 (i - 1) + b of its row, and zero off the box: word
+    i = 0 is the word before the row, and word W + 1 the word after it,
+    W = ceil(n / 64).  Every leading axis has a one-row zero rim, as in
+    np.pad(v, 1).  Shape (m + 2 for m in v.shape[:-1]) + (W + 2,).
     """
-    n = v.shape[-1]
+    ones = v == 1.0
+    return _packed(ones) if np.count_nonzero(ones) == np.count_nonzero(v) else None
+
+
+def _packed(ones: np.ndarray) -> np.ndarray:
+    """The bool box ones packed along its last axis (_packed_ones)."""
+    n = ones.shape[-1]
     W = -(-n // 64)
-    rim = tuple(m + 2 for m in v.shape[:-1])
+    rim = tuple(m + 2 for m in ones.shape[:-1])
     raw = np.zeros(rim + (8 * (W + 2),), dtype=np.uint8)
     raw[(slice(1, -1),) * len(rim) + (slice(8, 8 + -(-n // 8)),)] = np.packbits(
-        v, axis=-1, bitorder="little")
-    words = raw.view("<u8")  # the words before and after the row stay zero
-    phases = np.empty((65,) + rim + (W + 1,), dtype=np.uint64)
+        ones, axis=-1, bitorder="little")
+    return raw.view("<u8")
+
+
+def _screen_rows(words: np.ndarray) -> np.ndarray:
+    """The packed rows words of a 0/1 box f (_packed_ones), and eight copies of its dilation H
+    read 0-7 cells on along the last axis: shape (9,) + words.shape, laid out as words.
+
+    H(z) = OR over e in {0, 1}^d of f(z + e) is f dilated one cell up every
+    axis: along the last axis bit b + 1 of a word, or bit 0 of the next word,
+    is the cell one on, and along a leading axis the next row is.  The rims
+    read the zeros off the box, and a rim cell just below the box holds the
+    box's first cell.  Copy 1 + r is H's rows shifted r bits down, each word
+    a funnel shift of two; so a row of H read any s cells on is a byte slice
+    of copy 1 + s mod 8, viewed as words (_word_screen), and no read of H
+    takes an array pass.
+    """
+    rows = np.empty((9,) + words.shape, dtype="<u8")
+    rows[0], h = words, rows[1]
+    np.right_shift(words, 1, out=h)
+    h |= words
+    h[..., :-1] |= words[..., 1:] << 63
+    for axis in range(words.ndim - 1):
+        h[(slice(None),) * axis + (slice(None, -1),)] |= h[(slice(None),) * axis + (slice(1, None),)]
+    for r in range(1, 8):
+        np.right_shift(h, r, out=rows[1 + r])
+        rows[1 + r][..., :-1] |= h[..., 1:] << (64 - r)
+    return rows
+
+
+def _word_phases(words: np.ndarray) -> np.ndarray:
+    """The 65 bit phases of the packed rows words (_packed_ones), in uint64 words.
+
+    Bit b of word i in phase k is the cell 64 (i - 1) + k + b of its row, and
+    zero off the box.  So a shift of a row by c = 64 q + k cells, 0 <= k < 64,
+    is the slice of phase k offset by q words, and phase 64 is phase 0 one
+    word on: the shift c + 1 is phase k + 1 at the same offset q.  Each phase
+    is a funnel shift of the packed row, each word made from two neighbouring
+    words.  Phase-major: shape (65,) + words.shape[:-1] + (W + 1,), so that a
+    phase's words run along contiguous rows.
+    """
+    phases = np.empty((65,) + words.shape[:-1] + (words.shape[-1] - 1,), dtype=np.uint64)
     phases[0], phases[64] = words[..., :-1], words[..., 1:]
     for k in range(1, 64):
         np.right_shift(words[..., :-1], k, out=phases[k])
@@ -323,7 +390,7 @@ def _word_gap_sums(box: _Box, n: int, J: np.ndarray) -> np.ndarray:
     and sums the counts per gap: exact integers, as are the S(j).
     """
     inner = (slice(64),) + (slice(1, -1),) * (J.shape[1] - 1)
-    phases = np.ascontiguousarray(np.moveaxis(box.data[inner], 0, -1))
+    phases = np.ascontiguousarray(np.moveaxis(box.phases(box)[inner], 0, -1))
     lead, c = J[:, :-1], J[:, -1]
     order = np.lexsort(np.column_stack([c, lead[:, ::-1]]).T)
     keys = np.column_stack([lead, c // 32])[order]
@@ -533,61 +600,62 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
     A corner at rim offset o reads the box o - 1 cells on.  On the last axis
     the corners of x + y are s and s + 1 cells on, or s alone, with
     s = unit q + k, 0 <= k < unit: phases k and k + 1 at the item offset q.
-    The same holds for x + 2y.  x reads phase 0 over the items that meet the
-    block, and each corner the same items q on.  The window keeps
-    x + s + 1 >= 0 and x + s < n, so those items lie on the phases, and
-    their cells off the box are zero: a cell of those items outside the
-    window reads such a zero in every pass and adds an exact zero.  So in
-    each block, f(x) f(x + y) is one product per leading offsets of c1, over
-    its one or two last-axis corners, and each pair of leading offsets is one
-    more: times f(x + 2y), into a 2 x 2 x rows x items work buffer that holds
-    the four last-axis corner pairs.  count and a sum over the items give
-    their four sums, which S accumulates.
+    The same holds for x + 2y.  x reads the items that meet the block, and
+    each corner the same items q on.  The window keeps x + s + 1 >= 0 and
+    x + s < n, so those items lie on the phases, and their cells off the box
+    are zero: a cell of those items outside the window reads such a zero in
+    every pass and adds an exact zero.  So in each block, f(x) f(x + y) is
+    one product per leading offsets of c1, over its one or two last-axis
+    corners, and each pair of leading offsets is one more: times f(x + 2y),
+    into a 2 x 2 x rows x items work buffer that holds the four last-axis
+    corner pairs.  count and a sum over the items give their four sums,
+    which S accumulates.
 
-    The block's cover is C = f(x) & OR_c1 f(x + c1) & OR_c2 f(x + c2), and
-    the bits of every pair product f(x) f(x + c1) f(x + c2) are a subset of
-    C's.  For a 0/1 box, box.cover replaces f(x) by the covering and
-    f(x) & OR_c2 f(x + c2) (_covering_and) before the products with
-    f(x + y), which changes no pair product, and the or of those products
-    over the leading offsets of c1 is C.  A leading offset whose products
-    have no set bit (box.nonzero) has no pass, so a block whose cover has no
-    set bit reaches no count: its pair products, all zero, would add only
-    exact integer zeros to every S(c1, c2), and each node sum keeps its
-    bits.  A real-valued box screens and skips nothing.  bufs holds three
-    work buffers of the phases' dtype, each grown to fit the largest block:
-    the products, count's scratch, and f(x) f(x + y) beside the screened
-    f(x).
+    Before any phase is read, box.screen gives what stands for f(x) in the
+    products, from the lowest corner per axis of each list, b1 of x + y and
+    b2 of x + 2y: f(x) itself for a real-valued box, and for a 0/1 box
+    A = f(x) & H(x + b1) & H(x + b2) on f's dilation H (_word_screen), which
+    holds the bits of every pair product and so changes none.  A block whose
+    screen is None (A has no set bit) reaches no phase and no count: it would
+    add only exact integer zeros to every S(c1, c2).  Only a block that
+    passes its screen asks for the phases (box.phases), so a 0/1 box whose
+    every screen is empty never builds them.  bufs holds three work buffers
+    of the box's dtype, each grown to fit the largest block: the products,
+    count's scratch, and f(x) f(x + y) beside the screened f(x).  A block
+    that fails its screen grows only the last.
     """
-    phases, unit = box.data, box.unit
+    unit = box.unit
     S = np.zeros((len(c1), len(c2)))
+    lows, groups = [], []  # per corner list: the lowest rim offset per axis, and per
+    # leading offsets the index of each corner with those offsets and its phase above the lowest
+    for corners in (c1, c2):
+        low = [min(axis) for axis in zip(*(off for _, off in corners))]
+        lead_offs = {}
+        for i, (_, off) in enumerate(corners):
+            lead_offs.setdefault(tuple(off[:-1]), []).append((i, off[-1] - low[-1]))
+        lows.append(low)
+        groups.append(lead_offs)
+    spans = [1 + max(k for idx in lead_offs.values() for _, k in idx) for lead_offs in groups]
+    (q1, k1), (q2, k2) = (divmod(low[-1] - 1, unit) for low in lows)
     for window in blocks:
         lead, last = window[:-1], window[-1]
         items = slice(last.start // unit + 1, -(-last.stop // unit) + 1)
-        x = phases[(0,) + _shifted(lead, (1,) * len(lead)) + (items,)]
+        shape = tuple(spans) + tuple(sl.stop - sl.start for sl in lead) + (items.stop - items.start,)
+        first = _grown(bufs, 2, (spans[0] + 1) * math.prod(shape[2:])).reshape(
+            (-1,) + shape[2:])
+        x = box.screen(box, _shifted(lead, (1,) * len(lead)), items, lows, first[-1])
+        if x is None:
+            continue
+        phases = box.phases(box)
         passes = []  # per corner list and leading offsets: a view of the phases, and the
         # index of each corner with those offsets and of its phase in the view
-        for corners in (c1, c2):
-            shifts = [off[-1] - 1 for _, off in corners]
-            s = min(shifts)
-            q, k = divmod(s, unit)
-            lead_offs = {}
-            for i, (_, off) in enumerate(corners):
-                lead_offs.setdefault(tuple(off[:-1]), []).append((i, shifts[i] - s))
-            passes.append([(phases[(slice(k, k + max(shifts) - s + 1),) + _shifted(lead, o)
+        for (q, k), lead_offs, span in zip(((q1, k1), (q2, k2)), groups, spans):
+            passes.append([(phases[(slice(k, k + span),) + _shifted(lead, o)
                                    + (slice(items.start + q, items.stop + q),)], idx)
                            for o, idx in lead_offs.items()])
-        shape = (passes[0][0][0].shape[0], passes[1][0][0].shape[0]) + x.shape
-        size = math.prod(shape)
-        need = (size, size, (shape[0] + 1) * x.size)
-        if any(len(b) < m for b, m in zip(bufs, need)):
-            bufs[:] = [np.empty(max(len(b), m), dtype=phases.dtype) for b, m in zip(bufs, need)]
-        out, scratch = (b[:size].reshape(shape) for b in bufs[:2])
-        first = bufs[2][:need[2]].reshape((shape[0] + 1,) + x.shape)
-        x = box.cover(x, [y2 for y2, _ in passes[1]], first[-1])
+        out, scratch = (_grown(bufs, i, math.prod(shape)).reshape(shape) for i in (0, 1))
         for y1, idx1 in passes[0]:
             x_y1 = box.product(y1, x, out=first[:-1])
-            if not box.nonzero(x_y1):
-                continue
             for y2, idx2 in passes[1]:
                 box.product(x_y1[:, None], y2[None], out=out)
                 sums = box.count(out, scratch).reshape(shape[:2] + (-1,)).sum(axis=-1)
@@ -597,20 +665,37 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
     return S
 
 
-def _covering_and(x: np.ndarray, views: list, t: np.ndarray) -> np.ndarray:
-    """f(x) & OR_c2 f(x + c2) in t: the words of x anded with the or of every phase of
-    views, the x + 2y views of a block of a 0/1 box, one view per leading offsets of c2.
+def _grown(bufs: list, i: int, size: int) -> np.ndarray:
+    """The first size elements of the work buffer bufs[i], which is replaced by a larger
+    one of its dtype (its contents lost) if it is shorter."""
+    if len(bufs[i]) < size:
+        bufs[i] = np.empty(size, dtype=bufs[i].dtype)
+    return bufs[i][:size]
 
-    Each phase of the views is a subset of that or, so anding x with it
-    first changes no product f(x) f(x + c1) f(x + c2), and the or over c1 of
-    the products with f(x + c1) is the block's cover (_pair_sums).
+
+def _word_screen(box: _Box, rows: tuple, items: slice, lows: list,
+                 a: np.ndarray) -> Optional[np.ndarray]:
+    """A = f(x) & H(x + b1) & H(x + b2) in a, over the rows and items of a block of the
+    0/1 box, or None if A has no set bit.
+
+    lows holds the lowest rim offset per axis of the corners of x + y and of
+    x + 2y, b1 and b2 cells on, and H is f's dilation, read as a byte slice of
+    its copies (_screen_rows): two ands and a max, and no phase read.  Every
+    corner of x + y lies in b1 + {0, 1}^d, so each corner's bits lie in
+    H(x + b1), and likewise for x + 2y: the bits of every pair product
+    f(x) f(x + c1) f(x + c2) lie in A, and A in place of f(x) changes none.
+    With no set bit in A every pair product is zero, and the block would add
+    only exact integer zeros to every S(c1, c2).
     """
-    phases = [phase for view in views for phase in view]
-    np.bitwise_or(phases[0], phases[-1], out=t)
-    for phase in phases[1:-1]:
-        t |= phase
-    t &= x
-    return t
+    table, n = box.data.view(np.uint8), items.stop - items.start
+    h = []
+    for low in lows:
+        bit = 64 * items.start + low[-1] - 1  # of the rows, where the block's words start
+        h.append(table[(1 + bit % 8,) + _shifted(rows, [o - 1 for o in low[:-1]])
+                       + (slice(bit // 8, bit // 8 + 8 * n),)].view("<u8"))
+    np.bitwise_and(h[0], h[1], out=a)
+    a &= box.data[(0,) + rows + (items,)]
+    return a if a.max() else None
 
 
 def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
@@ -618,10 +703,11 @@ def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
 
     The node sums run on a thread pool with one thread per usable CPU (at
     most one per row); numpy releases the interpreter lock on the array
-    passes.  Each worker has three work buffers, which _pair_sums grows to
-    its largest block: 2 x 2 float64 blocks of _BLOCK_BYTES (or of one slab
-    of whole inner rows, if larger), or 2 x 2 times a 0/1 box's whole window
-    in words.  Every node sum is computed by the same operations in the
+    passes.  The workers share the box, and so its phases, which the first
+    worker to need them builds (_built_once).  Each worker has three work
+    buffers, which _pair_sums grows to its largest block: 2 x 2 float64
+    blocks of _BLOCK_BYTES (or of one slab of whole inner rows, if larger),
+    or 2 x 2 times a 0/1 box's whole window in words.  Every node sum is computed by the same operations in the
     same order whichever thread runs it, and the sums come back in row
     order, so they do not depend on the core count, bit for bit.
     """
@@ -645,9 +731,13 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
 
     Each node sum is a weighted sum of corner-pair triple sums (_node_sum)
     on the data of f that _product_view picks: bit counts on packed words
-    for a 0/1 box, float64 products for any other.  The node sums run on a
-    thread pool (_node_sums) and are combined in node order by one fsum, so
-    the value does not depend on the core count, bit for bit.
+    for a 0/1 box, float64 products for any other.  On a 0/1 box each node is
+    first screened on f's packed dilation (_word_screen); a node whose screen
+    has no set bit sums no corner pair and gets 0.0, the fsum of its exact
+    zero counts, and the 65 word phases are built once, only if some node's
+    screen has a set bit.  The node sums run on a thread pool (_node_sums)
+    and are combined in node order by one fsum, so the value does not depend
+    on the core count, bit for bit.
     """
     lam = valid_finite("lam", lam)
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
@@ -754,7 +844,7 @@ def box_partition_pigeonhole(f: BoxFunction, ell: float) -> bool:
     exact integers and the claimed lower bound I >= delta L / 2 is checked
     with no floating tolerance at all.
     """
-    if not np.all((f.values == 0.0) | (f.values == 1.0)):
+    if _packed_ones(f.values) is None:
         raise ValueError("f must be a 0/1 indicator box")
     mcells = valid_scale("ell", ell) / f.h
     if abs(mcells - round(mcells)) > 1e-9:

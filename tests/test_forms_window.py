@@ -16,6 +16,7 @@ the bool view of a 0/1 box), its reference with ==.
 
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -333,6 +334,11 @@ def popcounts(monkeypatch):
     return seen
 
 
+# np.count_nonzero's calls in a 0/1 box's gap sums: the 0/1 test alone (forms._packed_ones), on
+# the box's ones and its values; no product is counted by it
+_ONE_TEST = [np.dtype(bool), np.dtype(float)]
+
+
 def _counted_on_words(popcounts, live):
     """Whether the blocks counted on uint64 words cover live gaps, 32 at most per block."""
     widths = [gaps for _, gaps, _ in popcounts]
@@ -370,7 +376,7 @@ class TestCountedGapSums:
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))
         assert got[0] == np.sum(f.values)
-        assert counts == [] and popcounts
+        assert counts == _ONE_TEST and popcounts
         assert _counted_on_words(popcounts, _live_windows(f, J))
 
     @pytest.mark.parametrize("fill", [0.0, 1.0])
@@ -381,7 +387,7 @@ class TestCountedGapSums:
         got = _gap_sums(f, J)
         assert np.array_equal(got, _float_gap_sums(f, J))
         assert np.array_equal(got, fill * _window_cells(f.n, J))
-        assert counts == [] and popcounts
+        assert counts == _ONE_TEST and popcounts
         assert _counted_on_words(popcounts, _live_windows(f, J))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 129])
@@ -697,6 +703,19 @@ def _indicator_box(N, n, d, seed, structured=False):
     return random_indicator(N, N / n, d, 0.4, seed=seed, structured=structured)
 
 
+@pytest.fixture()
+def phase_builds(monkeypatch):
+    """One entry per call of forms._word_phases, the build of a 0/1 box's 65 word phases."""
+    seen = []
+    word_phases = forms._word_phases
+
+    def spy(words):
+        seen.append(words.shape)
+        return word_phases(words)
+    monkeypatch.setattr(forms, "_word_phases", spy)
+    return seen
+
+
 def _on_words(popcounts):
     """Whether some corner pairs were counted, all on uint64 words."""
     return bool(popcounts) and {dtype for dtype, _, _ in popcounts} == {np.dtype(np.uint64)}
@@ -830,6 +849,58 @@ class TestCountedSharpForm:
         got = n_lambda(f, both, 1.0).value
         assert got > 0.0 and _on_words(popcounts)
         assert got == _serial_n(f, both)
+
+    def test_forbidden_gap_builds_no_phase(self, phase_builds, popcounts):
+        # the square-shell set at a forbidden gap, 2 lam^2 = 1.5 midway between integers:
+        # on this grid every node's screen is empty, so no phase is built and nothing counted
+        f = _shell_indicator(N=2.0, n=256)
+        lam = math.sqrt(0.75)
+        rule = lpgeom.sphere_quadrature(2.0, 2, lam, n=64)
+        assert n_lambda(f, rule, lam).value == 0.0 == _serial_n(f, rule)
+        assert phase_builds == [] and popcounts == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_phases_are_built_once_where_some_screens_pass(self, pool_workers, phase_builds, d):
+        # along the last axis f is 1 at 0, 10, 30 and 50, on leading rows 2 and 3: the
+        # shifts ending in 10.25 have an empty screen (f(x) f(x + y) is nonzero at x = 0
+        # and f(x + 2y) at 9, 10, 29 and 30), and those ending in 20.0 and 20.25 count
+        # (10, 30, 50).  Eight workers share the phases; a short switch interval makes
+        # them ask for the phases at the same time
+        vals = np.zeros((56,) * d)
+        vals[(slice(2, 4),) * (d - 1) + ([0, 10, 30, 50],)] = 1.0
+        f = BoxFunction(values=vals, N=56.0, h=1.0)
+        lasts = [10.25, 20.0, 10.25, 20.25] * 4
+        rule = _rule([[0.5] * (d - 1) + [t] for t in lasts])
+        sizes = pool_workers(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = n_lambda(f, rule, 1.0).value
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sizes) == 1
+        assert got > 0.0 and got == _serial_n(f, rule)
+        assert len(phase_builds) == 1
+        phase_builds.clear()
+        assert n_lambda(f, _rule([[0.5] * (d - 1) + [10.25]] * 3), 1.0).value == 0.0
+        assert phase_builds == []
+
+    def test_forbidden_gap_memory_holds_no_phases(self, monkeypatch):
+        # the forbidden gap on a 1024^2 shell, two workers: the traced peak stays below a
+        # quarter of the 65 phases' bytes, so no phase table is built
+        f = _shell_indicator(N=2.0, n=1024)
+        lam = math.sqrt(0.75)
+        rule = lpgeom.sphere_quadrature(2.0, 2, lam, n=64)
+        monkeypatch.setattr(forms, "usable_cpus", lambda: 2)
+        phase_bytes = 65 * (f.n + 2) * (-(-f.n // 64) + 1) * 8
+        tracemalloc.start()
+        try:
+            got = n_lambda(f, rule, lam).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 0.0
+        assert peak < phase_bytes / 4
 
     @pytest.mark.parametrize("d,last", [(1, 63.3), (1, 31.7), (1, -32.3), (2, 63.3),
                                         (2, 31.7), (2, -32.3), (2, -0.3), (3, -32.3),
