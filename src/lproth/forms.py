@@ -346,7 +346,8 @@ def _screen_rows(words: np.ndarray) -> np.ndarray:
     h |= words
     h[..., :-1] |= words[..., 1:] << 63
     for axis in range(words.ndim - 1):
-        h[(slice(None),) * axis + (slice(None, -1),)] |= h[(slice(None),) * axis + (slice(1, None),)]
+        before = (slice(None),) * axis
+        h[before + (slice(None, -1),)] |= h[before + (slice(1, None),)]
     for r in range(1, 8):
         np.right_shift(h, r, out=rows[1 + r])
         rows[1 + r][..., :-1] |= h[..., 1:] << (64 - r)
@@ -636,11 +637,10 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
         lows.append(low)
         groups.append(lead_offs)
     spans = [1 + max(k for idx in lead_offs.values() for _, k in idx) for lead_offs in groups]
-    (q1, k1), (q2, k2) = (divmod(low[-1] - 1, unit) for low in lows)
     for window in blocks:
         lead, last = window[:-1], window[-1]
         items = slice(last.start // unit + 1, -(-last.stop // unit) + 1)
-        shape = tuple(spans) + tuple(sl.stop - sl.start for sl in lead) + (items.stop - items.start,)
+        shape = (*spans, *(sl.stop - sl.start for sl in lead), items.stop - items.start)
         first = _grown(bufs, 2, (spans[0] + 1) * math.prod(shape[2:])).reshape(
             (-1,) + shape[2:])
         x = box.screen(box, _shifted(lead, (1,) * len(lead)), items, lows, first[-1])
@@ -649,7 +649,8 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
         phases = box.phases(box)
         passes = []  # per corner list and leading offsets: a view of the phases, and the
         # index of each corner with those offsets and of its phase in the view
-        for (q, k), lead_offs, span in zip(((q1, k1), (q2, k2)), groups, spans):
+        for low, lead_offs, span in zip(lows, groups, spans):
+            q, k = divmod(low[-1] - 1, unit)
             passes.append([(phases[(slice(k, k + span),) + _shifted(lead, o)
                                    + (slice(items.start + q, items.stop + q),)], idx)
                            for o, idx in lead_offs.items()])
@@ -707,9 +708,10 @@ def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
     worker to need them builds (_built_once).  Each worker has three work
     buffers, which _pair_sums grows to its largest block: 2 x 2 float64
     blocks of _BLOCK_BYTES (or of one slab of whole inner rows, if larger),
-    or 2 x 2 times a 0/1 box's whole window in words.  Every node sum is computed by the same operations in the
-    same order whichever thread runs it, and the sums come back in row
-    order, so they do not depend on the core count, bit for bit.
+    or 2 x 2 times a 0/1 box's whole window in words.  Every node sum is
+    computed by the same operations in the same order whichever thread runs
+    it, and the sums come back in row order, so they do not depend on the
+    core count, bit for bit.
     """
     local = threading.local()
 
