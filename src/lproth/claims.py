@@ -408,8 +408,8 @@ def forms_suite(cfg):
                      {"min_normalized": mt}, mt, ">", 1e-3 * cw))
     # a box of about 8 on whole cells of the step h
     f2 = forms.random_indicator(round(8.0 / h) * h, h, 1, 0.5, seed=cfg.seed)
-    v0 = forms.m_lambda(forms.translate_box(f2, 0), lam, m, p).value
-    v1 = forms.m_lambda(forms.translate_box(f2, 3), lam, m, p).value
+    v0 = forms.m_eps_lambda(forms.translate_box(f2, 0), lam, 1.0, m, p).value
+    v1 = forms.m_eps_lambda(forms.translate_box(f2, 3), lam, 1.0, m, p).value
     tdev = abs(v0 - v1) / max(abs(v0), 1e-15)
     out.append(check("translation invariance of forms", "form-translation-invariance",
                      {"rel_dev": tdev}, tdev, "<", 1e-10))

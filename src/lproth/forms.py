@@ -6,9 +6,6 @@ lattice multiples of the same step so that x, x+y, x+2y are grid-aligned
 and no interpolation enters the mollified forms.  The sharp-gap form
 samples the lp-sphere quadrature nodes instead and evaluates f by
 multilinear interpolation, which preserves the [-1, 1] range.
-Its node sums run on a thread pool, one thread per usable CPU, and are
-combined in node order; each node sum takes the same operations in the
-same order on any thread, so the value does not depend on the core count.
 
 Every form sums only over the overlap window of each gap: the cells x for
 which f(x), f(x+y) and f(x+2y) can all be nonzero (the packed lattice sums
@@ -48,8 +45,8 @@ A = f(x) & H(x + b1) & H(x + b2) (_word_screen).  A node whose A has no
 set bit counts nothing and gets 0.0, which its exact zero counts would
 give; any other node is counted with A in place of f(x), which changes no
 product.  The phases are built once per call, and only if some node's A
-has a set bit (_built_once).  On a 2048^2 grid of the square-shell set at
-a forbidden gap (2 lam^2 midway between integers) every A is empty, so
+has a set bit (_product_view).  On a 2048^2 grid of the square-shell set
+at a forbidden gap (2 lam^2 midway between integers) every A is empty, so
 the certificate builds no phase.  The sharp form has one node loop and one
 corner-pair routine (_pair_sums) for both kinds of box: interpolation is
 linear in f, so each node sum is a sum over pairs of interpolation corners
@@ -61,9 +58,8 @@ whole-cell nodes, one corner of weight 1 per shift (_node_sums).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -73,8 +69,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lpgeom import SphereQuadrature, valid_exponent
 from .mollifier import (CancelledKernel, KernelParams, MollifierPair, _quadrant_integral,
                         _radial_rule, _shell_edges, c1_eps, omega_eps_eval)
-from .util import (spawn_rng, usable_cpus, valid_count, valid_finite, valid_fraction,
-                   valid_lacunary, valid_scale)
+from .util import (spawn_rng, valid_count, valid_finite, valid_fraction, valid_lacunary,
+                   valid_scale)
 
 
 @dataclass
@@ -203,7 +199,7 @@ def _kernel_lattice(p: float, d: int, lam: float, eps: float, h: float):
 class _Box(NamedTuple):
     """How the forms multiply and sum the values of one box (_product_view).
 
-    phases(box) gives the box's phases: phases[k] is the box with a one-cell
+    phases() gives the box's phases: phases[k] is the box with a one-cell
     zero rim on every axis, shifted k cells along its last axis, and its
     last axis runs over items of unit cells each.  data is what the box
     keeps from the start: the phases themselves for a real-valued box, the
@@ -236,39 +232,22 @@ def _product_view(v: np.ndarray) -> _Box:
     cells per item: products are logical ands, counted by _popcount, a
     corner pair's window is one block, f(x) is screened on the dilation
     (_word_screen), and the 65 word phases (_word_phases) are built on the
-    first call of phases, at most once per box, by whichever thread needs
-    them first (_built_once); the lattice sums are counted a block of gaps
-    at a time (_word_gap_sums).  Any other box takes two float64 views of its
-    rimmed values, the second one cell on, one cell per item: products are
-    float products, summed as they are in blocks of _BLOCK_BYTES, f(x) is its
-    own screen, and the lattice sums are the sharp form's node sums at
-    whole-cell nodes (_node_sums).
+    first call of phases, at most once per box (functools.cache); the
+    lattice sums are counted a block of gaps at a time (_word_gap_sums).
+    Any other box takes two float64 views of its rimmed values, the second
+    one cell on, one cell per item: products are float products, summed as
+    they are in blocks of _BLOCK_BYTES, f(x) is its own screen, and the
+    lattice sums are the sharp form's node sums at whole-cell nodes
+    (_node_sums).
     """
     words = _packed_ones(v)
     if words is not None:
-        return _Box(_screen_rows(words), 64, np.bitwise_and, _popcount, v.size,
-                    _word_gap_sums, _word_screen,
-                    _built_once(lambda box: _word_phases(box.data[0])))
-    return _Box(np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), -1, 0), 1,
+        rows = _screen_rows(words)
+        return _Box(rows, 64, np.bitwise_and, _popcount, v.size, _word_gap_sums, _word_screen,
+                    functools.cache(lambda: _word_phases(rows[0])))
+    return _Box(data := np.moveaxis(sliding_window_view(np.pad(v, 1), 2, axis=-1), -1, 0), 1,
                 np.multiply, lambda w, t: w, _BLOCK_BYTES // 8, _node_sums,
-                lambda box, rows, items, lows, a: box.data[0][rows + (items,)],
-                lambda box: box.data)
-
-
-def _built_once(build: Callable) -> Callable:
-    """A call get(box) that returns build(box), built on the first call under a lock.
-
-    The pool's threads share the result; a thread that asks while another
-    builds waits for it.
-    """
-    lock, built = threading.Lock(), []
-
-    def get(box):
-        with lock:
-            if not built:
-                built.append(build(box))
-        return built[0]
-    return get
+                lambda box, rows, items, lows, a: data[0][rows + (items,)], lambda: data)
 
 
 # the masks and the byte-sum multiplier of the SWAR popcount
@@ -391,7 +370,7 @@ def _word_gap_sums(box: _Box, n: int, J: np.ndarray) -> np.ndarray:
     and sums the counts per gap: exact integers, as are the S(j).
     """
     inner = (slice(64),) + (slice(1, -1),) * (J.shape[1] - 1)
-    phases = np.ascontiguousarray(np.moveaxis(box.phases(box)[inner], 0, -1))
+    phases = np.ascontiguousarray(np.moveaxis(box.phases()[inner], 0, -1))
     lead, c = J[:, :-1], J[:, -1]
     order = np.lexsort(np.column_stack([c, lead[:, ::-1]]).T)
     keys = np.column_stack([lead, c // 32])[order]
@@ -499,11 +478,6 @@ def m_eps_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p) ->
     return _grid_forms(f, params, eps, [_shell_form(params, m)])[0]
 
 
-def m_lambda(f: BoxFunction, lam: float, m: MollifierPair, p) -> FormValue:
-    """Base mollified form: exactly the eps = 1 code path."""
-    return m_eps_lambda(f, lam, 1.0, m, p)
-
-
 def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
              c1: Optional[float] = None) -> FormValue:
     """Cancelled form, accumulated in one pass with the fused kernel."""
@@ -514,12 +488,13 @@ def e_lambda(f: BoxFunction, lam: float, eps: float, m: MollifierPair, p,
 
 
 # Bytes of one corner pair's block of float64 products (_pair_sums): 2^16
-# cells, so a worker's three work buffers, of at most 2 x 2 blocks each,
-# take at most 6 MiB.
-# On a real-valued 2048^2 shell (values 0 and 0.5, gap 1.0, 64 nodes, 2
-# cores) the products set the time, not the count of blocks: 2.2-2.3 s in
-# blocks of 2^16 cells, 2.3-2.4 s at 2^17 and 2.2-2.6 s at 2^19.  So the size
-# bounds the work memory.  A 0/1 box counts its whole window as one block.
+# cells, so the three work buffers, of at most 2 x 2 blocks each, take at
+# most 6 MiB.
+# On a real-valued 2048^2 shell (values 0 and 0.5, gap 1.0, 64 nodes, one
+# thread of a 2-core Xeon) the products set the time, not the count of
+# blocks: 3.3-3.7 s in blocks of 2^16 cells, 3.6-3.9 s at 2^17 and 3.6-4.7 s
+# at 2^19.  So the size bounds the work memory.  A 0/1 box counts its whole
+# window as one block.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -646,7 +621,7 @@ def _pair_sums(box: _Box, c1: list, c2: list, blocks: list, bufs: list) -> np.nd
         x = box.screen(box, _shifted(lead, (1,) * len(lead)), items, lows, first[-1])
         if x is None:
             continue
-        phases = box.phases(box)
+        phases = box.phases()
         passes = []  # per corner list and leading offsets: a view of the phases, and the
         # index of each corner with those offsets and of its phase in the view
         for low, lead_offs, span in zip(lows, groups, spans):
@@ -702,27 +677,13 @@ def _word_screen(box: _Box, rows: tuple, items: slice, lows: list,
 def _node_sums(box: _Box, n: int, shifts: np.ndarray) -> list:
     """_node_sum at each row of shifts, in cells, on the side-n box of _product_view.
 
-    The node sums run on a thread pool with one thread per usable CPU (at
-    most one per row); numpy releases the interpreter lock on the array
-    passes.  The workers share the box, and so its phases, which the first
-    worker to need them builds (_built_once).  Each worker has three work
+    The node sums run one after another, in row order, and share three work
     buffers, which _pair_sums grows to its largest block: 2 x 2 float64
     blocks of _BLOCK_BYTES (or of one slab of whole inner rows, if larger),
-    or 2 x 2 times a 0/1 box's whole window in words.  Every node sum is
-    computed by the same operations in the same order whichever thread runs
-    it, and the sums come back in row order, so they do not depend on the
-    core count, bit for bit.
+    or 2 x 2 times a 0/1 box's whole window in words.
     """
-    local = threading.local()
-
-    def run(t: np.ndarray) -> Optional[float]:
-        if not hasattr(local, "bufs"):
-            local.bufs = [np.empty(0, dtype=box.data.dtype) for _ in range(3)]
-        return _node_sum(box, n, t, local.bufs)
-
-    workers = max(1, min(usable_cpus(), len(shifts)))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, shifts))
+    bufs = [np.empty(0, dtype=box.data.dtype) for _ in range(3)]
+    return [_node_sum(box, n, t, bufs) for t in shifts]
 
 
 def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
@@ -737,9 +698,8 @@ def n_lambda(f: BoxFunction, quad: SphereQuadrature, lam: float) -> FormValue:
     first screened on f's packed dilation (_word_screen); a node whose screen
     has no set bit sums no corner pair and gets 0.0, the fsum of its exact
     zero counts, and the 65 word phases are built once, only if some node's
-    screen has a set bit.  The node sums run on a thread pool (_node_sums)
-    and are combined in node order by one fsum, so the value does not depend
-    on the core count, bit for bit.
+    screen has a set bit.  The node sums are combined in node order by one
+    fsum.
     """
     lam = valid_finite("lam", lam)
     if abs(quad.lam - lam) > 1e-9 * max(1.0, lam):
@@ -878,7 +838,7 @@ def roth_main_term_experiment(delta: float, N: float, lam: float, trials: int,
     for trial in range(trials):
         f = random_indicator(N, h, 1, delta, seed=seed * 1000 + trial,
                              structured=(trial % 2 == 1))
-        outs.append(m_lambda(f, lam, m, pv).value / N)
+        outs.append(m_eps_lambda(f, lam, 1.0, m, pv).value / N)
     return min(outs)
 
 

@@ -8,6 +8,7 @@ from lproth import forms, lpgeom
 from lproth.forms import (
     BoxFunction,
     box_partition_pigeonhole,
+    decomposition_forms,
     decomposition_residual,
     e_lambda,
     energy_sum,
@@ -15,7 +16,6 @@ from lproth.forms import (
     full_box_mollified_oracle,
     full_box_sharp_oracle,
     m_eps_lambda,
-    m_lambda,
     n_lambda,
     random_indicator,
     resolved_grid,
@@ -137,14 +137,14 @@ class TestMollifiedForm:
     def test_zero_function(self, moll):
         h = _resolved_box(32.0, 2.0, 1.0, 1)
         f = BoxFunction(values=np.zeros(int(32.0 / h)), N=32.0, h=h)
-        assert m_lambda(f, 2.0, moll, P).value == 0.0
+        assert m_eps_lambda(f, 2.0, 1.0, moll, P).value == 0.0
 
     def test_full_box_against_crude_target(self, moll):
         N, lam = 32.0, 2.0
         h = _resolved_box(N, lam, 1.0, 1)
         f = full_box(N, h, 1)
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
-        v = m_lambda(f, lam, moll, P).value
+        v = m_eps_lambda(f, lam, 1.0, moll, P).value
         assert abs(v - cw * N) / (cw * N) < 3.0 * lam / N
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -159,7 +159,7 @@ class TestMollifiedForm:
         N, lam = 32.0, 2.0
         h = _resolved_box(N, lam, 1.0, 1)
         f = full_box(N, h, 1)
-        v = m_lambda(f, lam, moll, P).value
+        v = m_eps_lambda(f, lam, 1.0, moll, P).value
         oracle = full_box_mollified_oracle(lam, 1.0, moll, P, 1, N)
         assert v == pytest.approx(oracle, rel=2e-3)
 
@@ -179,13 +179,13 @@ class TestMollifiedForm:
     def test_nonnegative_for_indicators(self, moll):
         h = _resolved_box(16.0, 2.0, 1.0, 1)
         f = random_indicator(16.0, h, 1, 0.4, seed=5)
-        out = m_lambda(f, 2.0, moll, P)
+        out = m_eps_lambda(f, 2.0, 1.0, moll, P)
         assert out.value >= -out.quadrature_error
 
     def test_scale_guard(self, moll):
         f = full_box(8.0, 0.125, 1)
         with pytest.raises(ValueError):
-            m_lambda(f, 4.0, moll, P)
+            m_eps_lambda(f, 4.0, 1.0, moll, P)
 
     def test_resolution_guard(self, moll):
         f = full_box(8.0, 0.5, 1)
@@ -196,7 +196,7 @@ class TestMollifiedForm:
         N, lam = 8.0, 1.0
         h = N / round(N / (1.0 / 12.0))
         f = full_box(N, h, 2)
-        v = m_lambda(f, lam, moll, P)
+        v = m_eps_lambda(f, lam, 1.0, moll, P)
         cw = kernel_total_mass(KernelParams(P, 2, 1.0, 1.0), moll)
         assert v.value > 0.0
         assert abs(v.value - cw * N**2) / (cw * N**2) < 6.0 * lam / N
@@ -204,17 +204,20 @@ class TestMollifiedForm:
 
 class TestWidthConsistency:
     def test_unit_width_same_code_path(self, moll):
-        N, lam = 32.0, 2.0
-        h = _resolved_box(N, lam, 1.0, 1)
+        # eps = 1 is the base form M_lambda, the same form as the decomposition's M
+        N, lam, eps = 32.0, 2.0, 0.25
+        h = _resolved_box(N, lam, eps, 1)
         f = full_box(N, h, 1)
-        assert m_eps_lambda(f, lam, 1.0, moll, P).value == m_lambda(f, lam, moll, P).value
+        out = m_eps_lambda(f, lam, 1.0, moll, P)
+        assert (out.kind, out.eps) == ("M_lambda", 1.0)
+        assert out.value == decomposition_forms(f, lam, eps, moll, P)[1].value
 
     def test_cancelled_form_is_boundary_small(self, moll):
         N, lam, eps = 32.0, 2.0, 0.25
         h = _resolved_box(N, lam, eps, 1)
         f = full_box(N, h, 1)
         e = e_lambda(f, lam, eps, moll, P).value
-        mv = m_lambda(f, lam, moll, P).value
+        mv = m_eps_lambda(f, lam, 1.0, moll, P).value
         assert abs(e) <= 10.0 * lam / N * abs(mv)
 
     def test_unit_width_cancelled_form_vanishes(self, moll):
@@ -445,7 +448,7 @@ class TestMainTerm:
         vals[: int(delta * n)] = 1.0
         f = BoxFunction(values=vals, N=N, h=h)
         cw = kernel_total_mass(KernelParams(P, 1, 1.0, 1.0), moll)
-        assert m_lambda(f, lam, moll, P).value / N >= delta * cw / 20.0
+        assert m_eps_lambda(f, lam, 1.0, moll, P).value / N >= delta * cw / 20.0
 
 
 class TestSharpMollifiedErrorShape:

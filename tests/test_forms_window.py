@@ -15,21 +15,16 @@ the bool view of a 0/1 box), its reference with ==.
 """
 
 import math
-import os
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lproth import forms, lpgeom, util
+from lproth import forms, lpgeom
 from lproth.forms import (BoxFunction, _gap_sums, _kernel_lattice, decomposition_forms,
-                          e_lambda, full_box, m_eps_lambda, m_lambda, n_lambda,
-                          random_indicator)
+                          e_lambda, full_box, m_eps_lambda, n_lambda, random_indicator)
 from lproth.lpgeom import SphereQuadrature
 from lproth.mollifier import CancelledKernel, KernelParams, c1_eps, omega_eps_eval
 
@@ -298,7 +293,7 @@ class TestSharedSums:
         lam, eps = 2.0, 0.5
         f = _signed_box(8.0, 96, 2, seed=5)
         shared = decomposition_forms(f, lam, eps, moll, P)[:3]
-        separate = (m_eps_lambda(f, lam, eps, moll, P), m_lambda(f, lam, moll, P),
+        separate = (m_eps_lambda(f, lam, eps, moll, P), m_eps_lambda(f, lam, 1.0, moll, P),
                     e_lambda(f, lam, eps, moll, P))
         for got, ref in zip(shared, separate):
             assert (got.kind, got.eps) == (ref.kind, ref.eps)
@@ -581,22 +576,8 @@ def _shell_indicator(N=4.0, n=2048):
     return BoxFunction(values=(np.abs(r2 - np.round(r2)) <= 0.1).astype(float), N=N, h=h)
 
 
-@pytest.fixture()
-def pool_workers(monkeypatch):
-    """Run the sharp form's pool with a given worker count; record each pool's size."""
-    sizes = []
-
-    def use(workers):
-        def make(max_workers):
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers=workers)
-        monkeypatch.setattr(forms, "ThreadPoolExecutor", make)
-        return sizes
-    return use
-
-
 class TestSharpPool:
-    """The pooled node sums against the serial loop, compared with ==."""
+    """The node sums against the serial loop, compared with ==."""
 
     @pytest.mark.parametrize("d,n,p,nodes", [
         (1, 150_000, 3.0, 8),    # one axis split into several blocks
@@ -641,48 +622,20 @@ class TestSharpPool:
         assert got != 0.0
         assert got == _serial_n(f, rule)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 11])
-    def test_any_worker_count_is_bit_identical(self, pool_workers, workers):
-        f = _signed_box(8.0, 96, 2, seed=3)
-        rule = lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8)
-        sizes = pool_workers(workers)
-        assert n_lambda(f, rule, 1.0).value == _serial_n(f, rule)
-        assert len(sizes) == 1
-
-    @pytest.mark.parametrize("cpus,nodes,want", [(1, 8, 1), (2, 8, 2), (64, 8, 8)])
-    def test_one_worker_per_usable_cpu_up_to_the_nodes(self, monkeypatch, pool_workers,
-                                                       cpus, nodes, want):
-        monkeypatch.setattr(forms, "usable_cpus", lambda: cpus)
-        sizes = pool_workers(want)
-        f = _signed_box(4.0, 16, 2, seed=1)
-        n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=nodes), 1.0)
-        assert sizes == [want]
-
-    def test_usable_cpus_fallback(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert util.usable_cpus() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert util.usable_cpus() == 1
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_node_sum_error_reaches_caller(self, monkeypatch, pool_workers, workers):
+    def test_node_sum_error_reaches_caller(self, monkeypatch):
         node_sum = forms._node_sum
-        pool_workers(workers)
         for f in (_signed_box(4.0, 32, 2, seed=2), _indicator_box(4.0, 32, 2, seed=2)):
             calls = []
-            lock = threading.Lock()
 
             def failing(*args):
-                with lock:
-                    calls.append(None)
-                    if len(calls) == 7:
-                        raise FloatingPointError("node sum failed")
+                calls.append(None)
+                if len(calls) == 7:
+                    raise FloatingPointError("node sum failed")
                 return node_sum(*args)
             monkeypatch.setattr(forms, "_node_sum", failing)
             with pytest.raises(FloatingPointError, match="node sum failed"):
                 n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)
-            assert len(calls) >= 7
+            assert len(calls) == 7
 
 
 def _corner_pair_counts(f, c1, c2):
@@ -860,38 +813,29 @@ class TestCountedSharpForm:
         assert phase_builds == [] and popcounts == []
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_phases_are_built_once_where_some_screens_pass(self, pool_workers, phase_builds, d):
+    def test_phases_are_built_once_where_some_screens_pass(self, phase_builds, d):
         # along the last axis f is 1 at 0, 10, 30 and 50, on leading rows 2 and 3: the
         # shifts ending in 10.25 have an empty screen (f(x) f(x + y) is nonzero at x = 0
         # and f(x + 2y) at 9, 10, 29 and 30), and those ending in 20.0 and 20.25 count
-        # (10, 30, 50).  Eight workers share the phases; a short switch interval makes
-        # them ask for the phases at the same time
+        # (10, 30, 50); every node that counts reads the one build
         vals = np.zeros((56,) * d)
         vals[(slice(2, 4),) * (d - 1) + ([0, 10, 30, 50],)] = 1.0
         f = BoxFunction(values=vals, N=56.0, h=1.0)
         lasts = [10.25, 20.0, 10.25, 20.25] * 4
         rule = _rule([[0.5] * (d - 1) + [t] for t in lasts])
-        sizes = pool_workers(8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = n_lambda(f, rule, 1.0).value
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(sizes) == 1
+        got = n_lambda(f, rule, 1.0).value
         assert got > 0.0 and got == _serial_n(f, rule)
         assert len(phase_builds) == 1
         phase_builds.clear()
         assert n_lambda(f, _rule([[0.5] * (d - 1) + [10.25]] * 3), 1.0).value == 0.0
         assert phase_builds == []
 
-    def test_forbidden_gap_memory_holds_no_phases(self, monkeypatch):
-        # the forbidden gap on a 1024^2 shell, two workers: the traced peak stays below a
-        # quarter of the 65 phases' bytes, so no phase table is built
+    def test_forbidden_gap_memory_holds_no_phases(self):
+        # the forbidden gap on a 1024^2 shell: the traced peak stays below a quarter of
+        # the 65 phases' bytes, so no phase table is built
         f = _shell_indicator(N=2.0, n=1024)
         lam = math.sqrt(0.75)
         rule = lpgeom.sphere_quadrature(2.0, 2, lam, n=64)
-        monkeypatch.setattr(forms, "usable_cpus", lambda: 2)
         phase_bytes = 65 * (f.n + 2) * (-(-f.n // 64) + 1) * 8
         tracemalloc.start()
         try:
@@ -931,31 +875,17 @@ class TestCountedSharpForm:
                 assert got > 0.0 and _on_words(popcounts)
                 assert got == _serial_n(f, rule)
 
-    def test_any_worker_count_is_bit_identical(self, pool_workers):
-        f = _indicator_box(8.0, 96, 2, seed=3)
-        rule = lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8)
-        values = []
-        for workers in (1, 2, 3, 11):
-            sizes = pool_workers(workers)
-            values.append(n_lambda(f, rule, 1.0).value)
-        assert len(sizes) == 4
-        assert values[0] > 0.0 and values == [values[0]] * 4
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_node_count_error_reaches_caller(self, monkeypatch, pool_workers, workers):
+    def test_node_count_error_reaches_caller(self, monkeypatch):
         popcount = forms._popcount
         calls = []
-        lock = threading.Lock()
 
         def failing(w, t):
-            with lock:
-                calls.append(None)
-                if len(calls) == 7:
-                    raise FloatingPointError("node count failed")
+            calls.append(None)
+            if len(calls) == 7:
+                raise FloatingPointError("node count failed")
             return popcount(w, t)
         monkeypatch.setattr(forms, "_popcount", failing)
-        pool_workers(workers)
         f = _indicator_box(4.0, 32, 2, seed=2)
         with pytest.raises(FloatingPointError, match="node count failed"):
             n_lambda(f, lpgeom.sphere_quadrature(1.5, 2, 1.0, n=8), 1.0)
-        assert len(calls) >= 7
+        assert len(calls) == 7

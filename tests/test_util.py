@@ -4,17 +4,19 @@ Every entry point that takes such an argument is called with bad values and
 valid other arguments.  The work each one would start is patched to raise
 ``AssertionError``, so a rule that fires late fails the test; arguments the
 rule rejects before they are used (a window pair, a transform table) are
-passed as ``None``.
+passed as ``None``.  The last test covers ``usable_cpus``'s fallback where the
+OS reports no affinity mask.
 """
 
 import math
+import os
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from lproth import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets
+from lproth import claims, forms, gowers, lpgeom, mollifier, oscillatory, sets, util
 from lproth.gowers import min_shell_grid  # held here: WORK patches the module's name
 from lproth.util import (valid_count, valid_finite, valid_fraction, valid_lacunary,
                          valid_scale, valid_seed)
@@ -268,3 +270,11 @@ def test_rule_messages_live_in_util():
     strays = [(path.name, m) for path in pathlib.Path(lpgeom.__file__).parent.glob("*.py")
               if path.name not in RULE_HOMES for m in RULE_MESSAGES if m in path.read_text()]
     assert not strays, f"state these rules through lproth.util: {strays}"
+
+
+def test_usable_cpus_fallback(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert util.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert util.usable_cpus() == 1
